@@ -17,6 +17,10 @@
 #            checks and the seeded force-property suite
 #   scaling  sparsity-pipeline suites (culled pair lists, blocked J/K,
 #            purification SCF) plus the A10 bench smoke
+#   bench    the repository benchmark at toy size (bench/suite/run.py
+#            --smoke): all four workloads and their correctness gates —
+#            reference energies, one SCF per MD step, served energies
+#            bit-identical to app::run_structured. No timing assertions.
 #   nightly  the property executables at high iteration count
 #            (MTHFX_PROPERTY_NIGHTLY_ITERS, default 400)
 #   all      everything except nightly (what a bare `ctest` runs)
@@ -63,6 +67,9 @@ case "$TIER" in
       "$BUILD_DIR"/bench/bench_a10_scaling --smoke
     fi
     ;;
+  bench)
+    python3 bench/suite/run.py --smoke
+    ;;
   nightly)
     # Nightly tests are registered under the "nightly" ctest
     # configuration so they never run by accident.
@@ -72,7 +79,7 @@ case "$TIER" in
     ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
     ;;
   *)
-    echo "unknown tier: $TIER (want tier1|fault|engine|durability|serve|property|gradient|scaling|nightly|all)" >&2
+    echo "unknown tier: $TIER (want tier1|fault|engine|durability|serve|property|gradient|scaling|bench|nightly|all)" >&2
     exit 2
     ;;
 esac

@@ -18,20 +18,25 @@ namespace mthfx::fault {
 /// SCF restart state. `density` (+ the alpha/beta split for open-shell)
 /// and the DIIS history are enough to resume the fixed-point iteration
 /// mid-flight; `j`/`k`/`density_prev` carry the incremental-Fock state
-/// so an RHF resume stays bit-for-bit with the uninterrupted run.
+/// so an rhf/sparse_rhf resume stays bit-for-bit with the uninterrupted
+/// run.
 struct ScfCheckpoint {
-  std::string method;  ///< "rhf" | "uhf" | "rks" | "uks"
+  /// "rhf" | "uhf" | "rks" | "uks" | "sparse_rhf"; each entry point
+  /// resumes only its own.
+  std::string method;
   std::size_t iteration = 0;
   double energy = 0.0;
   linalg::Matrix density;
   linalg::Matrix density_beta;  ///< open-shell only (empty otherwise)
-  // Incremental-Fock state (rhf/rks; empty when not in use).
+  // Incremental-Fock state (rhf/sparse_rhf with incremental_fock on;
+  // empty otherwise).
   linalg::Matrix density_prev;
   linalg::Matrix j;
   linalg::Matrix k;
-  /// RHF's near-convergence switch to full builds (see rhf.cpp); must
-  /// survive a restart or the resumed run re-enters incremental mode and
-  /// diverges bit-wise from the uninterrupted one.
+  /// The incremental path's near-convergence switch to full builds (see
+  /// scf/scf_loop.cpp); must survive a restart or the resumed run
+  /// re-enters incremental mode and diverges bit-wise from the
+  /// uninterrupted one.
   bool force_full_builds = false;
   // DIIS history (parallel vectors of Fock and error matrices); the
   // *_beta lists carry the second spin channel for uhf/uks.
@@ -70,8 +75,9 @@ chem::Molecule molecule_from_json(const obs::Json& j);
 ScfCheckpoint scf_checkpoint_from_json(const obs::Json& j);
 MdCheckpoint md_checkpoint_from_json(const obs::Json& j);
 
-/// File helpers; save writes atomically-ish (truncate+write+flush) and
-/// throws std::runtime_error on I/O failure. load dispatches on the
+/// File helpers; save writes through fault::atomic_write_file (a crash
+/// leaves the old file or the new one, never a torn one) and throws
+/// std::runtime_error on I/O failure. load dispatches on the
 /// checkpoint's "kind" field via the accessors below.
 void save_checkpoint(const std::string& path, const ScfCheckpoint& ckpt);
 void save_checkpoint(const std::string& path, const MdCheckpoint& ckpt);

@@ -91,18 +91,12 @@ void add_one_electron_gradient(const chem::Molecule& mol,
 std::vector<Vec3> rhf_gradient(const chem::Molecule& mol,
                                const chem::BasisSet& basis,
                                const ScfResult& result) {
-  const auto nocc = static_cast<std::size_t>(mol.num_electrons() / 2);
-  const Matrix& p = result.density;
-  const Matrix w = energy_weighted_density(result, nocc);
-
-  std::vector<Vec3> grad = nuclear_repulsion_gradient(mol);
-  add_one_electron_gradient(mol, basis, p, w, grad);
-
-  hfx::GradContractionOptions gopt;
-  gopt.ax = 1.0;
-  const std::vector<Vec3> g2 = hfx::two_electron_gradient(basis, p, gopt);
-  for (std::size_t a = 0; a < grad.size(); ++a) grad[a] = grad[a] + g2[a];
-  return grad;
+  // RHF is the ax = 1, no-XC case; screen the derivative ERIs at the
+  // contraction's own default threshold.
+  KsOptions hf;
+  hf.functional = "hf";
+  hf.scf.hfx.eps_schwarz = hfx::GradContractionOptions{}.eps_schwarz;
+  return ks_gradient(mol, basis, hf, KsResult{result});
 }
 
 std::vector<Vec3> ks_gradient(const chem::Molecule& mol,

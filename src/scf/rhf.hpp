@@ -26,7 +26,13 @@ struct ScfOptions {
   double energy_tolerance = 1e-9;    ///< |dE| between iterations
   double diis_tolerance = 1e-7;      ///< max |FPS - SPF| for convergence
   bool use_diis = true;
-  bool incremental_fock = true;      ///< build J/K from ΔP when possible
+  /// Build J/K from ΔP = P - P_built when possible, with a full build
+  /// every `full_rebuild_every` iterations and for every iteration once
+  /// the DIIS error is inside tolerance. Honoured by rhf and sparse_rhf;
+  /// rks, uhf and uks always build in full. Turning it off slowed the
+  /// bench/suite box_sparse solve on every seed tried (seeds 1-4:
+  /// 1.43→1.76, 1.47→1.96, 1.74→1.95, 1.91→2.68 s).
+  bool incremental_fock = true;
   std::size_t full_rebuild_every = 20;
   hfx::HfxOptions hfx;               ///< screening/schedule of the JK builds
   RecoveryOptions recovery;          ///< divergence detection / escalation
@@ -40,14 +46,16 @@ struct ScfOptions {
   std::function<void(const fault::ScfCheckpoint&)> checkpoint_sink;
   std::size_t checkpoint_every = 1;
 
-  /// Cooperative cancellation, polled once per SCF iteration (all four
-  /// drivers). An armed token makes the solve throw fault::Cancelled at
-  /// the next iteration boundary — after the latest checkpoint, so a
+  /// Cooperative cancellation, polled once per SCF iteration by the loop
+  /// behind every entry point (scf/scf_loop.hpp). An armed token makes
+  /// the solve throw fault::Cancelled at the next iteration boundary —
+  /// after the latest checkpoint, so a
   /// cancelled job resumes instead of restarting. Used by the engine's
   /// deadline watchdog to reclaim hung/overdue jobs.
   std::shared_ptr<const fault::CancelToken> cancel;
 
-  /// Warm-start density guess replacing the core guess (rhf and rks).
+  /// Warm-start density guess replacing the core guess (rhf, rks and
+  /// sparse_rhf).
   /// The MD surface feeds extrapolated previous-step densities through
   /// here so mid-trajectory solves converge in a few iterations. Throws
   /// std::invalid_argument on a dimension mismatch with the basis.
@@ -97,14 +105,6 @@ struct ScfResult {
 /// counts.
 ScfResult rhf(const chem::Molecule& mol, const chem::BasisSet& basis,
               const ScfOptions& options = {});
-
-/// Guess density honoring ScfOptions::initial_density (falls back to the
-/// core guess). Shared by the rhf and rks drivers.
-linalg::Matrix initial_scf_density(const chem::BasisSet& basis,
-                                   const chem::Molecule& mol,
-                                   const linalg::Matrix& x,
-                                   const ScfOptions& options,
-                                   const char* driver);
 
 /// HOMO-LUMO gap in Hartree (0 when no virtual orbital exists).
 double homo_lumo_gap(const ScfResult& result, const chem::Molecule& mol);

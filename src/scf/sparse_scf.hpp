@@ -11,7 +11,8 @@
 //    update by TC2 purification (linalg/purify.hpp), both on block-sparse
 //    matrices whose retained fraction falls with box size.
 //
-// The driver is selected by scf::rhf automatically when
+// It is the purification density step (scf/scf_loop.hpp) of the one SCF
+// loop, selected by scf::rhf automatically when
 // options.hfx.sparsity.blocked(nbf) holds; callers keep using rhf().
 // The returned ScfResult carries energy/density/log but — by
 // construction, no orbitals exist — empty coefficients and
@@ -40,11 +41,10 @@ struct SparseScfInfo {
   double jk_seconds_total = 0.0;        ///< Σ blocked J/K build wall time
 };
 
-/// Closed-shell RHF with the blocked/purification pipeline. Honors
-/// max_iterations, tolerances, use_diis, incremental_fock,
-/// full_rebuild_every, hfx options (including sparsity), initial_density
-/// and shared_builder; checkpoint/resume and the recovery ladder are not
-/// wired into this path.
+/// Closed-shell RHF with the blocked/purification pipeline. Honors every
+/// ScfOptions field, including the recovery ladder and checkpoint/resume;
+/// its checkpoints carry method "sparse_rhf", so they never resume the
+/// dense path (nor a dense checkpoint this one).
 ScfResult sparse_rhf(const chem::Molecule& mol, const chem::BasisSet& basis,
                      const ScfOptions& options = {},
                      SparseScfInfo* info = nullptr);

@@ -1,53 +1,75 @@
+// The open-shell entry points (uhf, uks): thin wrappers over the one SCF
+// loop in scf/scf_loop.hpp, with alpha and beta channels.
+
 #include "scf/uhf.hpp"
 
 #include <cmath>
+#include <optional>
 #include <stdexcept>
+#include <string>
 
-#include "ints/one_electron.hpp"
-#include "linalg/diis.hpp"
-#include "linalg/eigen.hpp"
-#include "obs/stopwatch.hpp"
+#include "dft/spin_functionals.hpp"
+#include "dft/xc_integrator.hpp"
 #include "obs/trace.hpp"
+#include "scf/scf_loop.hpp"
+#include "scf/uks.hpp"
 
 namespace mthfx::scf {
 
-using linalg::Matrix;
-
 namespace {
 
-struct SpinOrbitals {
-  Matrix c;
-  linalg::Vector eps;
-  Matrix p;  // C_occ C_occ^T, no factor 2
-};
+// N_a and N_b from the multiplicity, with UhfOptions' mitigations.
+detail::LoopSpec open_shell_spec(const char* method, const chem::Molecule& mol,
+                                 int multiplicity, const UhfOptions& options) {
+  const int nelec = mol.num_electrons();
+  const int nopen = multiplicity - 1;
+  if (nopen < 0 || (nelec - nopen) % 2 != 0 || nelec < nopen)
+    throw std::invalid_argument(
+        std::string(method) +
+        ": electron count inconsistent with multiplicity");
+  const auto nb = static_cast<std::size_t>((nelec - nopen) / 2);
+  detail::LoopSpec spec;
+  spec.method = method;
+  spec.nocc = {nb + static_cast<std::size_t>(nopen), nb};
+  spec.nuclear_repulsion = mol.nuclear_repulsion();
+  spec.density_damping = options.density_damping;
+  spec.damping_until = options.damping_until;
+  spec.level_shift = options.level_shift;
+  return spec;
+}
 
-SpinOrbitals solve_spin(const Matrix& f, const Matrix& x, std::size_t nocc) {
-  const Matrix fprime =
-      linalg::matmul(linalg::matmul(linalg::transpose(x), f), x);
-  const auto eig = linalg::eigh(fprime);
-  SpinOrbitals out;
-  out.c = linalg::matmul(x, eig.vectors);
-  out.eps = eig.values;
-  const std::size_t n = out.c.rows();
-  out.p = Matrix(n, n);
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = 0; j < n; ++j) {
-      double v = 0.0;
-      for (std::size_t o = 0; o < nocc; ++o) v += out.c(i, o) * out.c(j, o);
-      out.p(i, j) = v;
-    }
+// The UhfOptions fields the loop reads, as ScfOptions.
+ScfOptions loop_options(const UhfOptions& options) {
+  ScfOptions out;
+  out.max_iterations = options.max_iterations;
+  out.energy_tolerance = options.energy_tolerance;
+  out.diis_tolerance = options.diis_tolerance;
+  out.use_diis = options.use_diis;
+  out.hfx = options.hfx;
+  out.recovery = options.recovery;
+  out.resume = options.resume;
+  out.checkpoint_sink = options.checkpoint_sink;
+  out.checkpoint_every = options.checkpoint_every;
+  out.cancel = options.cancel;
   return out;
 }
 
-// <S^2> = Sz(Sz+1) + N_b - sum_{i in a, j in b} |(C_a^T S C_b)_ij|^2.
-double s_squared_expectation(const Matrix& ca, const Matrix& cb,
-                             const Matrix& s, std::size_t na, std::size_t nb) {
-  const double sz = 0.5 * (static_cast<double>(na) - static_cast<double>(nb));
-  double overlap2 = 0.0;
-  const Matrix sab = linalg::matmul(linalg::matmul(linalg::transpose(ca), s), cb);
-  for (std::size_t i = 0; i < na; ++i)
-    for (std::size_t j = 0; j < nb; ++j) overlap2 += sab(i, j) * sab(i, j);
-  return sz * (sz + 1.0) + static_cast<double>(nb) - overlap2;
+UhfResult open_shell_result(detail::LoopResult&& r) {
+  UhfResult out;
+  out.converged = r.scf.converged;
+  out.energy = r.scf.energy;
+  out.nuclear_repulsion = r.scf.nuclear_repulsion;
+  out.iterations = r.scf.iterations;
+  out.s_squared = r.s_squared;
+  out.density_alpha = std::move(r.scf.density);
+  out.density_beta = std::move(r.beta.density);
+  out.orbital_energies_alpha = std::move(r.scf.orbital_energies);
+  out.orbital_energies_beta = std::move(r.beta.orbital_energies);
+  out.coefficients_alpha = std::move(r.scf.coefficients);
+  out.coefficients_beta = std::move(r.beta.coefficients);
+  out.log = std::move(r.scf.log);
+  out.diagnostics = std::move(r.scf.diagnostics);
+  return out;
 }
 
 }  // namespace
@@ -55,209 +77,60 @@ double s_squared_expectation(const Matrix& ca, const Matrix& cb,
 UhfResult uhf(const chem::Molecule& mol, const chem::BasisSet& basis,
               int multiplicity, const UhfOptions& options) {
   const obs::Trace::Scope scf_span(obs::global_trace(), "scf.uhf");
-  const int nelec = mol.num_electrons();
-  const int nopen = multiplicity - 1;
-  if (nopen < 0 || (nelec - nopen) % 2 != 0 || nelec < nopen)
-    throw std::invalid_argument(
-        "uhf: electron count inconsistent with multiplicity");
-  const auto nb = static_cast<std::size_t>((nelec - nopen) / 2);
-  const auto na = nb + static_cast<std::size_t>(nopen);
+  detail::LoopSpec spec = open_shell_spec("uhf", mol, multiplicity, options);
+  const auto step =
+      detail::diagonalize_step(mol, basis, options.hfx, nullptr, "uhf");
 
-  const Matrix s = ints::overlap(basis);
-  const Matrix x = linalg::inverse_sqrt(s);
-  const Matrix h = ints::core_hamiltonian(basis, mol);
-  const double enuc = mol.nuclear_repulsion();
-
-  hfx::FockBuilder builder(basis, options.hfx);
-
-  SpinOrbitals a = solve_spin(h, x, na);
-  SpinOrbitals b = solve_spin(h, x, nb);
-
+  const std::size_t na = spec.nocc[0], nb = spec.nocc[1];
   if (options.break_symmetry && na < basis.num_functions()) {
-    // Rotate the alpha HOMO toward the LUMO and rebuild P_a.
+    // Core guess with the alpha HOMO rotated toward the LUMO.
+    const linalg::Matrix& h = step->core_hamiltonian();
+    linalg::Matrix ca = step->update(h, na, 1.0).coefficients;
     const std::size_t homo = na - 1, lumo = na;
     const double c = std::cos(0.25 * M_PI / 2.0), sn = std::sin(0.25 * M_PI / 2.0);
-    for (std::size_t i = 0; i < a.c.rows(); ++i) {
-      const double vh = a.c(i, homo), vl = a.c(i, lumo);
-      a.c(i, homo) = c * vh + sn * vl;
-      a.c(i, lumo) = -sn * vh + c * vl;
+    for (std::size_t i = 0; i < ca.rows(); ++i) {
+      const double vh = ca(i, homo), vl = ca(i, lumo);
+      ca(i, homo) = c * vh + sn * vl;
+      ca(i, lumo) = -sn * vh + c * vl;
     }
-    const std::size_t n = a.c.rows();
-    a.p = Matrix(n, n);
-    for (std::size_t i = 0; i < n; ++i)
-      for (std::size_t j = 0; j < n; ++j) {
-        double v = 0.0;
-        for (std::size_t o = 0; o < na; ++o) v += a.c(i, o) * a.c(j, o);
-        a.p(i, j) = v;
-      }
+    spec.guess = {occupied_density(ca, na, 1.0),
+                  step->update(h, nb, 1.0).density};
   }
+  return open_shell_result(
+      detail::run_scf(spec, loop_options(options), *step));
+}
 
-  linalg::Diis diis_a, diis_b;
-  RecoveryLadder ladder(options.recovery);
-  UhfResult result;
-  result.nuclear_repulsion = enuc;
-  double e_prev = 0.0;
-  std::size_t start_iter = 0;
+UksResult uks(const chem::Molecule& mol, const chem::BasisSet& basis,
+              int multiplicity, const UksOptions& options) {
+  const obs::Trace::Scope scf_span(obs::global_trace(), "scf.uks");
+  detail::LoopSpec spec =
+      open_shell_spec("uks", mol, multiplicity, options.scf);
+  const dft::SpinFunctional functional =
+      dft::make_spin_functional(options.functional);
+  spec.ax = functional.exact_exchange;
+  const auto step =
+      detail::diagonalize_step(mol, basis, options.scf.hfx, nullptr, "uks");
 
-  if (options.resume) {
-    const fault::ScfCheckpoint& ckpt = *options.resume;
-    if (ckpt.method != "uhf")
-      throw std::invalid_argument("uhf: checkpoint is for method '" +
-                                  ckpt.method + "'");
-    start_iter = ckpt.iteration;
-    a.p = ckpt.density;
-    b.p = ckpt.density_beta;
-    e_prev = ckpt.energy;
-    diis_a.restore_history(ckpt.diis_focks, ckpt.diis_errors);
-    diis_b.restore_history(ckpt.diis_focks_beta, ckpt.diis_errors_beta);
-  }
-
-  Matrix last_good_pa = a.p, last_good_pb = b.p;
-  std::size_t completed = start_iter;
-
-  for (std::size_t iter = start_iter; iter < options.max_iterations;
-       ++iter) {
-    if (options.cancel) options.cancel->check();
-    const obs::Trace::Scope iter_span(obs::global_trace(), "scf.iteration");
-    const obs::Stopwatch iter_watch;
-    const auto jk_a = builder.coulomb_exchange(a.p);
-    const auto jk_b = builder.coulomb_exchange(b.p);
-    const Matrix j_total = jk_a.j + jk_b.j;
-
-    Matrix fa = h + j_total - jk_a.k;
-    Matrix fb = h + j_total - jk_b.k;
-
-    const Matrix pt = a.p + b.p;
-    const double energy = 0.5 * (linalg::trace_product(pt, h) +
-                                 linalg::trace_product(a.p, fa) +
-                                 linalg::trace_product(b.p, fb)) +
-                          enuc;
-
-    auto err_for = [&](const Matrix& f, const Matrix& p) {
-      const Matrix fps = linalg::matmul(linalg::matmul(f, p), s);
-      return linalg::matmul(
-          linalg::matmul(linalg::transpose(x), fps - linalg::transpose(fps)),
-          x);
+  std::optional<dft::MolecularGrid> grid;
+  std::optional<dft::XcIntegrator> xc;
+  if (options.functional != "hf") {
+    grid.emplace(mol, options.grid);
+    xc.emplace(basis, *grid,
+               options.scf.hfx.sparsity.blocked(basis.num_functions()));
+    spec.xc = [&](const std::vector<detail::Channel>& ch) {
+      dft::XcSpinResult r = xc->integrate_spin(functional, ch[0].p, ch[1].p);
+      return detail::XcTerm{r.energy, r.integrated_density,
+                            {std::move(r.v_alpha), std::move(r.v_beta)}};
     };
-    const Matrix ea = err_for(fa, a.p);
-    const Matrix eb = err_for(fb, b.p);
-    const double diis_err = std::max(linalg::max_abs(ea), linalg::max_abs(eb));
-    const double delta_e = energy - e_prev;
-    const bool finite = std::isfinite(energy) && std::isfinite(diis_err);
-
-    ladder.observe(iter, energy, delta_e, diis_err);
-    if (ladder.consume_diis_reset()) {
-      diis_a.reset();
-      diis_b.reset();
-    }
-    if (options.use_diis && finite) {
-      fa = diis_a.extrapolate(fa, ea);
-      fb = diis_b.extrapolate(fb, eb);
-    }
-
-    ScfIterationLog log_entry;
-    log_entry.energy = energy;
-    log_entry.delta_e = delta_e;
-    log_entry.diis_error = diis_err;
-    log_entry.quartets_computed = jk_a.stats.screening.quartets_computed +
-                                  jk_b.stats.screening.quartets_computed;
-    log_entry.jk_seconds =
-        jk_a.stats.wall_seconds + jk_b.stats.wall_seconds;
-    log_entry.seconds = iter_watch.seconds();
-    log_entry.recovery_stage = static_cast<std::uint32_t>(ladder.stage());
-    result.log.push_back(log_entry);
-    completed = iter + 1;
-
-    if (!finite) {
-      result.diagnostics.finite = false;
-      if (ladder.exhausted()) {
-        result.diagnostics.failure_reason =
-            "non-finite energy with recovery ladder exhausted";
-        break;
-      }
-      a.p = last_good_pa;
-      b.p = last_good_pb;
-      continue;
-    }
-    last_good_pa = a.p;
-    last_good_pb = b.p;
-
-    const bool e_ok =
-        iter > 0 && std::abs(energy - e_prev) < options.energy_tolerance;
-    const bool d_ok = diis_err < options.diis_tolerance;
-    e_prev = energy;
-
-    if (e_ok && d_ok) {
-      result.converged = true;
-      result.energy = energy;
-      result.iterations = iter + 1;
-      result.density_alpha = a.p;
-      result.density_beta = b.p;
-      result.coefficients_alpha = a.c;
-      result.coefficients_beta = b.c;
-      result.orbital_energies_alpha = a.eps;
-      result.orbital_energies_beta = b.eps;
-      result.s_squared = s_squared_expectation(a.c, b.c, s, na, nb);
-      result.diagnostics.final_stage = ladder.stage();
-      result.diagnostics.recovery_events = ladder.events();
-      return result;
-    }
-
-    // The recovery ladder composes with the user-configured mitigations:
-    // whichever is stronger wins.
-    const double shift = std::max(options.level_shift, ladder.level_shift());
-    if (shift > 0.0) {
-      const Matrix spa = linalg::matmul(linalg::matmul(s, a.p), s);
-      const Matrix spb = linalg::matmul(linalg::matmul(s, b.p), s);
-      fa += shift * (s - spa);
-      fb += shift * (s - spb);
-    }
-    const Matrix pa_old = a.p;
-    const Matrix pb_old = b.p;
-    a = solve_spin(fa, x, na);
-    b = solve_spin(fb, x, nb);
-    const double configured_damping =
-        options.density_damping > 0.0 && diis_err > options.damping_until
-            ? options.density_damping
-            : 0.0;
-    const double d = std::max(configured_damping, ladder.damping());
-    if (d > 0.0) {
-      a.p = (1.0 - d) * a.p + d * pa_old;
-      b.p = (1.0 - d) * b.p + d * pb_old;
-    }
-
-    if (options.checkpoint_sink && options.checkpoint_every > 0 &&
-        (iter + 1) % options.checkpoint_every == 0) {
-      fault::ScfCheckpoint ckpt;
-      ckpt.method = "uhf";
-      ckpt.iteration = iter + 1;
-      ckpt.energy = e_prev;
-      ckpt.density = a.p;
-      ckpt.density_beta = b.p;
-      const auto copy = [](const auto& history) {
-        return std::vector<Matrix>(history.begin(), history.end());
-      };
-      ckpt.diis_focks = copy(diis_a.fock_history());
-      ckpt.diis_errors = copy(diis_a.error_history());
-      ckpt.diis_focks_beta = copy(diis_b.fock_history());
-      ckpt.diis_errors_beta = copy(diis_b.error_history());
-      options.checkpoint_sink(ckpt);
-    }
   }
 
-  result.converged = false;
-  result.energy = e_prev;
-  result.iterations = completed;
-  result.density_alpha = a.p;
-  result.density_beta = b.p;
-  result.coefficients_alpha = a.c;
-  result.coefficients_beta = b.c;
-  result.orbital_energies_alpha = a.eps;
-  result.orbital_energies_beta = b.eps;
-  result.s_squared = s_squared_expectation(a.c, b.c, s, na, nb);
-  result.diagnostics.final_stage = ladder.stage();
-  result.diagnostics.recovery_events = ladder.events();
-  return result;
+  detail::LoopResult r = detail::run_scf(spec, loop_options(options.scf), *step);
+  UksResult out;
+  out.xc_energy = r.xc_energy;
+  out.exact_exchange_energy = r.scf.exchange_energy;
+  out.integrated_density = r.integrated_density;
+  out.scf = open_shell_result(std::move(r));
+  return out;
 }
 
 }  // namespace mthfx::scf

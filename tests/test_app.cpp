@@ -2,10 +2,14 @@
 
 #include "app/driver.hpp"
 #include "app/input.hpp"
+#include "chem/basis.hpp"
 #include "chem/elements.hpp"
+#include "scf/gradient.hpp"
+#include "scf/rhf.hpp"
 
 namespace app = mthfx::app;
 namespace chem = mthfx::chem;
+namespace scf = mthfx::scf;
 
 namespace {
 
@@ -196,6 +200,39 @@ TEST(Driver, StructuredGradientTask) {
   ASSERT_EQ(s.gradient.size(), 2u);
   // Translational invariance: forces cancel along the bond axis.
   EXPECT_NEAR(s.gradient[0][2] + s.gradient[1][2], 0.0, 1e-8);
+  // The task reuses its rks("hf") solve; no second SCF, same forces as
+  // the RHF driver's gradient.
+  chem::Molecule m;
+  m.add_atom(1, {0, 0, 0});
+  m.add_atom(1, {0, 0, 1.4});
+  const auto basis = chem::BasisSet::build(m, "sto-3g");
+  const auto ref = scf::rhf_gradient(m, basis, scf::rhf(m, basis));
+  for (std::size_t a = 0; a < 2; ++a)
+    for (std::size_t d = 0; d < 3; ++d)
+      EXPECT_NEAR(s.gradient[a][d], ref[a][d], 1e-8);
+
+  // Two waters 5 A apart, where Schwarz screening does drop derivative
+  // quartets: at the SCF's eps_schwarz (1e-10, quartets kept down to
+  // 1e-12) the forces move by ~3e-11 against rhf_gradient's own 1e-12
+  // threshold. The task must screen like rhf_gradient; its full-build
+  // solve equals rhf without incremental Fock, so only summation-order
+  // noise (~1e-14) remains under the 1e-12 bound.
+  const auto dimer_in = app::parse_input(
+      "method hf\ntask gradient\ngeometry angstrom\n"
+      "O 0 0 0.1173\nH 0 0.7572 -0.4692\nH 0 -0.7572 -0.4692\n"
+      "O 5 0 0.1173\nH 5 0.7572 -0.4692\nH 5 -0.7572 -0.4692\nend\n");
+  const auto dimer = app::run_structured(dimer_in);
+  ASSERT_TRUE(dimer.ok);
+  const auto dimer_basis = chem::BasisSet::build(dimer_in.molecule, "sto-3g");
+  scf::ScfOptions full_builds;
+  full_builds.incremental_fock = false;
+  const auto dimer_ref = scf::rhf_gradient(
+      dimer_in.molecule, dimer_basis,
+      scf::rhf(dimer_in.molecule, dimer_basis, full_builds));
+  ASSERT_EQ(dimer.gradient.size(), dimer_ref.size());
+  for (std::size_t a = 0; a < dimer_ref.size(); ++a)
+    for (std::size_t d = 0; d < 3; ++d)
+      EXPECT_NEAR(dimer.gradient[a][d], dimer_ref[a][d], 1e-12);
 }
 
 TEST(Driver, Pbe0GradientTask) {

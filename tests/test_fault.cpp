@@ -9,9 +9,12 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <memory>
+#include <ostream>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "chem/basis.hpp"
@@ -28,14 +31,21 @@
 #include "scf/recovery.hpp"
 #include "scf/rhf.hpp"
 #include "scf/rks.hpp"
+#include "scf/sparse_scf.hpp"
+#include "scf/uhf.hpp"
+#include "scf/uks.hpp"
+#include "workload/geometries.hpp"
+#include "workload/replicate.hpp"
 
 namespace chem = mthfx::chem;
+namespace dft = mthfx::dft;
 namespace fault = mthfx::fault;
 namespace hfx = mthfx::hfx;
 namespace la = mthfx::linalg;
 namespace md = mthfx::md;
 namespace obs = mthfx::obs;
 namespace scf = mthfx::scf;
+namespace wl = mthfx::workload;
 
 namespace {
 
@@ -429,83 +439,122 @@ TEST(Checkpoint, SaveAndLoadThroughFile) {
                std::runtime_error);
 }
 
-// Interrupt an RHF solve mid-flight and resume from the checkpoint: in
-// deterministic mode (single thread) the resumed run must land on the
-// uninterrupted energy bit-for-bit.
-TEST(Checkpoint, RhfResumeReproducesUninterruptedRunExactly) {
-  const auto m = water();
-  const auto basis = chem::BasisSet::build(m, "sto-3g");
+// Interrupt a solve after 3 iterations and resume from the checkpoint,
+// once per SCF entry point (all run the same loop). In deterministic
+// mode (single thread) the resumed run must land on the uninterrupted
+// energy bit-for-bit, after the same number of iterations.
+namespace {
 
-  scf::ScfOptions opts;
-  opts.hfx.num_threads = 1;
-  const auto full = scf::rhf(m, basis, opts);
+struct ScfRun {
+  bool converged = false;
+  double energy = 0.0;
+  std::size_t iterations = 0;
+};
+
+struct ResumeControl {
+  std::size_t max_iterations = 200;
+  std::function<void(const fault::ScfCheckpoint&)> sink;
+  std::shared_ptr<const fault::ScfCheckpoint> resume;
+};
+
+// ScfOptions and UhfOptions share these field names.
+template <class Options>
+Options controlled(Options o, const ResumeControl& c) {
+  o.hfx.num_threads = 1;
+  o.max_iterations = c.max_iterations;
+  o.checkpoint_sink = c.sink;
+  o.resume = c.resume;
+  return o;
+}
+
+ScfRun solve_reference(const std::string& method, const ResumeControl& c) {
+  chem::Molecule lithium;
+  lithium.add_atom(3, {0, 0, 0});
+  const chem::Molecule mol =
+      method == "sparse_rhf" ? wl::box_of(wl::water(), 2, 1.0, 4)
+      : method[0] == 'u'     ? lithium
+                             : water();
+  const auto basis = chem::BasisSet::build(mol, "sto-3g");
+  const dft::GridOptions grid{20, 26};
+  if (method == "rhf" || method == "sparse_rhf") {
+    scf::ScfOptions o;
+    if (method == "sparse_rhf") o.hfx.sparsity.mode = hfx::SparsityMode::kBlocked;
+    const auto r = method == "rhf" ? scf::rhf(mol, basis, controlled(o, c))
+                                   : scf::sparse_rhf(mol, basis, controlled(o, c));
+    return {r.converged, r.energy, r.iterations};
+  }
+  if (method == "rks") {
+    scf::KsOptions o;
+    o.grid = grid;
+    o.scf = controlled(o.scf, c);
+    const auto r = scf::rks(mol, basis, o);
+    return {r.scf.converged, r.scf.energy, r.scf.iterations};
+  }
+  if (method == "uhf") {
+    const auto r = scf::uhf(mol, basis, 2, controlled(scf::UhfOptions{}, c));
+    return {r.converged, r.energy, r.iterations};
+  }
+  scf::UksOptions o;
+  o.grid = grid;
+  o.scf = controlled(o.scf, c);
+  const auto r = scf::uks(mol, basis, 2, o);
+  return {r.scf.converged, r.scf.energy, r.scf.iterations};
+}
+
+// Test parameter, printed as its method (which names the test case).
+struct Reference {
+  const char* method;
+};
+void PrintTo(const Reference& r, std::ostream* os) { *os << r.method; }
+
+}  // namespace
+
+class ScfResume : public ::testing::TestWithParam<Reference> {};
+
+TEST_P(ScfResume, ReproducesUninterruptedRunExactly) {
+  const std::string method = GetParam().method;
+  const ScfRun full = solve_reference(method, {});
   ASSERT_TRUE(full.converged);
 
   // "Crash" after 3 iterations, keeping the latest checkpoint.
   std::shared_ptr<fault::ScfCheckpoint> saved;
-  scf::ScfOptions first;
-  first.hfx.num_threads = 1;
+  ResumeControl first;
   first.max_iterations = 3;
-  first.checkpoint_sink = [&](const fault::ScfCheckpoint& c) {
+  first.sink = [&](const fault::ScfCheckpoint& c) {
     saved = std::make_shared<fault::ScfCheckpoint>(c);
   };
-  const auto partial = scf::rhf(m, basis, first);
-  ASSERT_FALSE(partial.converged);
+  ASSERT_FALSE(solve_reference(method, first).converged);
   ASSERT_TRUE(saved);
   EXPECT_EQ(saved->iteration, 3u);
-  EXPECT_EQ(saved->method, "rhf");
+  EXPECT_EQ(saved->method, method);
 
   // Round-trip the checkpoint through its JSON serialization, as a real
   // restart would.
-  const auto restored = std::make_shared<fault::ScfCheckpoint>(
+  ResumeControl second;
+  second.resume = std::make_shared<fault::ScfCheckpoint>(
       fault::scf_checkpoint_from_json(obs::Json::parse(to_json(*saved).dump())));
-
-  scf::ScfOptions second;
-  second.hfx.num_threads = 1;
-  second.resume = restored;
-  const auto resumed = scf::rhf(m, basis, second);
+  const ScfRun resumed = solve_reference(method, second);
   ASSERT_TRUE(resumed.converged);
   EXPECT_EQ(resumed.energy, full.energy);  // bitwise
   EXPECT_EQ(resumed.iterations, full.iterations);
 }
 
+INSTANTIATE_TEST_SUITE_P(AllReferences, ScfResume,
+                         ::testing::Values(Reference{"rhf"}, Reference{"uhf"},
+                                           Reference{"rks"}, Reference{"uks"},
+                                           Reference{"sparse_rhf"}));
+
 TEST(Checkpoint, RhfRejectsWrongMethodCheckpoint) {
   const auto m = water();
   const auto basis = chem::BasisSet::build(m, "sto-3g");
-  auto ckpt = std::make_shared<fault::ScfCheckpoint>();
-  ckpt->method = "uhf";
-  scf::ScfOptions opts;
-  opts.resume = ckpt;
-  EXPECT_THROW(scf::rhf(m, basis, opts), std::invalid_argument);
-}
-
-TEST(Checkpoint, RksResumeReproducesUninterruptedRunExactly) {
-  const auto m = water();
-  const auto basis = chem::BasisSet::build(m, "sto-3g");
-
-  scf::KsOptions opts;
-  opts.functional = "pbe0";
-  opts.scf.hfx.num_threads = 1;
-  opts.grid.radial_points = 20;
-  opts.grid.angular_points = 26;
-  const auto full = scf::rks(m, basis, opts);
-  ASSERT_TRUE(full.scf.converged);
-
-  std::shared_ptr<fault::ScfCheckpoint> saved;
-  auto first = opts;
-  first.scf.max_iterations = 3;
-  first.scf.checkpoint_sink = [&](const fault::ScfCheckpoint& c) {
-    saved = std::make_shared<fault::ScfCheckpoint>(c);
-  };
-  ASSERT_FALSE(scf::rks(m, basis, first).scf.converged);
-  ASSERT_TRUE(saved);
-
-  auto second = opts;
-  second.scf.resume = std::make_shared<fault::ScfCheckpoint>(
-      fault::scf_checkpoint_from_json(obs::Json::parse(to_json(*saved).dump())));
-  const auto resumed = scf::rks(m, basis, second);
-  ASSERT_TRUE(resumed.scf.converged);
-  EXPECT_EQ(resumed.scf.energy, full.scf.energy);
+  // A sparse_rhf checkpoint never resumes the dense path.
+  for (const char* method : {"uhf", "sparse_rhf"}) {
+    auto ckpt = std::make_shared<fault::ScfCheckpoint>();
+    ckpt->method = method;
+    scf::ScfOptions opts;
+    opts.resume = ckpt;
+    EXPECT_THROW(scf::rhf(m, basis, opts), std::invalid_argument) << method;
+  }
 }
 
 // MD restart: stop a harmonic-diatomic trajectory at step 5, resume to

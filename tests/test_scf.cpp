@@ -214,14 +214,21 @@ TEST(Rhf, HomoLumoGapPositiveForClosedShell) {
 }
 
 TEST(Rks, HfFunctionalReproducesRhf) {
+  // One SCF loop serves both: rks("hf") is rhf with full J/K builds,
+  // bit for bit (single thread, so the builds are deterministic).
   const auto m = h2();
   const auto basis = chem::BasisSet::build(m, "sto-3g");
-  const auto rhf_result = scf::rhf(m, basis);
+  scf::ScfOptions rhf_opts;
+  rhf_opts.hfx.num_threads = 1;
+  rhf_opts.incremental_fock = false;
+  const auto rhf_result = scf::rhf(m, basis, rhf_opts);
   scf::KsOptions opts;
   opts.functional = "hf";
+  opts.scf.hfx.num_threads = 1;
   const auto ks = scf::rks(m, basis, opts);
   ASSERT_TRUE(ks.scf.converged);
-  EXPECT_NEAR(ks.scf.energy, rhf_result.energy, 1e-7);
+  EXPECT_EQ(ks.scf.energy, rhf_result.energy);
+  EXPECT_EQ(ks.scf.density, rhf_result.density);
 }
 
 TEST(Rks, LdaWaterEnergyInPhysicalRange) {

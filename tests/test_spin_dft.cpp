@@ -118,12 +118,18 @@ TEST(Uks, HfFunctionalMatchesUhf) {
   chem::Molecule m;
   m.add_atom(3, {0, 0, 0});
   const auto basis = chem::BasisSet::build(m, "sto-3g");
-  const auto u1 = scf::uhf(m, basis, 2);
+  // One SCF loop serves both: bit for bit on a single thread.
+  scf::UhfOptions uhf_opts;
+  uhf_opts.hfx.num_threads = 1;
+  const auto u1 = scf::uhf(m, basis, 2, uhf_opts);
   scf::UksOptions opts;
   opts.functional = "hf";
+  opts.scf.hfx.num_threads = 1;
   const auto u2 = scf::uks(m, basis, 2, opts);
   ASSERT_TRUE(u1.converged && u2.scf.converged);
-  EXPECT_NEAR(u2.scf.energy, u1.energy, 1e-6);
+  EXPECT_EQ(u2.scf.energy, u1.energy);
+  EXPECT_EQ(u2.scf.density_alpha, u1.density_alpha);
+  EXPECT_EQ(u2.scf.density_beta, u1.density_beta);
 }
 
 TEST(Uks, HydrogenAtomLsdaEnergyReasonable) {
@@ -151,6 +157,8 @@ TEST(Uks, Pbe0DoubletLithiumConverges) {
   ASSERT_TRUE(r.scf.converged);
   EXPECT_LT(r.exact_exchange_energy, 0.0);
   EXPECT_LT(r.xc_energy, 0.0);
+  // A doublet: <S^2> = S(S+1) = 0.75 up to spin contamination.
+  EXPECT_NEAR(r.scf.s_squared, 0.75, 1e-3);
   // Near the UHF value but with correlation pulling it below.
   const auto u = scf::uhf(m, basis, 2);
   EXPECT_LT(r.scf.energy, u.energy);
