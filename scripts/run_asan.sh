@@ -46,9 +46,9 @@ MTHFX_PROPERTY_ITERS=2 "$BUILD_DIR"/tests/test_property_grad \
 # surface an untrusted client feeds directly.
 "$BUILD_DIR"/tests/test_serve --gtest_filter='Protocol.*'
 # Sparsity pipeline: the cell-list build (bin indexing, candidate
-# gathers over raw offset arrays) and one blocked J/K build whose
-# stamp-dedupe/link-walk buffers and CSR block scatters are the newest
-# raw-index territory.
+# gathers over raw offset arrays) and blocked J/K builds at 1-8 threads
+# whose per-thread stamp-dedupe/link-walk buffers and CSR block scatters
+# are the newest raw-index territory.
 "$BUILD_DIR"/tests/test_scaling \
   --gtest_filter='PairCulling.*:BlockedBuild.*:SparsityOptions.*'
 MTHFX_PROPERTY_ITERS=3 "$BUILD_DIR"/tests/test_property_scaling \

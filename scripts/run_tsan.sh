@@ -30,8 +30,10 @@ export TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1"
 # numerics (slow under TSan and thread-free anyway).
 "$BUILD_DIR"/tests/test_hfx --gtest_filter='SchedulerExactness*:Schedulers.*:AllSchedules/*'
 # Retry/exactly-once-commit paths of the fault suite: concurrent task
-# failure, requeue, and attempt accounting across every schedule.
-"$BUILD_DIR"/tests/test_fault --gtest_filter='AllSchedules/*:Schedulers.*'
+# failure, requeue, and attempt accounting across every schedule, plus
+# retried and poisoned tasks of a culled builder's density-linked walk.
+"$BUILD_DIR"/tests/test_fault \
+  --gtest_filter='AllSchedules/*:Schedulers.*:Sparsity/FockBuilderFault.*/blocked'
 # Screening-engine concurrency surface: blocking queue handoff, worker
 # pool vs. submitter races, result-cache sharing, per-job fault domains.
 "$BUILD_DIR"/tests/test_engine --gtest_filter='JobQueue.*:JobScheduler.*'
@@ -53,10 +55,9 @@ export TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1"
 # thread-private K accumulators.
 MTHFX_PROPERTY_ITERS=3 "$BUILD_DIR"/tests/test_differential \
   --gtest_filter='Differential.ThreadCountIsInvisibleAcrossSchedules:Differential.ScreenedBuildMatchesBruteForceAcrossSchedules'
-# Sparsity pipeline: cell-list candidate enumeration and the blocked
-# J/K replay share the obs registry's per-thread counter slots with the
-# dense builder's pool; small-iteration cases keep the lock-free
-# counter paths and any future threading of the blocked walk honest.
+# Sparsity pipeline: cell-list candidate enumeration, and the blocked
+# J/K replay, which runs the density-linked walk at a drawn thread count
+# with per-thread walk scratch, counter slots and K/J buffers.
 MTHFX_PROPERTY_ITERS=3 "$BUILD_DIR"/tests/test_property_scaling \
   --gtest_filter='PropertyScaling.CellListCandidatesCoverSurvivingPairs:PropertyScaling.BlockedJkReplaysDenseBuilder'
 

@@ -8,7 +8,6 @@
 #include <unordered_map>
 #include <stdexcept>
 
-#include "hfx/quartet_digest.hpp"
 #include "hfx/schedulers.hpp"
 #include "ints/eri.hpp"
 #include "ints/eri_batch.hpp"
@@ -23,9 +22,17 @@ namespace mthfx::hfx {
 using chem::BasisSet;
 using linalg::Matrix;
 
-namespace detail {
+namespace {
 
-// See quartet_digest.hpp — shared with the blocked build.
+// Digest one computed shell quartet into J/K accumulators.
+//
+// For a canonical AO quartet (i >= j, k >= l, pair(ij) >= pair(kl)) the
+// 8-member permutational orbit collapses according to three coincidence
+// flags: e1 = (i == j), e2 = (k == l), e3 = (ij == kl). The update lists
+// enumerate exactly the distinct orbit members for every flag
+// combination (verified case-by-case against explicit orbit
+// deduplication in the unit tests via the dense reference).
+// j_acc may be null (exchange-only build).
 void digest_quartet(const BasisSet& basis, std::uint32_t sa, std::uint32_t sb,
                     std::uint32_t sc, std::uint32_t sd,
                     const ints::EriBlock& block, const Matrix& density,
@@ -86,10 +93,6 @@ void digest_quartet(const BasisSet& basis, std::uint32_t sa, std::uint32_t sb,
   }
 }
 
-}  // namespace detail
-
-namespace {
-
 bool all_finite(const Matrix& m) {
   for (const double v : m.flat())
     if (!std::isfinite(v)) return false;
@@ -108,6 +111,162 @@ ShellPairList make_pairs(const BasisSet& basis, const HfxOptions& options,
   *schwarz = ints::schwarz_bounds(basis);
   return ShellPairList(basis, *schwarz, options.eps_schwarz);
 }
+
+// Culled builders run one task per bra row: the link walk below
+// enumerates a whole row, and chunked rows leave the batched kernel's
+// 8-wide batches half full (about 2x slower on an 8-water STO-3G box).
+std::vector<QuartetTask> builder_tasks(const BasisSet& basis,
+                                       const ShellPairList& pairs,
+                                       const HfxOptions& options,
+                                       bool culled) {
+  return make_tasks(basis, pairs,
+                    culled ? std::numeric_limits<double>::infinity()
+                           : options.target_task_cost,
+                    options.eps_schwarz, options.eri_kernel);
+}
+
+// Density-linked (LinK-style) ket source of culled builders.
+//
+// The range source visits a task's whole live ket prefix: Θ(pairs²)
+// visits per build even when the density screen then kills almost all of
+// them. In a large insulating box nearly every exchange quartet dies on
+// the density test (P decays with distance), so the visit count itself
+// must track the survivors for the build to be near-linear.
+//
+// A quartet (bra | ket) survives the combined test only if
+// q_bra * q_ket * w >= eps for at least one link weight w drawn from
+//   - the four bra-ket cross blocks max|P| (exchange term), or
+//   - max|P| of the bra block or of the ket block (Coulomb term).
+// Each such w defines a link list sorted so the condition is monotone,
+// letting the walk break at the first failure. The union of the walks is
+// a superset of the survivors; the task body re-checks every candidate
+// with the range source's tests in ascending ket order, so both sources
+// compute the same quartets in the same order.
+class LinkWalk {
+ public:
+  /// Per-thread dedupe state across the link walks of one row.
+  struct Scratch {
+    std::vector<std::uint32_t> stamp;
+    std::uint32_t epoch = 0;
+  };
+
+  LinkWalk(const ShellPairList& pairs,
+           const std::vector<std::vector<std::uint32_t>>& pairs_by_shell,
+           const Matrix& block_max, double eps, bool want_coulomb)
+      : pairs_(pairs),
+        pairs_by_shell_(pairs_by_shell),
+        block_max_(block_max),
+        eps_(eps),
+        want_coulomb_(want_coulomb),
+        qmax_(pairs.max_q()),
+        shell_qmax_(pairs_by_shell.size(), 0.0),
+        partners_(pairs_by_shell.size()) {
+    const std::size_t ns = pairs_by_shell.size();
+    const std::size_t np = pairs.size();
+    // Largest pair q containing each shell: used to skip whole link lists.
+    for (const ShellPair& pr : pairs.pairs()) {
+      shell_qmax_[pr.sa] = std::max(shell_qmax_[pr.sa], pr.q);
+      shell_qmax_[pr.sb] = std::max(shell_qmax_[pr.sb], pr.q);
+    }
+    // Exchange link lists: per shell e, partner shells f with block
+    // density above the universal floor eps / qmax² (below it no quartet
+    // can pass), sorted by descending |P| block so walks break early.
+    const double pfloor = qmax_ > 0.0 ? eps / (qmax_ * qmax_) : 0.0;
+    for (std::size_t e = 0; e < ns; ++e) {
+      for (std::size_t f = 0; f < ns; ++f) {
+        const double p = block_max(e, f);
+        if (p >= pfloor && shell_qmax_[f] > 0.0)
+          partners_[e].push_back({static_cast<std::uint32_t>(f), p});
+      }
+      std::sort(partners_[e].begin(), partners_[e].end(),
+                [](const Partner& x, const Partner& y) { return x.p > y.p; });
+    }
+    // Coulomb ket-side link list: pair indices sorted by descending
+    // q_ket * max|P(ket block)|, the weight of the "ket density drives J"
+    // term. (The bra-density term instead walks the global pair order,
+    // which is already descending in q.)
+    if (want_coulomb) {
+      jweight_.resize(np);
+      jorder_.resize(np);
+      for (std::size_t i = 0; i < np; ++i) {
+        jweight_[i] = pairs[i].q * block_max(pairs[i].sa, pairs[i].sb);
+        jorder_[i] = static_cast<std::uint32_t>(i);
+      }
+      std::sort(jorder_.begin(), jorder_.end(),
+                [&](std::uint32_t x, std::uint32_t y) {
+                  return jweight_[x] > jweight_[y];
+                });
+    }
+  }
+
+  /// Candidate kets of bra b below `live` into `out`: ascending, without
+  /// duplicates, and a superset of the kets that pass the density test.
+  void candidates(std::size_t b, std::size_t live, Scratch& scratch,
+                  std::vector<std::uint32_t>& out) const {
+    if (scratch.stamp.size() != pairs_.size())
+      scratch.stamp.assign(pairs_.size(), 0);
+    const std::uint32_t epoch = ++scratch.epoch;
+    out.clear();
+    const auto push = [&](std::uint32_t idx) {
+      if (idx >= live || scratch.stamp[idx] == epoch) return;
+      scratch.stamp[idx] = epoch;
+      out.push_back(idx);
+    };
+    const ShellPair& bra = pairs_[b];
+    const double qb = bra.q;
+    // Exchange links: e in the bra, f a density partner of e, kets
+    // containing f in descending q. Monotone breaks use upper bounds
+    // (qmax >= shell_qmax[f] >= q_ket), skips use the tight per-shell
+    // bound; neither can drop a quartet whose own product passes.
+    const std::uint32_t bra_shells[2] = {bra.sa, bra.sb};
+    const int ne = bra.sa == bra.sb ? 1 : 2;
+    for (int ei = 0; ei < ne; ++ei) {
+      for (const Partner& pf : partners_[bra_shells[ei]]) {
+        if (qb * qmax_ * pf.p < eps_) break;
+        if (qb * shell_qmax_[pf.shell] * pf.p < eps_) continue;
+        for (const std::uint32_t idx : pairs_by_shell_[pf.shell]) {
+          if (qb * pairs_[idx].q * pf.p < eps_) break;
+          push(idx);
+        }
+      }
+    }
+    if (want_coulomb_) {
+      // Bra-density term: q_b * q_k * max|P(bra block)| >= eps over the
+      // global descending-q order.
+      const double pbra = block_max_(bra.sa, bra.sb);
+      if (pbra > 0.0) {
+        for (std::size_t idx = 0; idx < pairs_.size(); ++idx) {
+          if (qb * pairs_[idx].q * pbra < eps_) break;
+          push(static_cast<std::uint32_t>(idx));
+        }
+      }
+      // Ket-density term: q_b * (q_k * max|P(ket block)|) >= eps over
+      // the descending jweight order.
+      for (const std::uint32_t idx : jorder_) {
+        if (qb * jweight_[idx] < eps_) break;
+        push(idx);
+      }
+    }
+    std::sort(out.begin(), out.end());
+  }
+
+ private:
+  struct Partner {
+    std::uint32_t shell;
+    double p;
+  };
+
+  const ShellPairList& pairs_;
+  const std::vector<std::vector<std::uint32_t>>& pairs_by_shell_;
+  const Matrix& block_max_;
+  double eps_;
+  bool want_coulomb_;
+  double qmax_;
+  std::vector<double> shell_qmax_;
+  std::vector<std::vector<Partner>> partners_;
+  std::vector<double> jweight_;
+  std::vector<std::uint32_t> jorder_;
+};
 
 }  // namespace
 
@@ -155,8 +314,7 @@ FockBuilder::FockBuilder(const BasisSet& basis, HfxOptions options)
     : basis_(&basis),
       options_(options),
       pairs_(make_pairs(basis, options_, &schwarz_, &culled_, &cull_stats_)),
-      tasks_(make_tasks(basis, pairs_, options.target_task_cost,
-                        options.eps_schwarz, options.eri_kernel)) {
+      tasks_(builder_tasks(basis, pairs_, options_, culled_)) {
   index_pairs_by_shell();
   pair_hermites_.reserve(pairs_.size());
   for (const ShellPair& pr : pairs_.pairs())
@@ -240,8 +398,7 @@ void FockBuilder::rebind(const BasisSet& basis) {
 
   pairs_ = std::move(new_pairs);
   pair_hermites_ = std::move(new_hermites);
-  tasks_ = make_tasks(basis, pairs_, options_.target_task_cost,
-                      options_.eps_schwarz, options_.eri_kernel);
+  tasks_ = builder_tasks(basis, pairs_, options_, culled_);
   basis_ = &basis;
   index_pairs_by_shell();
   rebind_reused_ = reused;
@@ -254,6 +411,16 @@ ExchangeResult FockBuilder::exchange(const Matrix& density) const {
 
 JkResult FockBuilder::coulomb_exchange(const Matrix& density) const {
   return build(density, /*want_coulomb=*/true);
+}
+
+ExchangeResult FockBuilder::exchange_blocked(
+    const linalg::BlockSparseMatrix& density) const {
+  return exchange(density.to_dense());
+}
+
+JkResult FockBuilder::coulomb_exchange_blocked(
+    const linalg::BlockSparseMatrix& density) const {
+  return coulomb_exchange(density.to_dense());
 }
 
 JkResult FockBuilder::build(const Matrix& density, bool want_coulomb) const {
@@ -269,9 +436,20 @@ JkResult FockBuilder::build(const Matrix& density, bool want_coulomb) const {
   const obs::Counter c_density = registry.counter("hfx.quartets_density_screened");
   const obs::Counter c_computed = registry.counter("hfx.quartets_computed");
 
-  const Matrix block_max = options_.density_screening
+  const double eps = options_.eps_schwarz;
+  const bool density_screening = options_.density_screening;
+  const Matrix block_max = density_screening
                                ? shell_block_max_density(*basis_, density)
                                : Matrix();
+  // Ket source: culled builders walk the density links, dense builders
+  // (and builds without a density screen, which keep every live ket)
+  // sweep the task's contiguous ket range.
+  std::optional<LinkWalk> walk;
+  std::vector<LinkWalk::Scratch> walk_scratch;
+  if (culled_ && density_screening) {
+    walk.emplace(pairs_, pairs_by_shell_, block_max, eps, want_coulomb);
+    walk_scratch.resize(nthreads);
+  }
 
   std::vector<Matrix> k_private(nthreads, Matrix(nao, nao));
   std::vector<Matrix> j_private;
@@ -327,78 +505,64 @@ JkResult FockBuilder::build(const Matrix& density, bool want_coulomb) const {
       if (j_acc) j_acc->fill(0.0);
     }
 
-    // Screening tallies accumulate locally and flush once per task so
-    // the inner quartet loop performs no atomic traffic.
-    std::uint64_t considered = 0, schwarz = 0, density_scr = 0, computed = 0;
-    // Batched kernel: survivors of this task's screening loop accumulate
-    // into a quartet stream and are evaluated in one micro-kernel call,
-    // then digested in the same ascending-ket order the scalar path uses.
-    // (All three buffers keep their capacity across tasks.)
-    const bool batched = options_.eri_kernel == ints::EriKernel::kBatched;
+    // Kets in [ket_begin, live) pass the Schwarz bound; the rest of the
+    // task's range fails it (pairs are sorted by descending q) and is
+    // counted as screened without a visit. Survivors of the density test
+    // are collected in ascending ket order, evaluated together, and
+    // digested in that order whichever source proposed them.
+    const std::size_t live = std::clamp<std::size_t>(
+        pairs_.live_end(task.bra, eps), task.ket_begin, task.ket_end);
+    thread_local std::vector<std::uint32_t> candidates;
     thread_local std::vector<std::uint32_t> survivors;
     thread_local std::vector<ints::QuartetRef> stream;
     thread_local std::vector<ints::EriBlock> blocks;
+    thread_local ints::EriBlock scalar_block;
     survivors.clear();
     const obs::Stopwatch watch;
-    for (std::uint32_t kk = task.ket_begin; kk < task.ket_end; ++kk) {
-      const ShellPair& ket = pairs_[kk];
-      const double qq = bra.q * ket.q;
-      if (qq < options_.eps_schwarz) {
-        // The pair list is sorted by descending q, so every remaining
-        // ket in this task fails the same bound: account for the whole
-        // tail and exit instead of testing it pair by pair.
-        const std::uint64_t rest = task.ket_end - kk;
-        considered += rest;
-        schwarz += rest;
-        break;
+    const auto screen = [&](std::uint32_t kk) {
+      if (density_screening) {
+        const ShellPair& ket = pairs_[kk];
+        const double xbound = exchange_density_bound(block_max, bra.sa, bra.sb,
+                                                     ket.sa, ket.sb);
+        const double pmax =
+            want_coulomb ? std::max(xbound, std::max(block_max(bra.sa, bra.sb),
+                                                     block_max(ket.sa, ket.sb)))
+                         : xbound;
+        if (bra.q * ket.q * pmax < eps) return;
       }
-      ++considered;
-      if (options_.density_screening) {
-        const double pmax = want_coulomb
-                                ? std::max(exchange_density_bound(
-                                               block_max, bra.sa, bra.sb,
-                                               ket.sa, ket.sb),
-                                           std::max(block_max(bra.sa, bra.sb),
-                                                    block_max(ket.sa, ket.sb)))
-                                : exchange_density_bound(block_max, bra.sa,
-                                                         bra.sb, ket.sa,
-                                                         ket.sb);
-        if (qq * pmax < options_.eps_schwarz) {
-          ++density_scr;
-          continue;
-        }
-      }
-      ++computed;
-      if (batched) {
-        survivors.push_back(kk);
-        continue;
-      }
-      thread_local ints::EriBlock block;
-      if (options_.eri_kernel == ints::EriKernel::kDenseReference)
-        ints::eri_shell_quartet_dense_reference(pair_hermites_[task.bra],
-                                                pair_hermites_[kk], block);
-      else
-        ints::eri_shell_quartet(pair_hermites_[task.bra], pair_hermites_[kk],
-                                block);
-      detail::digest_quartet(*basis_, bra.sa, bra.sb, ket.sa, ket.sb, block, density,
-                     j_acc, k_acc, /*braket_same=*/kk == task.bra,
-                     eps_contribution);
+      survivors.push_back(kk);
+    };
+    if (walk) {
+      walk->candidates(task.bra, live, walk_scratch[tid], candidates);
+      for (const std::uint32_t kk : candidates) screen(kk);
+    } else {
+      for (std::uint32_t kk = task.ket_begin; kk < live; ++kk) screen(kk);
     }
+
+    // The batched kernel evaluates every survivor in one call; the scalar
+    // kernels evaluate each one just before it is digested.
+    const ints::ShellPairHermite& bra_h = pair_hermites_[task.bra];
+    const bool batched = options_.eri_kernel == ints::EriKernel::kBatched;
     if (batched && !survivors.empty()) {
       stream.clear();
-      stream.reserve(survivors.size());
       for (const std::uint32_t kk : survivors)
-        stream.push_back({&pair_hermites_[task.bra], &pair_hermites_[kk]});
+        stream.push_back({&bra_h, &pair_hermites_[kk]});
       if (blocks.size() < survivors.size()) blocks.resize(survivors.size());
       ints::eri_shell_quartet_batched({stream.data(), stream.size()},
                                       blocks.data());
-      for (std::size_t i = 0; i < survivors.size(); ++i) {
-        const ShellPair& ket = pairs_[survivors[i]];
-        detail::digest_quartet(*basis_, bra.sa, bra.sb, ket.sa, ket.sb, blocks[i],
-                       density, j_acc, k_acc,
-                       /*braket_same=*/survivors[i] == task.bra,
-                       eps_contribution);
-      }
+    }
+    for (std::size_t i = 0; i < survivors.size(); ++i) {
+      const std::uint32_t kk = survivors[i];
+      ints::EriBlock& block = batched ? blocks[i] : scalar_block;
+      if (options_.eri_kernel == ints::EriKernel::kDenseReference)
+        ints::eri_shell_quartet_dense_reference(bra_h, pair_hermites_[kk],
+                                                block);
+      else if (!batched)
+        ints::eri_shell_quartet(bra_h, pair_hermites_[kk], block);
+      const ShellPair& ket = pairs_[kk];
+      digest_quartet(*basis_, bra.sa, bra.sb, ket.sa, ket.sb, block, density,
+                     j_acc, k_acc, /*braket_same=*/kk == task.bra,
+                     eps_contribution);
     }
     // A kCorrupt fault models silent data corruption in the task's
     // output. With validation on, the isfinite sweep catches it and the
@@ -416,9 +580,10 @@ JkResult FockBuilder::build(const Matrix& density, bool want_coulomb) const {
     // a throw above leaves them untouched so retries never double-count.
     const double secs = watch.seconds();
     busy_timer.add_seconds(tid, secs);
-    c_considered.add(tid, considered);
-    c_schwarz.add(tid, schwarz);
-    c_density.add(tid, density_scr);
+    const std::uint64_t computed = survivors.size();
+    c_considered.add(tid, task.ket_end - task.ket_begin);
+    c_schwarz.add(tid, task.ket_end - live);
+    c_density.add(tid, live - task.ket_begin - computed);
     c_computed.add(tid, computed);
     if (options_.record_task_costs)
       result.stats.task_costs[task_index] = {

@@ -36,8 +36,8 @@ enum class HfxSchedule {
 
 /// Sparsity regime of pair formation and J/K builds.
 /// kDense keeps the original code paths bitwise intact. kBlocked turns
-/// on the distance-culled cell-list pair list plus the density-linked
-/// (LinK-style) quartet enumeration that takes blocked densities.
+/// on the distance-culled cell-list pair list, whose builders enumerate
+/// kets through the density-linked (LinK-style) walk.
 /// kAuto selects kBlocked once the basis crosses auto_nbf_threshold, so
 /// small systems never leave the dense path.
 enum class SparsityMode { kAuto, kDense, kBlocked };
@@ -80,7 +80,10 @@ struct HfxOptions {
   bool density_screening = true;  ///< stage-two |P|-weighted screening
   HfxSchedule schedule = HfxSchedule::kDynamicBag;
   std::size_t num_threads = 0;    ///< 0 selects hardware concurrency
-  double target_task_cost = 0.0;  ///< 0 selects a heuristic granularity
+  /// Estimated cost per task; 0 selects a heuristic granularity. Culled
+  /// builders ignore it: they run one task per bra row, the unit the
+  /// density-linked walk enumerates.
+  double target_task_cost = 0.0;
   bool record_task_costs = false; ///< collect per-task timings (for bgq sim)
 
   /// Seeded fault injection (off by default: all rates zero). max_retries
@@ -90,7 +93,8 @@ struct HfxOptions {
   /// Transactional task commit: digest into a per-thread scratch matrix,
   /// sweep it with std::isfinite, and add it to the accumulator only when
   /// clean — a poisoned (NaN/Inf) task throws and is retried instead of
-  /// corrupting K. Costs one extra nao^2 zero+add per task.
+  /// corrupting K. Costs one extra nao^2 zero+add per task, and culled
+  /// builders run one task per bra row.
   bool validate_tasks = false;
 
   /// Pair-formation / blocked-build regime (see SparsityOptions). The
@@ -168,16 +172,19 @@ class FockBuilder {
   /// are digested from one pass over the unique quartets.
   JkResult coulomb_exchange(const linalg::Matrix& density) const;
 
-  /// Blocked-density builds (sparse_build.cpp). The quartet space is
-  /// enumerated through density-linked ket lists (LinK-style) instead of
-  /// the dense per-bra sweep: only kets reachable through a shell-block
-  /// density element large enough to pass the combined Schwarz + density
-  /// bound are visited, then every candidate is re-checked with exactly
-  /// the dense path's tests in the dense path's order. The surviving
-  /// quartet set — and therefore J/K — matches the dense build's. Cost
-  /// scales with surviving quartets, not pairs², which is what makes
-  /// exchange near-linear on large insulating boxes. Results are dense
-  /// matrices; the sparse SCF driver re-blocks them.
+  /// The same builds from a blocked density, which is densified first.
+  /// Every entry point runs one task-bag build; what changes with the
+  /// builder is the ket source. A culled builder (culled()) enumerates
+  /// each bra row through density-linked ket lists (LinK-style): only
+  /// kets reachable through a shell-block density element large enough
+  /// to pass the combined Schwarz + density bound are visited, then every
+  /// candidate is re-checked with exactly the range source's tests in
+  /// ascending ket order. A dense builder sweeps contiguous ket ranges.
+  /// On one pair list both sources compute the same quartets in the same
+  /// order, so the source changes cost, never results. The walk's cost scales with
+  /// surviving quartets, not pairs², which is what makes exchange
+  /// near-linear on large insulating boxes. Threads, fault injection and
+  /// validate_tasks apply to every build.
   ExchangeResult exchange_blocked(const linalg::BlockSparseMatrix& density) const;
   JkResult coulomb_exchange_blocked(const linalg::BlockSparseMatrix& density) const;
 
@@ -207,15 +214,13 @@ class FockBuilder {
   const PairCullStats& cull_stats() const { return cull_stats_; }
 
   /// Pair indices (into pairs()) containing each shell, descending q —
-  /// the per-shell link lists the blocked build walks.
+  /// the per-shell link lists the density-linked walk follows.
   const std::vector<std::vector<std::uint32_t>>& pairs_by_shell() const {
     return pairs_by_shell_;
   }
 
  private:
   JkResult build(const linalg::Matrix& density, bool want_coulomb) const;
-  JkResult build_blocked(const linalg::BlockSparseMatrix& density,
-                         bool want_coulomb) const;
   void index_pairs_by_shell();
 
   const chem::BasisSet* basis_;

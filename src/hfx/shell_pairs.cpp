@@ -44,6 +44,20 @@ ShellPairList::ShellPairList(const chem::BasisSet& basis,
             [](const ShellPair& x, const ShellPair& y) { return x.q > y.q; });
 }
 
+std::size_t ShellPairList::live_end(std::size_t b, double eps) const {
+  if (eps <= 0.0) return b + 1;
+  const double qb = pairs_[b].q;
+  std::size_t lo = 0, hi = b + 1;
+  while (lo < hi) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    if (qb * pairs_[mid].q >= eps)
+      lo = mid + 1;
+    else
+      hi = mid;
+  }
+  return lo;
+}
+
 ShellPairList ShellPairList::culled(const chem::BasisSet& basis, double eps,
                                     PairCullStats* stats) {
   const std::size_t ns = basis.num_shells();

@@ -68,6 +68,12 @@ class ShellPairList {
   /// Number of pairs before screening: nshell*(nshell+1)/2.
   std::size_t unscreened_count() const { return unscreened_; }
 
+  /// End of bra pair b's Schwarz-live ket prefix: the first k <= b with
+  /// q_b * q_k < eps, or b + 1 if there is none (always when eps <= 0).
+  /// The descending-q sort makes every ket past it fail too, so this is
+  /// a binary search.
+  std::size_t live_end(std::size_t b, double eps) const;
+
  private:
   ShellPairList() = default;
 

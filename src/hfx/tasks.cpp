@@ -79,24 +79,10 @@ std::vector<QuartetTask> make_tasks(const chem::BasisSet& basis,
       volume[l] /= batched_speedup(static_cast<int>(l));
   }
 
-  // Schwarz-screened quartets cost zero: the builder breaks out of the
-  // ket range at the first failing pair (pairs are sorted by descending
-  // q), so screened tails are a counter bump, not kernel work. The same
-  // descending sort makes "first screened ket of row b" a binary search.
-  const auto screened_begin = [&](std::size_t b) -> std::size_t {
-    if (eps_schwarz <= 0.0) return b + 1;
-    const double qb = pairs[b].q;
-    std::size_t lo = 0, hi = b + 1;  // first k with qb * q_k < eps
-    while (lo < hi) {
-      const std::size_t mid = lo + (hi - lo) / 2;
-      if (qb * pairs[mid].q >= eps_schwarz)
-        lo = mid + 1;
-      else
-        hi = mid;
-    }
-    return lo;
-  };
-
+  // Schwarz-screened quartets cost zero: the builder stops at the end of
+  // each row's live prefix (pairs are sorted by descending q), so
+  // screened tails are a counter bump, not kernel work.
+  //
   // Per-lsum-class prefix sums of the pair weights make any ket-range
   // cost a handful of subtractions: cost(b, [lo, hi)) = w_b * sum_L
   // vol[ls_b + L] * (W_L[hi] - W_L[lo]). Row totals and chunk boundaries
@@ -126,12 +112,12 @@ std::vector<QuartetTask> make_tasks(const chem::BasisSet& basis,
   if (target_cost <= 0.0) {
     double total = 0.0;
     for (std::size_t b = 0; b < np; ++b)
-      total += range_cost(b, 0, screened_begin(b));
+      total += range_cost(b, 0, pairs.live_end(b, eps_schwarz));
     target_cost = total / (64.0 * static_cast<double>(np));
   }
 
   for (std::size_t b = 0; b < np; ++b) {
-    const std::size_t live = screened_begin(b);
+    const std::size_t live = pairs.live_end(b, eps_schwarz);
     if (live == 0) {
       // Entire row is Schwarz-screened: one zero-cost task carries the
       // ket range so the builder's bulk tail accounting still sees it.

@@ -30,7 +30,8 @@ double estimate_quartet_cost(const chem::BasisSet& basis, const ShellPair& bra,
                              const ShellPair& ket);
 
 /// Build the task list. `target_cost` bounds the estimated cost per task;
-/// 0 selects a heuristic (total cost / (64 * pairs)). With a positive
+/// 0 selects a heuristic (total cost / (64 * pairs)), and +infinity gives
+/// one task per bra row. With a positive
 /// `eps_schwarz`, quartets the builder will Schwarz-screen
 /// (bra.q * ket.q < eps) are costed at zero — they are a `break` in the
 /// kernel loop, not work — so chunk boundaries track the work that

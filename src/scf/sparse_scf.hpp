@@ -5,8 +5,8 @@
 // Composition of the three sparsity levers this layer owns:
 //  - one-electron matrices assembled over cell-list candidate pairs only
 //    (ints::*_block over hfx::CellList), never the dense O(ns²) sweep;
-//  - J/K from FockBuilder's density-linked blocked build
-//    (hfx/sparse_build.cpp), incremental in ΔP as the density settles;
+//  - J/K from FockBuilder's task-bag build with the density-linked ket
+//    walk of culled builders, incremental in ΔP as the density settles;
 //  - no eigensolver anywhere: S^{-1/2} by Newton–Schulz and the density
 //    update by TC2 purification (linalg/purify.hpp), both on block-sparse
 //    matrices whose retained fraction falls with box size.

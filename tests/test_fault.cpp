@@ -252,18 +252,34 @@ TEST(Schedulers, WorkStealingCountersStayConsistentUnderRetries) {
             registry.counter_total("ws.steals_successful"));
 }
 
+// Fault handling belongs to the one J/K build, so it must hold for both
+// ket sources: a dense builder through exchange(), and a culled builder
+// (SparsityMode::kBlocked) through exchange_blocked().
+class FockBuilderFault : public ::testing::TestWithParam<hfx::SparsityMode> {
+ protected:
+  hfx::ExchangeResult run(const chem::BasisSet& basis, const la::Matrix& p,
+                          hfx::HfxOptions opts) const {
+    opts.sparsity.mode = GetParam();
+    const hfx::FockBuilder builder(basis, opts);
+    EXPECT_EQ(builder.culled(), GetParam() == hfx::SparsityMode::kBlocked);
+    if (!builder.culled()) return builder.exchange(p);
+    const auto part = scf::shell_aligned_partition(basis, 4);
+    return builder.exchange_blocked(
+        la::BlockSparseMatrix::from_dense(p, part, 0.0));
+  }
+};
+
 // The acceptance invariant: with seeded fail + corrupt faults and the
 // transactional/validating build, the exchange matrix matches a clean
 // run and the stats record the injections and retries.
-TEST(FockBuilder, FaultInjectedExchangeMatchesCleanRun) {
+TEST_P(FockBuilderFault, FaultInjectedExchangeMatchesCleanRun) {
   const auto m = water();
   const auto basis = chem::BasisSet::build(m, "sto-3g");
   const auto p = random_density(basis.num_functions(), 11);
 
   hfx::HfxOptions clean_opts;
   clean_opts.eps_schwarz = 1e-12;
-  hfx::FockBuilder clean(basis, clean_opts);
-  const auto ref = clean.exchange(p);
+  const auto ref = run(basis, p, clean_opts);
 
   hfx::HfxOptions opts;
   opts.eps_schwarz = 1e-12;
@@ -272,8 +288,7 @@ TEST(FockBuilder, FaultInjectedExchangeMatchesCleanRun) {
   opts.fault.seed = 2024;
   opts.fault.max_retries = 8;
   opts.validate_tasks = true;
-  hfx::FockBuilder faulty(basis, opts);
-  const auto r = faulty.exchange(p);
+  const auto r = run(basis, p, opts);
 
   EXPECT_GT(r.stats.fault.injected, 0u);
   EXPECT_GT(r.stats.fault.retries, 0u);
@@ -284,18 +299,24 @@ TEST(FockBuilder, FaultInjectedExchangeMatchesCleanRun) {
       ASSERT_NEAR(r.k(i, j), ref.k(i, j), 1e-10);
 }
 
-TEST(FockBuilder, CorruptionWithoutValidationPoisonsOutput) {
+TEST_P(FockBuilderFault, CorruptionWithoutValidationPoisonsOutput) {
   const auto m = water();
   const auto basis = chem::BasisSet::build(m, "sto-3g");
   const auto p = random_density(basis.num_functions(), 3);
   hfx::HfxOptions opts;
   opts.fault.corrupt_rate = 1.0;
   opts.validate_tasks = false;  // no transactional commit: NaN flows out
-  hfx::FockBuilder builder(basis, opts);
-  const auto r = builder.exchange(p);
+  const auto r = run(basis, p, opts);
   EXPECT_TRUE(std::isnan(r.k(0, 0)));
   EXPECT_GT(r.stats.fault.injected_corruptions, 0u);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Sparsity, FockBuilderFault,
+    ::testing::Values(hfx::SparsityMode::kDense, hfx::SparsityMode::kBlocked),
+    [](const ::testing::TestParamInfo<hfx::SparsityMode>& info) {
+      return info.param == hfx::SparsityMode::kBlocked ? "blocked" : "dense";
+    });
 
 TEST(RecoveryLadder, EscalatesOnSustainedOscillation) {
   scf::RecoveryOptions o;
@@ -612,23 +633,31 @@ TEST(Checkpoint, MdRejectsMismatchedAtomCount) {
 
 // End-to-end acceptance: a fault-injected RHF run (fail + corrupt, fixed
 // seed) converges to the clean energy within 1e-10 Ha.
+// Two inputs: the dense eigensolver path, and the blocked pipeline that
+// SparsityMode::kBlocked routes rhf through (sparse_rhf: culled pairs,
+// blocked J/K, purification).
 TEST(ScfFault, FaultInjectedRhfMatchesCleanEnergy) {
   const auto m = water();
   const auto basis = chem::BasisSet::build(m, "sto-3g");
 
-  scf::ScfOptions clean;
-  const auto ref = scf::rhf(m, basis, clean);
-  ASSERT_TRUE(ref.converged);
+  for (const auto mode :
+       {hfx::SparsityMode::kDense, hfx::SparsityMode::kBlocked}) {
+    SCOPED_TRACE(mode == hfx::SparsityMode::kBlocked ? "sparse_rhf" : "rhf");
+    scf::ScfOptions clean;
+    clean.hfx.sparsity.mode = mode;
+    const auto ref = scf::rhf(m, basis, clean);
+    ASSERT_TRUE(ref.converged);
 
-  scf::ScfOptions opts;
-  opts.hfx.fault.fail_rate = 0.05;
-  opts.hfx.fault.corrupt_rate = 0.02;
-  opts.hfx.fault.seed = 99;
-  opts.hfx.fault.max_retries = 8;
-  opts.hfx.validate_tasks = true;
-  const auto r = scf::rhf(m, basis, opts);
-  ASSERT_TRUE(r.converged);
-  EXPECT_NEAR(r.energy, ref.energy, 1e-10);
+    scf::ScfOptions opts = clean;
+    opts.hfx.fault.fail_rate = 0.05;
+    opts.hfx.fault.corrupt_rate = 0.02;
+    opts.hfx.fault.seed = 99;
+    opts.hfx.fault.max_retries = 8;
+    opts.hfx.validate_tasks = true;
+    const auto r = scf::rhf(m, basis, opts);
+    ASSERT_TRUE(r.converged);
+    EXPECT_NEAR(r.energy, ref.energy, 1e-10);
+  }
 }
 
 TEST(ScfFault, FaultInjectedPbe0MatchesCleanEnergy) {
