@@ -31,9 +31,10 @@ export TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1"
 "$BUILD_DIR"/tests/test_hfx --gtest_filter='SchedulerExactness*:Schedulers.*:AllSchedules/*'
 # Retry/exactly-once-commit paths of the fault suite: concurrent task
 # failure, requeue, and attempt accounting across every schedule, plus
-# retried and poisoned tasks of a culled builder's density-linked walk.
+# retried and poisoned tasks of a dense builder and of a culled builder's
+# density-linked walk.
 "$BUILD_DIR"/tests/test_fault \
-  --gtest_filter='AllSchedules/*:Schedulers.*:Sparsity/FockBuilderFault.*/blocked'
+  --gtest_filter='AllSchedules/*:Schedulers.*:FockBuilder.FaultInjectedExchangeMatchesCleanRun:FockBuilder.CorruptionWithoutValidationPoisonsOutput'
 # Screening-engine concurrency surface: blocking queue handoff, worker
 # pool vs. submitter races, result-cache sharing, per-job fault domains.
 "$BUILD_DIR"/tests/test_engine --gtest_filter='JobQueue.*:JobScheduler.*'

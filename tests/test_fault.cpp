@@ -255,68 +255,77 @@ TEST(Schedulers, WorkStealingCountersStayConsistentUnderRetries) {
 // Fault handling belongs to the one J/K build, so it must hold for both
 // ket sources: a dense builder through exchange(), and a culled builder
 // (SparsityMode::kBlocked) through exchange_blocked().
-class FockBuilderFault : public ::testing::TestWithParam<hfx::SparsityMode> {
- protected:
-  hfx::ExchangeResult run(const chem::BasisSet& basis, const la::Matrix& p,
-                          hfx::HfxOptions opts) const {
-    opts.sparsity.mode = GetParam();
-    const hfx::FockBuilder builder(basis, opts);
-    EXPECT_EQ(builder.culled(), GetParam() == hfx::SparsityMode::kBlocked);
-    if (!builder.culled()) return builder.exchange(p);
-    const auto part = scf::shell_aligned_partition(basis, 4);
-    return builder.exchange_blocked(
-        la::BlockSparseMatrix::from_dense(p, part, 0.0));
-  }
-};
+namespace {
+
+constexpr auto kBothSparsityModes = {hfx::SparsityMode::kDense,
+                                     hfx::SparsityMode::kBlocked};
+
+const char* mode_name(hfx::SparsityMode mode) {
+  return mode == hfx::SparsityMode::kBlocked ? "blocked" : "dense";
+}
+
+hfx::ExchangeResult exchange_in_mode(hfx::SparsityMode mode,
+                                     const chem::BasisSet& basis,
+                                     const la::Matrix& p,
+                                     hfx::HfxOptions opts) {
+  opts.sparsity.mode = mode;
+  const hfx::FockBuilder builder(basis, opts);
+  EXPECT_EQ(builder.culled(), mode == hfx::SparsityMode::kBlocked);
+  if (!builder.culled()) return builder.exchange(p);
+  const auto part = scf::shell_aligned_partition(basis, 4);
+  return builder.exchange_blocked(
+      la::BlockSparseMatrix::from_dense(p, part, 0.0));
+}
+
+}  // namespace
 
 // The acceptance invariant: with seeded fail + corrupt faults and the
 // transactional/validating build, the exchange matrix matches a clean
 // run and the stats record the injections and retries.
-TEST_P(FockBuilderFault, FaultInjectedExchangeMatchesCleanRun) {
+TEST(FockBuilder, FaultInjectedExchangeMatchesCleanRun) {
   const auto m = water();
   const auto basis = chem::BasisSet::build(m, "sto-3g");
   const auto p = random_density(basis.num_functions(), 11);
 
-  hfx::HfxOptions clean_opts;
-  clean_opts.eps_schwarz = 1e-12;
-  const auto ref = run(basis, p, clean_opts);
+  for (const auto mode : kBothSparsityModes) {
+    SCOPED_TRACE(mode_name(mode));
+    hfx::HfxOptions clean_opts;
+    clean_opts.eps_schwarz = 1e-12;
+    const auto ref = exchange_in_mode(mode, basis, p, clean_opts);
 
-  hfx::HfxOptions opts;
-  opts.eps_schwarz = 1e-12;
-  opts.fault.fail_rate = 0.10;
-  opts.fault.corrupt_rate = 0.05;
-  opts.fault.seed = 2024;
-  opts.fault.max_retries = 8;
-  opts.validate_tasks = true;
-  const auto r = run(basis, p, opts);
+    hfx::HfxOptions opts;
+    opts.eps_schwarz = 1e-12;
+    opts.fault.fail_rate = 0.10;
+    opts.fault.corrupt_rate = 0.05;
+    opts.fault.seed = 2024;
+    opts.fault.max_retries = 8;
+    opts.validate_tasks = true;
+    const auto r = exchange_in_mode(mode, basis, p, opts);
 
-  EXPECT_GT(r.stats.fault.injected, 0u);
-  EXPECT_GT(r.stats.fault.retries, 0u);
-  EXPECT_EQ(r.stats.fault.permanent_failures, 0u);
-  const auto n = basis.num_functions();
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = 0; j < n; ++j)
-      ASSERT_NEAR(r.k(i, j), ref.k(i, j), 1e-10);
+    EXPECT_GT(r.stats.fault.injected, 0u);
+    EXPECT_GT(r.stats.fault.retries, 0u);
+    EXPECT_EQ(r.stats.fault.permanent_failures, 0u);
+    const auto n = basis.num_functions();
+    for (std::size_t i = 0; i < n; ++i)
+      for (std::size_t j = 0; j < n; ++j)
+        ASSERT_NEAR(r.k(i, j), ref.k(i, j), 1e-10);
+  }
 }
 
-TEST_P(FockBuilderFault, CorruptionWithoutValidationPoisonsOutput) {
+TEST(FockBuilder, CorruptionWithoutValidationPoisonsOutput) {
   const auto m = water();
   const auto basis = chem::BasisSet::build(m, "sto-3g");
   const auto p = random_density(basis.num_functions(), 3);
-  hfx::HfxOptions opts;
-  opts.fault.corrupt_rate = 1.0;
-  opts.validate_tasks = false;  // no transactional commit: NaN flows out
-  const auto r = run(basis, p, opts);
-  EXPECT_TRUE(std::isnan(r.k(0, 0)));
-  EXPECT_GT(r.stats.fault.injected_corruptions, 0u);
+  for (const auto mode : kBothSparsityModes) {
+    SCOPED_TRACE(mode_name(mode));
+    hfx::HfxOptions opts;
+    opts.fault.corrupt_rate = 1.0;
+    opts.validate_tasks = false;  // no transactional commit: NaN flows out
+    const auto r = exchange_in_mode(mode, basis, p, opts);
+    EXPECT_TRUE(std::isnan(r.k(0, 0)));
+    EXPECT_GT(r.stats.fault.injected_corruptions, 0u);
+  }
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    Sparsity, FockBuilderFault,
-    ::testing::Values(hfx::SparsityMode::kDense, hfx::SparsityMode::kBlocked),
-    [](const ::testing::TestParamInfo<hfx::SparsityMode>& info) {
-      return info.param == hfx::SparsityMode::kBlocked ? "blocked" : "dense";
-    });
 
 TEST(RecoveryLadder, EscalatesOnSustainedOscillation) {
   scf::RecoveryOptions o;
@@ -640,8 +649,7 @@ TEST(ScfFault, FaultInjectedRhfMatchesCleanEnergy) {
   const auto m = water();
   const auto basis = chem::BasisSet::build(m, "sto-3g");
 
-  for (const auto mode :
-       {hfx::SparsityMode::kDense, hfx::SparsityMode::kBlocked}) {
+  for (const auto mode : kBothSparsityModes) {
     SCOPED_TRACE(mode == hfx::SparsityMode::kBlocked ? "sparse_rhf" : "rhf");
     scf::ScfOptions clean;
     clean.hfx.sparsity.mode = mode;
