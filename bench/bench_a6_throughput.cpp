@@ -75,7 +75,7 @@ CampaignMeasurement run_concurrent(const std::vector<engine::Job>& jobs,
                                    std::size_t concurrency) {
   engine::EngineOptions opts;
   opts.concurrency = concurrency;
-  opts.queue_capacity = jobs.size();
+  opts.tenant_defaults.max_queued = jobs.size();
   opts.cache = false;  // throughput must come from execution, not reuse
   engine::JobScheduler scheduler(opts);
   scheduler.start();

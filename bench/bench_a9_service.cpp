@@ -351,7 +351,6 @@ struct CampaignConfig {
   std::size_t clients;
   std::size_t window;
   std::size_t kill_after;  // SIGKILL the server after this many results
-  std::size_t queue_capacity;
   std::size_t concurrency;
   std::size_t tenant_max_queued;
 };
@@ -365,17 +364,16 @@ obs::Json run_campaign(const CampaignConfig& cfg) {
   options.port = 0;
   options.engine.concurrency = cfg.concurrency;
   options.engine.total_threads = cfg.concurrency;  // 1 thread/job: exact bits
-  options.engine.queue_capacity = cfg.queue_capacity;
   options.engine.cache = true;
   options.engine.journal_path = dir + "/serve.wal";
   options.engine.store_dir = dir + "/store";
   options.engine.checkpoint_dir = dir + "/ckpt";
   for (std::size_t t = 0; t < tenant_names.size(); ++t) {
-    serve::TenantConfig tenant;
+    engine::TenantConfig tenant;
     tenant.id = tenant_names[t];
     tenant.options.weight = tenant_weights[t];
     tenant.options.max_queued = cfg.tenant_max_queued;
-    options.tenants.push_back(tenant);
+    options.engine.tenants.push_back(tenant);
   }
 
   // The job mix: unique H2 geometries (1 nm-scale jitter keeps every
@@ -545,16 +543,15 @@ obs::Json run_fair_share_segment(std::size_t jobs_per_tenant,
   serve::ServeOptions options;
   options.engine.concurrency = 2;
   options.engine.total_threads = 2;
-  options.engine.queue_capacity = 2;  // small core: DRR decides admission
   options.engine.cache = false;
-  serve::TenantConfig heavy, light;
+  engine::TenantConfig heavy, light;
   heavy.id = "heavy";
   heavy.options.weight = 2.0;
   heavy.options.max_queued = 4096;
   light.id = "light";
   light.options.weight = 1.0;
   light.options.max_queued = 4096;
-  options.tenants = {heavy, light};
+  options.engine.tenants = {heavy, light};
   serve::Server server(options);
   server.start();
 
@@ -617,11 +614,11 @@ int main(int argc, char** argv) {
   CampaignConfig cfg;
   if (smoke) {
     cfg = {/*total_jobs=*/120, /*clients=*/4, /*window=*/8,
-           /*kill_after=*/30, /*queue_capacity=*/32, /*concurrency=*/2,
+           /*kill_after=*/30, /*concurrency=*/2,
            /*tenant_max_queued=*/64};
   } else {
     cfg = {/*total_jobs=*/10000, /*clients=*/8, /*window=*/32,
-           /*kill_after=*/3000, /*queue_capacity=*/128, /*concurrency=*/8,
+           /*kill_after=*/3000, /*concurrency=*/8,
            /*tenant_max_queued=*/96};
   }
 

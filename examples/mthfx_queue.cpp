@@ -32,6 +32,7 @@
 #include "engine/journal.hpp"
 #include "engine/report.hpp"
 #include "engine/scheduler.hpp"
+#include "parse_number.hpp"
 
 namespace {
 
@@ -47,31 +48,32 @@ void handle_signal(int sig) { g_signal = sig; }
 int main(int argc, char** argv) {
   std::string report_file;
   std::size_t concurrency_override = 0;
-  std::string journal_override, store_override, deadline_override;
+  std::string journal_override, store_override;
+  double deadline_override = -1.0;  // < 0: keep the campaign's
   bool resume = false;
   const char* campaign_path = nullptr;
-  for (int i = 1; i < argc; ++i) {
+  bool bad_usage = false;
+  for (int i = 1; i < argc && !bad_usage; ++i) {
     const char* arg = argv[i];
     if (std::strncmp(arg, "--report=", 9) == 0) {
       report_file = arg + 9;
     } else if (std::strncmp(arg, "--concurrency=", 14) == 0) {
-      concurrency_override = static_cast<std::size_t>(std::atoi(arg + 14));
+      bad_usage = !parse_number(arg + 14, concurrency_override);
     } else if (std::strncmp(arg, "--journal=", 10) == 0) {
       journal_override = arg + 10;
     } else if (std::strncmp(arg, "--store=", 8) == 0) {
       store_override = arg + 8;
     } else if (std::strncmp(arg, "--deadline=", 11) == 0) {
-      deadline_override = arg + 11;
+      bad_usage = !parse_number(arg + 11, deadline_override);
     } else if (std::strcmp(arg, "--resume") == 0) {
       resume = true;
     } else if (!campaign_path) {
       campaign_path = arg;
     } else {
-      campaign_path = nullptr;
-      break;
+      bad_usage = true;
     }
   }
-  if (!campaign_path) {
+  if (bad_usage || !campaign_path) {
     std::fprintf(stderr,
                  "usage: %s [--report=file.json] [--concurrency=N]"
                  " [--journal=file.wal] [--resume] [--store=dir]"
@@ -88,8 +90,8 @@ int main(int argc, char** argv) {
       spec.engine.concurrency = concurrency_override;
     if (!journal_override.empty()) spec.engine.journal_path = journal_override;
     if (!store_override.empty()) spec.engine.store_dir = store_override;
-    if (!deadline_override.empty())
-      spec.engine.default_deadline_seconds = std::stod(deadline_override);
+    if (deadline_override >= 0.0)
+      spec.engine.default_deadline_seconds = deadline_override;
     if (resume && spec.engine.journal_path.empty()) {
       std::fprintf(stderr,
                    "error: --resume needs a journal (--journal= or the "
@@ -115,7 +117,7 @@ int main(int argc, char** argv) {
         "campaign: %zu jobs, concurrency %zu, %zu thread(s) total "
         "(%zu per job), queue capacity %zu\n",
         jobs.size(), spec.engine.concurrency, scheduler.total_threads(),
-        scheduler.per_job_threads(), spec.engine.queue_capacity);
+        scheduler.per_job_threads(), spec.engine.tenant_defaults.max_queued);
 
     std::signal(SIGINT, handle_signal);
     std::signal(SIGTERM, handle_signal);
@@ -192,7 +194,7 @@ int main(int argc, char** argv) {
         "\n%zu done, %zu failed, %zu rejected; queue high-water %zu/%zu; "
         "cache %llu hits / %llu misses; %llu job retries\n",
         done, failed, rejected, scheduler.queue().high_water(),
-        scheduler.queue().capacity(),
+        spec.engine.tenant_defaults.max_queued,
         static_cast<unsigned long long>(scheduler.store().hits()),
         static_cast<unsigned long long>(scheduler.store().misses()),
         static_cast<unsigned long long>(

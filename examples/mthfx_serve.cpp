@@ -11,6 +11,8 @@
 // --tenant=id:weight[:max_queued[:max_in_flight]] configures one
 // tenant's fair-share weight and quotas; unknown tenants that connect
 // get --default-weight/--default-max-queued/--default-max-in-flight.
+// max_queued caps a tenant's backlog of jobs not yet dispatched to a
+// worker; max_in_flight caps its dispatched, unfinished jobs.
 // --port=0 binds an ephemeral port; --port-file writes the bound port
 // (single line) for whoever launched us.
 //
@@ -23,7 +25,6 @@
 
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <chrono>
 #include <fstream>
@@ -31,6 +32,7 @@
 #include <thread>
 #include <vector>
 
+#include "parse_number.hpp"
 #include "serve/server.hpp"
 
 namespace {
@@ -40,7 +42,7 @@ void handle_signal(int sig) { g_signal = sig; }
 
 // id:weight[:max_queued[:max_in_flight]]
 bool parse_tenant_spec(const std::string& spec,
-                       mthfx::serve::TenantConfig* out) {
+                       mthfx::engine::TenantConfig* out) {
   std::vector<std::string> parts;
   std::size_t start = 0;
   while (true) {
@@ -50,17 +52,11 @@ bool parse_tenant_spec(const std::string& spec,
     start = colon + 1;
   }
   if (parts.size() < 2 || parts.size() > 4 || parts[0].empty()) return false;
-  try {
-    out->id = parts[0];
-    out->options.weight = std::stod(parts[1]);
-    if (parts.size() > 2)
-      out->options.max_queued = static_cast<std::size_t>(std::stoul(parts[2]));
-    if (parts.size() > 3)
-      out->options.max_in_flight =
-          static_cast<std::size_t>(std::stoul(parts[3]));
-  } catch (const std::exception&) {
+  out->id = parts[0];
+  if (!parse_number(parts[1], out->options.weight) ||
+      (parts.size() > 2 && !parse_number(parts[2], out->options.max_queued)) ||
+      (parts.size() > 3 && !parse_number(parts[3], out->options.max_in_flight)))
     return false;
-  }
   return out->options.weight > 0.0 && out->options.max_queued > 0;
 }
 
@@ -68,7 +64,7 @@ bool parse_tenant_spec(const std::string& spec,
 
 int main(int argc, char** argv) {
   mthfx::serve::ServeOptions options;
-  options.engine.queue_capacity = 64;
+  options.engine.tenant_defaults.max_queued = 64;
   options.engine.cache = true;
   std::string port_file;
   for (int i = 1; i < argc; ++i) {
@@ -78,16 +74,15 @@ int main(int argc, char** argv) {
       return std::strncmp(arg, prefix, n) == 0 ? arg + n : nullptr;
     };
     const char* v;
+    bool ok = true;
     if ((v = value("--port="))) {
-      options.port = std::atoi(v);
+      ok = parse_number(v, options.port);
     } else if ((v = value("--host="))) {
       options.host = v;
     } else if ((v = value("--port-file="))) {
       port_file = v;
     } else if ((v = value("--concurrency="))) {
-      options.engine.concurrency = static_cast<std::size_t>(std::atoi(v));
-    } else if ((v = value("--queue-capacity="))) {
-      options.engine.queue_capacity = static_cast<std::size_t>(std::atoi(v));
+      ok = parse_number(v, options.engine.concurrency);
     } else if ((v = value("--journal="))) {
       options.engine.journal_path = v;
     } else if ((v = value("--store="))) {
@@ -95,36 +90,38 @@ int main(int argc, char** argv) {
     } else if ((v = value("--checkpoints="))) {
       options.engine.checkpoint_dir = v;
     } else if ((v = value("--deadline="))) {
-      options.engine.default_deadline_seconds = std::atof(v);
+      ok = parse_number(v, options.engine.default_deadline_seconds);
     } else if ((v = value("--default-weight="))) {
-      options.tenant_defaults.weight = std::atof(v);
+      ok = parse_number(v, options.engine.tenant_defaults.weight);
     } else if ((v = value("--default-max-queued="))) {
-      options.tenant_defaults.max_queued =
-          static_cast<std::size_t>(std::atoi(v));
+      ok = parse_number(v, options.engine.tenant_defaults.max_queued);
     } else if ((v = value("--default-max-in-flight="))) {
-      options.tenant_defaults.max_in_flight =
-          static_cast<std::size_t>(std::atoi(v));
+      ok = parse_number(v, options.engine.tenant_defaults.max_in_flight);
     } else if ((v = value("--tenant="))) {
-      mthfx::serve::TenantConfig tenant;
+      mthfx::engine::TenantConfig tenant;
       if (!parse_tenant_spec(v, &tenant)) {
         std::fprintf(stderr, "error: bad --tenant spec '%s'\n", v);
         return 2;
       }
-      options.tenants.push_back(std::move(tenant));
+      options.engine.tenants.push_back(std::move(tenant));
     } else if (std::strcmp(arg, "--resume") == 0) {
       options.resume = true;
     } else if (std::strcmp(arg, "--no-hello") == 0) {
       options.require_hello = false;
     } else {
+      ok = false;
+    }
+    if (!ok) {
       std::fprintf(
           stderr,
           "usage: %s [--port=N] [--host=IP] [--port-file=path]\n"
-          "  [--concurrency=N] [--queue-capacity=N] [--journal=file.wal]\n"
-          "  [--resume] [--store=dir] [--checkpoints=dir] [--deadline=s]\n"
+          "  [--concurrency=N] [--journal=file.wal] [--resume]\n"
+          "  [--store=dir] [--checkpoints=dir] [--deadline=s]\n"
           "  [--tenant=id:weight[:max_queued[:max_in_flight]]]...\n"
           "  [--default-weight=W] [--default-max-queued=N]\n"
           "  [--default-max-in-flight=N] [--no-hello]\n"
-          "protocol: see docs/engine.md (Service)\n",
+          "max_queued caps each tenant's backlog of jobs not yet on a\n"
+          "worker (default 64); protocol: see docs/engine.md (Service)\n",
           argv[0]);
       return 2;
     }
@@ -138,10 +135,11 @@ int main(int argc, char** argv) {
     using namespace mthfx;
     serve::Server server(options);
     server.start();
-    std::printf("mthfx_serve: listening on %s:%d (concurrency %zu, queue %zu"
-                "%s%s)\n",
+    std::printf("mthfx_serve: listening on %s:%d (concurrency %zu, "
+                "max queued %zu per tenant%s%s)\n",
                 options.host.c_str(), server.port(),
-                options.engine.concurrency, options.engine.queue_capacity,
+                options.engine.concurrency,
+                options.engine.tenant_defaults.max_queued,
                 options.engine.journal_path.empty() ? "" : ", journaled",
                 options.resume ? ", resumed" : "");
     if (server.replayed() > 0)
@@ -182,7 +180,7 @@ int main(int argc, char** argv) {
         done, failed, rejected, canceled,
         static_cast<unsigned long long>(server.scheduler().store().hits()),
         static_cast<unsigned long long>(server.scheduler().store().misses()));
-    for (const auto& [tenant, stats] : server.fair_share().stats())
+    for (const auto& [tenant, stats] : server.scheduler().queue().stats())
       std::printf(
           "  tenant %-12s weight %.2g: %llu submitted, %llu completed, "
           "%llu failed, %llu rejected, %llu shed, %llu canceled\n",

@@ -5,8 +5,8 @@
 # work-stealing scheduler (both steal paths and their stats counters),
 # the row-blocked tree reduction (TreeReduce.* rides inside the full
 # test_parallel run), the obs registry's lock-free per-thread slots, the
-# HFX scheduler exactness tests, and the screening engine's job queue +
-# multi-job scheduler. A data race anywhere in that stack fails this
+# HFX scheduler exactness tests, and the screening engine's one job
+# queue (per-tenant backlogs, fair-share dispatch) + multi-job scheduler. A data race anywhere in that stack fails this
 # script.
 #
 # Usage: scripts/run_tsan.sh [build-dir]   (default: build-tsan)
@@ -36,20 +36,23 @@ export TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1"
 "$BUILD_DIR"/tests/test_fault \
   --gtest_filter='AllSchedules/*:Schedulers.*:FockBuilder.FaultInjectedExchangeMatchesCleanRun:FockBuilder.CorruptionWithoutValidationPoisonsOutput'
 # Screening-engine concurrency surface: blocking queue handoff, worker
-# pool vs. submitter races, result-cache sharing, per-job fault domains.
-"$BUILD_DIR"/tests/test_engine --gtest_filter='JobQueue.*:JobScheduler.*'
+# pool vs. submitter races, result-cache sharing, per-job fault domains,
+# and the fair-share tests, where a pop blocked at a tenant's in-flight
+# cap is released by a completion reported from another thread.
+"$BUILD_DIR"/tests/test_engine --gtest_filter='JobQueue.*:JobScheduler.*:FairShare.*'
 # Durable-engine concurrency surface: the watchdog thread cancelling
 # in-flight attempts it races with workers registering/unregistering
 # them, journal appends from submitter + workers at once, and the disk
 # store's LRU under concurrent lookup/insert.
 "$BUILD_DIR"/tests/test_durability \
   --gtest_filter='Scheduler.*:DiskStore.*:Backoff.*'
-# Service concurrency surface: the fair-share sub-queue pumped from
-# worker completions while client threads submit, the terminal-record
-# hook re-entering the tenant layer, and many client connections racing
-# one server (the crash drills fork and are exercised unsanitized).
+# Service concurrency surface: workers dispatching from and completing
+# into the one queue while client threads submit and cancel into it,
+# in-flight caps released by completions, and many client connections
+# racing one server (the crash drills fork and are exercised
+# unsanitized).
 "$BUILD_DIR"/tests/test_serve \
-  --gtest_filter='Serve.WeightedFairShareRatioUnderSaturation:Serve.ConcurrentClientsRaceCleanly:Serve.SubmitResultBitIdenticalToDirectRun'
+  --gtest_filter='Serve.WeightedFairShareRatioUnderSaturation:Serve.ConcurrentClientsRaceCleanly:Serve.SubmitResultBitIdenticalToDirectRun:Serve.QuotaRejectReasonFormatIsPinned'
 # Small-iteration differential subset: randomized schedule x thread-count
 # builds race the bag/steal protocols on fresh task shapes each case,
 # and every build ends in the shared-pool tree reduction of the

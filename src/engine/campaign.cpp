@@ -92,7 +92,7 @@ CampaignSpec parse_campaign(const std::string& text) {
         if (key == "concurrency")
           spec.engine.concurrency = static_cast<std::size_t>(std::stoul(value));
         else if (key == "queue_capacity")
-          spec.engine.queue_capacity =
+          spec.engine.tenant_defaults.max_queued =
               static_cast<std::size_t>(std::stoul(value));
         else if (key == "total_threads")
           spec.engine.total_threads =
@@ -123,14 +123,7 @@ CampaignSpec parse_campaign(const std::string& text) {
           spec.engine.backoff.jitter = std::stod(value);
         else if (key == "backoff_seed")
           spec.engine.backoff.seed = std::stoull(value);
-        else if (key == "shed") {
-          if (value == "on")
-            spec.engine.shed_lowest = true;
-          else if (value == "off")
-            spec.engine.shed_lowest = false;
-          else
-            fail(lineno, "shed must be on|off");
-        } else if (key == "cache") {
+        else if (key == "cache") {
           if (value == "on")
             spec.engine.cache = true;
           else if (value == "off")

@@ -8,7 +8,8 @@
 //
 //   # engine settings (each keyword at most once)
 //   concurrency 4
-//   queue_capacity 256
+//   queue_capacity 256       # backlog cap; a full backlog sheds
+//                            # lower-priority work or rejects
 //   total_threads 0          # shared budget; 0 = hardware
 //   job_retries 1
 //   cache on                 # on | off
@@ -17,7 +18,6 @@
 //   store_dir store          # disk-backed ResultStore directory
 //   store_max_bytes 1000000  # LRU-evict the store above this (0 = off)
 //   deadline 30              # default per-job deadline, seconds (0 = off)
-//   shed on                  # displace lowest-priority work when full
 //   degrade_depth 0          # coarsen DFT grids at this queue depth
 //   backoff_base_ms 10       # retry backoff: base delay
 //   backoff_max_ms 1000      #   exponential cap

@@ -17,9 +17,9 @@ namespace mthfx::engine {
 struct Job {
   std::uint64_t id = 0;  ///< assigned at submission; 0 = unassigned
   std::string name;
-  /// Owning tenant (multi-tenant service layer); empty for single-tenant
-  /// campaign fronts like mthfx_queue. Carried through journal records
-  /// so per-tenant accounting survives a resume.
+  /// Owning tenant: selects the JobQueue backlog the job waits in. Empty
+  /// for single-tenant campaign fronts like mthfx_queue. Carried through
+  /// journal records so per-tenant accounting survives a resume.
   std::string tenant;
   int priority = 0;
   /// Wall-clock deadline for one attempt; 0 inherits the engine default
@@ -27,21 +27,20 @@ struct Job {
   /// overdue attempt is cancelled at the next SCF-iteration cancellation
   /// point and retried with backoff.
   double deadline_seconds = 0.0;
-  /// Already written to the write-ahead journal by an upstream layer
-  /// (FairShareQueue journals at tenant admission so pending work
-  /// survives a crash; journal resume resubmits under existing records).
-  /// The scheduler skips its own `submitted` record when set, so a job
-  /// is journaled exactly once.
+  /// Already written to the write-ahead journal: a journal resume
+  /// resubmits surviving jobs under their existing `submitted` records.
+  /// JobScheduler::submit skips its `submitted` record when set, so a
+  /// job is journaled exactly once.
   bool journaled = false;
   app::Input input;
 };
 
 enum class JobState : std::uint8_t {
-  kQueued,    ///< admitted, waiting for a worker
+  kQueued,    ///< admitted, pending in its tenant's backlog
   kRunning,   ///< executing on a worker
   kDone,      ///< finished with result.ok
   kFailed,    ///< finished without result.ok, or retries exhausted
-  kRejected,  ///< refused at admission (queue full / invalid / closed)
+  kRejected,  ///< refused at admission, or shed from a full backlog
   kCanceled,  ///< withdrawn by the client before it reached a worker
 };
 

@@ -130,12 +130,11 @@ obs::Json campaign_report(const JobScheduler& scheduler,
   obs::Json engine = obs::Json::object();
   const EngineOptions& opts = scheduler.options();
   engine["concurrency"] = opts.concurrency;
-  engine["queue_capacity"] = opts.queue_capacity;
+  engine["queue_capacity"] = opts.tenant_defaults.max_queued;
   engine["total_threads"] = scheduler.total_threads();
   engine["per_job_threads"] = scheduler.per_job_threads();
   engine["max_job_retries"] = opts.max_job_retries;
   engine["cache"] = opts.cache;
-  engine["shed_lowest"] = opts.shed_lowest;
   if (!opts.journal_path.empty()) {
     engine["journal_path"] = opts.journal_path;
     engine["journal_appends"] = scheduler.journal().appended();

@@ -35,15 +35,14 @@ double backoff_delay_ms(const BackoffOptions& options, std::uint64_t job_id,
 JobScheduler::JobScheduler(EngineOptions options)
     : options_(std::move(options)),
       total_threads_(parallel::resolve_thread_count(options_.total_threads)),
-      queue_(options_.queue_capacity == 0 ? 1 : options_.queue_capacity,
-             options_.shed_lowest),
       // One metric slot per worker, one shared by submitter threads
       // (slot `concurrency`), one for the watchdog (`concurrency + 1`).
-      registry_(std::max<std::size_t>(options_.concurrency, 1) + 2) {
+      registry_(std::max<std::size_t>(options_.concurrency, 1) + 2),
+      queue_(options_.tenant_defaults, &registry_, options_.concurrency) {
   if (options_.concurrency == 0)
     throw std::invalid_argument("JobScheduler: concurrency must be >= 1");
-  if (options_.queue_capacity == 0)
-    throw std::invalid_argument("JobScheduler: queue_capacity must be >= 1");
+  for (const TenantConfig& tenant : options_.tenants)
+    queue_.configure(tenant.id, tenant.options);
   if (!(options_.backoff.jitter >= 0.0 && options_.backoff.jitter <= 1.0))
     throw std::invalid_argument(
         "JobScheduler: backoff.jitter must be in [0, 1]");
@@ -103,53 +102,63 @@ Admission JobScheduler::submit(Job job) {
   const bool journaling = journal_.active() && !job.journaled;
   if (journaling) journaled = job;
   Admission admission = queue_.submit(std::move(job));
-  if (admission.accepted) {
-    c_submitted_.add(submit_slot);
-    if (journaling) {
-      journaled.id = admission.id;
-      journal_.record_submitted(journaled);
-    }
-    if (admission.displaced) {
-      c_shed_.add(submit_slot);
-      JobRecord shed;
-      shed.id = admission.displaced->id;
-      shed.name = admission.displaced->name;
-      shed.tenant = admission.displaced->tenant;
-      shed.priority = admission.displaced->priority;
-      shed.state = JobState::kRejected;
-      shed.reject_reason =
-          "shed: displaced at capacity " +
-          std::to_string(options_.queue_capacity) +
-          " by higher-priority submission (id " +
-          std::to_string(admission.id) + ")";
-      shed.input = std::move(admission.displaced->input);
-      if (journaling) journal_.record_committed(shed);
-      publish(std::move(shed));
-    }
-  } else {
+  if (!admission.accepted) {
     c_rejected_.add(submit_slot);
     rejected.state = JobState::kRejected;
     rejected.reject_reason = admission.reason;
     publish(std::move(rejected));
+    return admission;
+  }
+  c_submitted_.add(submit_slot);
+  if (journaling) {
+    journaled.id = admission.id;
+    journal_.record_submitted(journaled);
+  }
+  if (admission.displaced) {
+    c_shed_.add(submit_slot);
+    JobRecord shed;
+    shed.id = admission.displaced->id;
+    shed.name = admission.displaced->name;
+    shed.tenant = admission.displaced->tenant;
+    shed.priority = admission.displaced->priority;
+    shed.state = JobState::kRejected;
+    shed.reject_reason = "shed: tenant '" + shed.tenant +
+                         "' backlog full, displaced by higher-priority "
+                         "submission (id " +
+                         std::to_string(admission.id) + ")";
+    shed.input = std::move(admission.displaced->input);
+    // The victim's `submitted` record is on disk; without a committed
+    // record a resume would resurrect it.
+    journal_.record_committed(shed);
+    publish(std::move(shed));
   }
   return admission;
+}
+
+bool JobScheduler::cancel(std::uint64_t id, const std::string& note,
+                          std::string* error) {
+  std::optional<Job> job = queue_.cancel(id, error);
+  if (!job) return false;
+  JobRecord canceled;
+  canceled.id = id;
+  canceled.name = job->name;
+  canceled.tenant = job->tenant;
+  canceled.priority = job->priority;
+  canceled.state = JobState::kCanceled;
+  canceled.error = note.empty() ? "canceled by client" : note;
+  canceled.input = std::move(job->input);
+  journal_.record_committed(canceled);
+  publish(std::move(canceled));
+  return true;
 }
 
 void JobScheduler::adopt(JobRecord record) {
   const std::size_t submit_slot = options_.concurrency;
   record.replayed = true;
+  queue_.claim_id(record.id);
   if (record.state == JobState::kDone && options_.cache && record.result.ok)
     store_.insert(input_key(record.input), record.result);
   c_replayed_.add(submit_slot);
-  publish(std::move(record));
-}
-
-void JobScheduler::finish_external(JobRecord record) {
-  journal_.record_committed(record);
-  publish(std::move(record));
-}
-
-void JobScheduler::publish_external(JobRecord record) {
   publish(std::move(record));
 }
 
@@ -185,6 +194,9 @@ void JobScheduler::worker_loop(std::size_t worker_id) {
     JobRecord record =
         execute(std::move(popped->job), popped->wait_seconds, worker_id);
     t_run_.add_seconds(worker_id, record.run_seconds);
+    // Settle the tenant's books before announcing the record, so a
+    // client that sees the result also sees it in the tenant's stats.
+    queue_.complete(record.id, record.state);
     publish(std::move(record));
   }
 }

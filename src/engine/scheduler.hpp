@@ -1,9 +1,14 @@
 #pragma once
 
-// Multi-job execution engine: N worker threads drain the JobQueue and
-// run each job through app::run_structured under a *shared* thread
-// budget. The total budget comes from parallel::resolve_thread_count;
-// each concurrent job is capped at budget/concurrency threads, so one
+// Multi-job execution engine: N worker threads drain the one JobQueue
+// and run each job through app::run_structured under a *shared* thread
+// budget. Campaigns (mthfx_queue) submit under the empty tenant; the
+// service (mthfx_serve) submits under each connection's tenant. Either
+// way `submit` is the one place that journals a submission and records
+// rejected and shed jobs.
+//
+// The total budget comes from parallel::resolve_thread_count; each
+// concurrent job is capped at budget/concurrency threads, so one
 // huge condensed-phase job cannot starve a campaign of small screening
 // jobs — it just uses its slice while the others keep flowing.
 //
@@ -18,7 +23,8 @@
 // engine.cache_hits / cache_misses, engine.job_retries, and the
 // engine.queue_wait_seconds / engine.job_run_seconds timers. Durability
 // adds engine.jobs_shed / jobs_degraded / jobs_replayed,
-// engine.deadline.expired, and engine.retry.backoff_ms.
+// engine.deadline.expired, and engine.retry.backoff_ms. Named tenants
+// add engine.tenant.<id>.* (see queue.hpp).
 //
 // Durability (docs/engine.md): with `journal_path` set every job
 // transition is written ahead to a checksummed journal, so a killed
@@ -66,7 +72,12 @@ double backoff_delay_ms(const BackoffOptions& options, std::uint64_t job_id,
 
 struct EngineOptions {
   std::size_t concurrency = 2;      ///< concurrent jobs (worker threads)
-  std::size_t queue_capacity = 256;
+  /// Share and quotas of tenants not listed in `tenants`; a campaign's
+  /// one tenant ("") runs under these, so `max_queued` is its backlog
+  /// cap. Pending jobs beyond it are rejected, or shed for a
+  /// strictly-higher-priority arrival of the same tenant.
+  TenantOptions tenant_defaults;
+  std::vector<TenantConfig> tenants;
   /// Shared thread budget across all concurrent jobs; 0 resolves to
   /// hardware concurrency via parallel::resolve_thread_count.
   std::size_t total_threads = 0;
@@ -91,9 +102,6 @@ struct EngineOptions {
   double watchdog_poll_ms = 5.0;
   /// Retry backoff policy (engine-level retries only).
   BackoffOptions backoff;
-  /// Load shedding: a strictly-higher-priority submission displaces the
-  /// lowest-priority queued job instead of being rejected when full.
-  bool shed_lowest = true;
   /// Graceful degradation: when > 0 and the queue is at least this deep
   /// at pickup, DFT jobs run on a coarsened XC grid (flagged in the
   /// record). 0 disables.
@@ -116,26 +124,23 @@ class JobScheduler {
   JobScheduler(const JobScheduler&) = delete;
   JobScheduler& operator=(const JobScheduler&) = delete;
 
-  /// Admission-controlled submission. A rejected job still produces a
-  /// JobRecord (state kRejected) in the final report, as does a queued
-  /// job later displaced by load shedding.
+  /// Admission-controlled submission under `job.tenant`. An accepted
+  /// job is journaled `submitted` (unless `job.journaled`). A rejected
+  /// job still produces a JobRecord (state kRejected) in the final
+  /// report, as does a pending job displaced by load shedding, whose
+  /// record is journaled as committed so a resume never resurrects it.
   Admission submit(Job job);
 
+  /// Withdraw a job that is still pending. The canceled record (state
+  /// kCanceled, `note` in error) is journaled as committed and
+  /// published. Returns false with `*error` set when the id is not
+  /// pending.
+  bool cancel(std::uint64_t id, const std::string& note, std::string* error);
+
   /// Adopt a journal-replayed record: it joins the final report (flagged
-  /// `replayed`), its result warms the cache, and no SCF work runs.
+  /// `replayed`), its result warms the cache, no SCF work runs, and
+  /// fresh ids continue above its id.
   void adopt(JobRecord record);
-
-  /// Commit a record produced outside the worker path (e.g. a client
-  /// cancel of a job that never reached the queue): journaled as
-  /// committed, pushed into the final report, and announced through
-  /// on_record like any other terminal record.
-  void finish_external(JobRecord record);
-
-  /// Like finish_external but without the journal entry — for terminal
-  /// records of jobs that were never journaled (admission rejects at a
-  /// quota layer), mirroring how the core queue's own rejects are
-  /// reported but not journaled.
-  void publish_external(JobRecord record);
 
   /// Launch the worker threads (idempotent; submit works before or
   /// after).
@@ -179,10 +184,10 @@ class JobScheduler {
   EngineOptions options_;
   std::size_t total_threads_ = 1;
   std::size_t per_job_threads_ = 1;
+  obs::Registry registry_;  ///< before queue_, which registers into it
   JobQueue queue_;
   ResultStore store_;
   Journal journal_;
-  obs::Registry registry_;
 
   obs::Counter c_submitted_, c_rejected_, c_completed_, c_failed_;
   obs::Counter c_cache_hits_, c_cache_misses_, c_retries_;

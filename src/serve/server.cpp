@@ -19,7 +19,6 @@ namespace mthfx::serve {
 
 engine::EngineOptions Server::engine_options(const ServeOptions& options) {
   engine::EngineOptions e = options.engine;
-  e.shed_lowest = false;  // shedding is per-tenant, in the FairShareQueue
   e.on_record = [this](const engine::JobRecord& r) { on_record(r); };
   e.on_started = [this](std::uint64_t id, std::size_t attempt) {
     on_started(id, attempt);
@@ -28,20 +27,14 @@ engine::EngineOptions Server::engine_options(const ServeOptions& options) {
 }
 
 Server::Server(ServeOptions options)
-    : options_(std::move(options)),
-      scheduler_(engine_options(options_)),
-      fair_(scheduler_, options_.tenant_defaults) {
-  for (const TenantConfig& t : options_.tenants)
-    fair_.configure(t.id, t.options);
-}
+    : options_(std::move(options)), scheduler_(engine_options(options_)) {}
 
 Server::~Server() {
   stop();
 }
 
 void Server::on_record(const engine::JobRecord& record) {
-  fair_.on_terminal(record);
-  if (record.id == 0) return;  // core reject without an id: untrackable
+  if (record.id == 0) return;  // admission reject without an id
   {
     std::lock_guard<std::mutex> lock(jobs_mutex_);
     JobEntry& entry = jobs_[record.id];
@@ -65,7 +58,6 @@ void Server::start() {
   if (options_.resume && !options_.engine.journal_path.empty()) {
     const engine::JournalReplay replay =
         engine::Journal::replay(options_.engine.journal_path);
-    fair_.set_next_id(replay.max_id() + 1);
     for (const engine::ReplayedJob& rj : replay.jobs) {
       if (rj.committed) {
         // The on_record hook files it into the job table, so clients
@@ -80,7 +72,7 @@ void Server::start() {
                                    std::to_string(job.id) + ".ckpt";
           if (std::ifstream(ckpt).good()) job.input.restore_path = ckpt;
         }
-        fair_.submit(job.tenant, std::move(job));
+        scheduler_.submit(std::move(job));
       }
     }
   }
@@ -190,7 +182,7 @@ obs::Json Server::handle_request(const Request& request,
       return handle_result(request);
     case Op::kCancel: {
       std::string error;
-      if (!fair_.cancel(request.id, request.note, &error))
+      if (!scheduler_.cancel(request.id, request.note, &error))
         return error_response(error);
       obs::Json r = ok_response(Op::kCancel);
       r["id"] = request.id;
@@ -206,7 +198,7 @@ obs::Json Server::handle_request(const Request& request,
       // hand the actual teardown to the serving thread (this thread is
       // itself a connection thread and cannot join itself).
       draining_.store(true);
-      fair_.wait_idle();
+      scheduler_.queue().wait_idle();
       obs::Json r = ok_response(Op::kDrain);
       {
         std::lock_guard<std::mutex> lock(jobs_mutex_);
@@ -227,9 +219,8 @@ obs::Json Server::handle_submit(const Request& request,
   job.priority = request.priority;
   job.deadline_seconds = request.deadline_s;
   job.input = request.input;
-  const engine::Admission admission =
-      fair_.submit(conn_tenant.empty() ? "anonymous" : conn_tenant,
-                   std::move(job));
+  job.tenant = conn_tenant.empty() ? "anonymous" : conn_tenant;
+  const engine::Admission admission = scheduler_.submit(std::move(job));
   if (!admission.accepted) return error_response(admission.reason);
   {
     // The worker may already have finished (and filed the terminal
@@ -271,16 +262,32 @@ obs::Json Server::stats_json() {
   obs::Json s = obs::Json::object();
   s["draining"] = draining_.load();
   s["replayed"] = replayed_;
-  s["tenants"] = fair_.stats_json();
+  const engine::JobQueue& q = scheduler_.queue();
+  obs::Json tenants = obs::Json::object();
+  for (const auto& [id, t] : q.stats()) {
+    obs::Json j = obs::Json::object();
+    j["weight"] = t.options.weight;
+    j["max_queued"] = t.options.max_queued;
+    j["max_in_flight"] = t.options.max_in_flight;
+    j["queued"] = t.queued;
+    j["in_flight"] = t.in_flight;
+    j["submitted"] = t.submitted;
+    j["admitted"] = t.admitted;
+    j["completed"] = t.completed;
+    j["failed"] = t.failed;
+    j["rejected"] = t.rejected;
+    j["shed"] = t.shed;
+    j["canceled"] = t.canceled;
+    tenants[id] = std::move(j);
+  }
+  s["tenants"] = std::move(tenants);
 
   obs::Json queue = obs::Json::object();
-  queue["depth"] = scheduler_.queue().depth();
-  queue["capacity"] = scheduler_.queue().capacity();
-  queue["accepted"] = scheduler_.queue().accepted();
-  queue["rejected"] = scheduler_.queue().rejected();
-  queue["high_water"] = scheduler_.queue().high_water();
-  queue["tenant_backlog"] = fair_.backlog();
-  queue["tenant_in_flight"] = fair_.in_flight();
+  queue["depth"] = q.depth();
+  queue["accepted"] = q.accepted();
+  queue["rejected"] = q.rejected();
+  queue["high_water"] = q.high_water();
+  queue["tenant_in_flight"] = q.in_flight();
   s["queue"] = std::move(queue);
 
   obs::Json cache = obs::Json::object();
@@ -327,9 +334,8 @@ std::vector<engine::JobRecord> Server::stop() {
   stop_flag_.store(true);
   draining_.store(true);
 
-  // Finish everything accepted: tenant backlogs drain through the pump
-  // as workers free up, then the core queue runs dry.
-  fair_.wait_idle();
+  // Finish everything accepted: drain closes the queue, and the workers
+  // empty every tenant backlog before they exit.
   records_ = scheduler_.drain();
   scheduler_.journal().record_shutdown(stop_reason_);
   {

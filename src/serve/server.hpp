@@ -1,23 +1,21 @@
 #pragma once
 
 // Long-lived multi-tenant screening service: a TCP front-end speaking
-// the NDJSON line protocol (serve/protocol.hpp) in front of the
-// JobScheduler + FairShareQueue stack. One accept thread, one thread
-// per connection, strictly request/response per connection; results are
-// delivered by a blocking `result` op against a server-side job table
-// that the scheduler's on_record/on_started hooks keep current.
+// the NDJSON line protocol (serve/protocol.hpp) in front of one
+// JobScheduler. Each connection submits under its `hello` tenant into
+// the scheduler's per-tenant JobQueue, which does admission, shedding
+// and fair-share dispatch for the service exactly as for a campaign.
+// One accept thread, one thread per connection, strictly
+// request/response per connection; results are delivered by a blocking
+// `result` op against a server-side job table that the scheduler's
+// on_record/on_started hooks keep current.
 //
-// Durability: the engine's write-ahead journal records every tenant
-// submission (FairShareQueue journals at admission), so a SIGKILLed
-// server restarted with `resume = true` adopts committed records
-// (bit-identical energies, zero recomputed SCF work) and resubmits the
-// rest under their original ids — reconnecting clients keep polling the
-// same ids. A graceful stop drains in-flight work and appends a clean
-// `shutdown` journal record.
-//
-// Shedding policy lives in the tenant layer (per-tenant backlog
-// displacement); the core queue runs with shed_lowest forced off so one
-// tenant's burst can never displace another tenant's admitted work.
+// Durability: JobScheduler::submit journals every accepted submission,
+// so a SIGKILLed server restarted with `resume = true` adopts committed
+// records (bit-identical energies, zero recomputed SCF work) and
+// resubmits the rest under their original ids — reconnecting clients
+// keep polling the same ids. A graceful stop drains in-flight work and
+// appends a clean `shutdown` journal record.
 
 #include <atomic>
 #include <condition_variable>
@@ -30,17 +28,10 @@
 #include <vector>
 
 #include "engine/scheduler.hpp"
-#include "engine/tenant.hpp"
 #include "obs/json.hpp"
 #include "serve/protocol.hpp"
 
 namespace mthfx::serve {
-
-/// One tenant's configured quota/weight (ServeOptions::tenants).
-struct TenantConfig {
-  std::string id;
-  engine::TenantOptions options;
-};
 
 struct ServeOptions {
   std::string host = "127.0.0.1";
@@ -48,12 +39,10 @@ struct ServeOptions {
   /// Reject submit/status/result/cancel until the connection sent a
   /// `hello`; stats and drain are always allowed.
   bool require_hello = true;
-  /// Engine configuration. `shed_lowest` is forced off (see above);
-  /// `on_record`/`on_started` are owned by the server.
+  /// Engine configuration, tenant quotas and weights included
+  /// (`tenant_defaults`, `tenants`); `on_record`/`on_started` are owned
+  /// by the server.
   engine::EngineOptions engine;
-  /// Quota/weight for tenants not listed in `tenants`.
-  engine::TenantOptions tenant_defaults;
-  std::vector<TenantConfig> tenants;
   /// Replay engine.journal_path on start(): adopt committed records,
   /// resubmit the rest under their original ids.
   bool resume = false;
@@ -87,7 +76,6 @@ class Server {
   std::vector<engine::JobRecord> stop();
 
   engine::JobScheduler& scheduler() { return scheduler_; }
-  engine::FairShareQueue& fair_share() { return fair_; }
   std::size_t replayed() const { return replayed_; }
   obs::Json stats_json();
 
@@ -115,7 +103,6 @@ class Server {
 
   ServeOptions options_;
   engine::JobScheduler scheduler_;
-  engine::FairShareQueue fair_;
 
   // Atomic: stop() closes and clears the fd while accept_loop() reads
   // it into ::accept on another thread.

@@ -522,8 +522,7 @@ TEST(Scheduler, JobDeadlineOverridesEngineDefault) {
 TEST(Scheduler, ShedsLowestPriorityForHigherPriorityArrival) {
   engine::EngineOptions options;
   options.concurrency = 1;
-  options.queue_capacity = 2;
-  options.shed_lowest = true;
+  options.tenant_defaults.max_queued = 2;
   engine::JobScheduler scheduler(options);  // not started: jobs stay queued
 
   ASSERT_TRUE(scheduler.submit(h2_job("low1", "hf", 0)).accepted);
@@ -748,7 +747,6 @@ TEST(Campaign, ParsesDurabilityKeywords) {
       "store_max_bytes 4096\n"
       "deadline 30\n"
       "degrade_depth 7\n"
-      "shed off\n"
       "backoff_base_ms 5\n"
       "backoff_max_ms 500\n"
       "backoff_jitter 0.25\n"
@@ -762,7 +760,6 @@ TEST(Campaign, ParsesDurabilityKeywords) {
   EXPECT_EQ(spec.engine.store_max_bytes, 4096u);
   EXPECT_DOUBLE_EQ(spec.engine.default_deadline_seconds, 30.0);
   EXPECT_EQ(spec.engine.degrade_depth, 7u);
-  EXPECT_FALSE(spec.engine.shed_lowest);
   EXPECT_DOUBLE_EQ(spec.engine.backoff.base_ms, 5.0);
   EXPECT_DOUBLE_EQ(spec.engine.backoff.max_ms, 500.0);
   EXPECT_DOUBLE_EQ(spec.engine.backoff.jitter, 0.25);

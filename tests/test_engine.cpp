@@ -8,8 +8,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cmath>
+#include <fstream>
+#include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -19,7 +25,6 @@
 #include "engine/report.hpp"
 #include "engine/result_store.hpp"
 #include "engine/scheduler.hpp"
-#include "engine/tenant.hpp"
 #include "obs/json.hpp"
 #include "workload/geometries.hpp"
 #include "workload/replicate.hpp"
@@ -55,7 +60,7 @@ const obs::Json& member(const obs::Json& j, const std::string& key) {
 // ---------------------------------------------------------------- queue
 
 TEST(JobQueue, PriorityFirstThenFifoWithinLevel) {
-  engine::JobQueue queue(8);
+  engine::JobQueue queue({.max_queued = 8});
   for (const auto& [name, prio] :
        {std::pair<const char*, int>{"a", 0}, {"b", 0}, {"hot1", 5},
         {"hot2", 5}, {"c", 0}}) {
@@ -69,7 +74,7 @@ TEST(JobQueue, PriorityFirstThenFifoWithinLevel) {
 }
 
 TEST(JobQueue, AssignsIdsInSubmissionOrder) {
-  engine::JobQueue queue(4);
+  engine::JobQueue queue({.max_queued = 4});
   queue.submit(h2_job("first"));
   queue.submit(h2_job("second", /*priority=*/9));
   queue.close();
@@ -85,12 +90,12 @@ TEST(JobQueue, AssignsIdsInSubmissionOrder) {
 }
 
 TEST(JobQueue, RejectsWhenFullWithReason) {
-  engine::JobQueue queue(2);
+  engine::JobQueue queue({.max_queued = 2});
   ASSERT_TRUE(queue.submit(h2_job("a")).accepted);
   ASSERT_TRUE(queue.submit(h2_job("b")).accepted);
   const auto verdict = queue.submit(h2_job("c"));
   EXPECT_FALSE(verdict.accepted);
-  EXPECT_NE(verdict.reason.find("queue full"), std::string::npos)
+  EXPECT_NE(verdict.reason.find("tenant quota"), std::string::npos)
       << verdict.reason;
   EXPECT_NE(verdict.reason.find("2"), std::string::npos) << verdict.reason;
   EXPECT_EQ(queue.accepted(), 2u);
@@ -101,7 +106,7 @@ TEST(JobQueue, RejectsWhenFullWithReason) {
 }
 
 TEST(JobQueue, RejectsJobWithoutGeometry) {
-  engine::JobQueue queue(4);
+  engine::JobQueue queue({.max_queued = 4});
   engine::Job empty;
   empty.name = "hollow";
   const auto verdict = queue.submit(empty);
@@ -111,7 +116,7 @@ TEST(JobQueue, RejectsJobWithoutGeometry) {
 }
 
 TEST(JobQueue, ClosedQueueDrainsThenSignalsEnd) {
-  engine::JobQueue queue(4);
+  engine::JobQueue queue({.max_queued = 4});
   ASSERT_TRUE(queue.submit(h2_job("last")).accepted);
   queue.close();
   EXPECT_TRUE(queue.closed());
@@ -123,7 +128,7 @@ TEST(JobQueue, ClosedQueueDrainsThenSignalsEnd) {
 }
 
 TEST(JobQueue, CloseWakesBlockedConsumer) {
-  engine::JobQueue queue(4);
+  engine::JobQueue queue;
   std::optional<engine::PoppedJob> got = engine::PoppedJob{};
   std::thread consumer([&] { got = queue.pop(); });
   queue.close();
@@ -132,7 +137,7 @@ TEST(JobQueue, CloseWakesBlockedConsumer) {
 }
 
 TEST(JobQueue, TracksDepthAndHighWater) {
-  engine::JobQueue queue(8);
+  engine::JobQueue queue;
   queue.submit(h2_job("a"));
   queue.submit(h2_job("b"));
   queue.submit(h2_job("c"));
@@ -331,7 +336,7 @@ TEST(JobScheduler, SharesThreadBudgetAcrossConcurrentJobs) {
 TEST(JobScheduler, RejectedJobsStillAppearInRecords) {
   engine::EngineOptions opts;
   opts.concurrency = 2;
-  opts.queue_capacity = 1;
+  opts.tenant_defaults.max_queued = 1;
   engine::JobScheduler scheduler(opts);  // not started: queue stays full
   ASSERT_TRUE(scheduler.submit(h2_job("kept")).accepted);
   EXPECT_FALSE(scheduler.submit(h2_job("shed1")).accepted);
@@ -342,7 +347,7 @@ TEST(JobScheduler, RejectedJobsStillAppearInRecords) {
   // Rejected jobs never get an id and sort first, in submission order.
   EXPECT_EQ(records[0].name, "shed1");
   EXPECT_EQ(records[0].state, engine::JobState::kRejected);
-  EXPECT_NE(records[0].reject_reason.find("queue full"), std::string::npos);
+  EXPECT_NE(records[0].reject_reason.find("tenant quota"), std::string::npos);
   EXPECT_EQ(records[1].name, "shed2");
   EXPECT_EQ(records[2].name, "kept");
   EXPECT_EQ(records[2].state, engine::JobState::kDone);
@@ -436,7 +441,7 @@ end
 TEST(Campaign, ParsesEngineSettings) {
   const auto spec = engine::parse_campaign(kCampaignText);
   EXPECT_EQ(spec.engine.concurrency, 3u);
-  EXPECT_EQ(spec.engine.queue_capacity, 64u);
+  EXPECT_EQ(spec.engine.tenant_defaults.max_queued, 64u);
   EXPECT_EQ(spec.engine.total_threads, 8u);
   EXPECT_EQ(spec.engine.max_job_retries, 2u);
   EXPECT_FALSE(spec.engine.cache);
@@ -547,10 +552,10 @@ TEST(Report, RejectedJobRecordKeepsOnlyAdmissionFields) {
   engine::JobRecord record;
   record.name = "shed";
   record.state = engine::JobState::kRejected;
-  record.reject_reason = "queue full (capacity 1, depth 1)";
+  record.reject_reason = "tenant quota: '' queued 1/1 (in-flight 0)";
   const auto parsed = obs::Json::parse(engine::job_record(record).dump());
   EXPECT_EQ(member(parsed, "state").as_string(), "rejected");
-  EXPECT_NE(member(parsed, "reject_reason").as_string().find("queue full"),
+  EXPECT_NE(member(parsed, "reject_reason").as_string().find("tenant quota"),
             std::string::npos);
   EXPECT_EQ(parsed.find("result"), nullptr);
 }
@@ -558,133 +563,130 @@ TEST(Report, RejectedJobRecordKeepsOnlyAdmissionFields) {
 // ----------------------------------------------------- fair-share tenancy
 
 namespace {
-const engine::TenantStats& tenant_stats(const engine::FairShareQueue& fair,
-                                        const std::string& id) {
-  static engine::TenantStats none;
-  for (const auto& [tenant, stats] : fair.stats())
+
+engine::Job tenant_job(const std::string& tenant, const std::string& name,
+                       int priority = 0) {
+  engine::Job job = h2_job(name, priority);
+  job.tenant = tenant;
+  return job;
+}
+
+engine::TenantStats tenant_stats(const engine::JobQueue& queue,
+                                 const std::string& id) {
+  for (const auto& [tenant, stats] : queue.stats())
     if (tenant == id) return stats;
   ADD_FAILURE() << "no stats for tenant '" << id << "'";
-  return none;
+  return {};
 }
+
 }  // namespace
 
-// The reject formats below are part of the service protocol surface
-// (clients parse them out of error responses), so they are pinned
-// exactly — see docs/engine.md (Service).
+// The reject and shed formats below are part of the service protocol
+// surface (clients parse them out of error responses), so they are
+// pinned exactly — see docs/engine.md (Service).
 TEST(JobQueue, RejectReasonFormatIsPinned) {
-  engine::JobQueue queue(2);
+  engine::JobQueue queue({.max_queued = 2});
   ASSERT_TRUE(queue.submit(h2_job("a")).accepted);
   ASSERT_TRUE(queue.submit(h2_job("b")).accepted);
   EXPECT_EQ(queue.submit(h2_job("c")).reason,
-            "queue full (capacity 2, depth 2)");
+            "tenant quota: '' queued 2/2 (in-flight 0)");
 }
 
 TEST(FairShare, TenantQuotaRejectReasonFormatIsPinned) {
-  engine::EngineOptions opts;
-  opts.concurrency = 1;
-  opts.queue_capacity = 1;  // core holds one job; the rest stay pending
-  engine::JobScheduler scheduler(opts);  // never started: nothing runs
-  engine::FairShareQueue fair(scheduler);
-  engine::TenantOptions acme;
-  acme.max_queued = 2;
-  fair.configure("acme", acme);
-  ASSERT_TRUE(fair.submit("acme", h2_job("a")).accepted);  // -> core queue
-  ASSERT_TRUE(fair.submit("acme", h2_job("b")).accepted);  // pending 1/2
-  ASSERT_TRUE(fair.submit("acme", h2_job("c")).accepted);  // pending 2/2
-  const auto verdict = fair.submit("acme", h2_job("d"));
+  engine::JobQueue queue;
+  queue.configure("acme", {.max_queued = 2});
+  ASSERT_TRUE(queue.submit(tenant_job("acme", "a")).accepted);
+  ASSERT_TRUE(queue.pop().has_value());  // a is in flight
+  ASSERT_TRUE(queue.submit(tenant_job("acme", "b")).accepted);  // queued 1/2
+  ASSERT_TRUE(queue.submit(tenant_job("acme", "c")).accepted);  // queued 2/2
+  const auto verdict = queue.submit(tenant_job("acme", "d"));
   EXPECT_FALSE(verdict.accepted);
   EXPECT_EQ(verdict.reason, "tenant quota: 'acme' queued 2/2 (in-flight 1)");
   // With an in-flight cap the reason carries it as a /cap suffix.
-  engine::JobScheduler scheduler2(opts);
-  engine::FairShareQueue fair2(scheduler2);
-  engine::TenantOptions capped;
-  capped.max_queued = 1;
-  capped.max_in_flight = 1;
-  fair2.configure("beta", capped);
-  ASSERT_TRUE(fair2.submit("beta", h2_job("x")).accepted);  // -> core queue
-  ASSERT_TRUE(fair2.submit("beta", h2_job("y")).accepted);  // pending 1/1
-  EXPECT_EQ(fair2.submit("beta", h2_job("z")).reason,
+  queue.configure("beta", {.max_queued = 1, .max_in_flight = 1});
+  ASSERT_TRUE(queue.submit(tenant_job("beta", "x")).accepted);
+  ASSERT_TRUE(queue.pop().has_value());  // DRR: beta is the one eligible
+  ASSERT_TRUE(queue.submit(tenant_job("beta", "y")).accepted);
+  EXPECT_EQ(queue.submit(tenant_job("beta", "z")).reason,
             "tenant quota: 'beta' queued 1/1 (in-flight 1/1)");
 }
 
 TEST(FairShare, DeficitRoundRobinHonoursWeights) {
-  engine::EngineOptions opts;
-  opts.concurrency = 1;
-  opts.queue_capacity = 6;
-  engine::JobScheduler scheduler(opts);  // never started: admissions are
-  engine::FairShareQueue fair(scheduler);  // pure DRR decisions
-  engine::TenantOptions heavy, light;
-  heavy.weight = 2.0;
-  light.weight = 1.0;
-  fair.configure("heavy", heavy);
-  fair.configure("light", light);
-  // Plug the core queue first so heavy/light submissions all land in
-  // their tenant backlogs — with free slots admission is FIFO-on-arrival
-  // and no fair-share decision happens.
-  for (int i = 0; i < 6; ++i)
-    ASSERT_TRUE(fair.submit("plug", h2_job("p" + std::to_string(i))).accepted);
+  engine::JobQueue queue;
+  queue.configure("heavy", {.weight = 2.0});
+  queue.configure("light", {.weight = 1.0});
   for (int i = 0; i < 10; ++i) {
     ASSERT_TRUE(
-        fair.submit("heavy", h2_job("h" + std::to_string(i))).accepted);
+        queue.submit(tenant_job("heavy", "h" + std::to_string(i))).accepted);
     ASSERT_TRUE(
-        fair.submit("light", h2_job("l" + std::to_string(i))).accepted);
+        queue.submit(tenant_job("light", "l" + std::to_string(i))).accepted);
   }
-  EXPECT_EQ(fair.backlog(), 20u);
-  // Drain the plugs as a worker pool would, then pump: the six freed
-  // slots must split 2:1 by weight — heavy 4, light 2.
-  for (int i = 0; i < 6; ++i) ASSERT_TRUE(scheduler.queue().pop().has_value());
-  fair.pump();
-  EXPECT_EQ(tenant_stats(fair, "heavy").admitted, 4u);
-  EXPECT_EQ(tenant_stats(fair, "light").admitted, 2u);
-  EXPECT_EQ(fair.backlog(), 14u);
+  EXPECT_EQ(queue.depth(), 20u);
+  // Six dispatches split 2:1 by weight: heavy 4, light 2.
+  std::map<std::string, int> dispatched;
+  for (int i = 0; i < 6; ++i) {
+    const auto popped = queue.pop();
+    ASSERT_TRUE(popped.has_value());
+    ++dispatched[popped->job.tenant];
+  }
+  EXPECT_EQ(dispatched["heavy"], 4);
+  EXPECT_EQ(dispatched["light"], 2);
+  EXPECT_EQ(tenant_stats(queue, "heavy").admitted, 4u);
+  EXPECT_EQ(tenant_stats(queue, "light").admitted, 2u);
+  EXPECT_EQ(queue.depth(), 14u);
 }
 
 TEST(FairShare, InFlightCapHoldsJobsBackUntilCompletions) {
-  engine::EngineOptions opts;
-  opts.concurrency = 1;
-  opts.queue_capacity = 8;
-  engine::JobScheduler scheduler(opts);
-  engine::FairShareQueue fair(scheduler);
-  engine::TenantOptions capped;
-  capped.max_in_flight = 2;
-  fair.configure("capped", capped);
+  engine::JobQueue queue;
+  queue.configure("capped", {.max_in_flight = 2});
   for (int i = 0; i < 5; ++i)
     ASSERT_TRUE(
-        fair.submit("capped", h2_job("j" + std::to_string(i))).accepted);
-  // Only two admitted despite six free core slots.
-  EXPECT_EQ(tenant_stats(fair, "capped").admitted, 2u);
-  EXPECT_EQ(fair.backlog(), 3u);
+        queue.submit(tenant_job("capped", "j" + std::to_string(i))).accepted);
+  const auto first = queue.pop();
+  ASSERT_TRUE(first.has_value());
+  ASSERT_TRUE(queue.pop().has_value());
+  EXPECT_EQ(tenant_stats(queue, "capped").in_flight, 2u);
+  EXPECT_EQ(queue.depth(), 3u);
+  // A third pop blocks at the cap until a completion is reported.
+  std::atomic<bool> dispatched{false};
+  std::thread worker([&] {
+    const auto third = queue.pop();
+    dispatched = third.has_value();
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(dispatched.load());
+  EXPECT_EQ(tenant_stats(queue, "capped").admitted, 2u);
+  queue.complete(first->job.id, engine::JobState::kDone);
+  worker.join();
+  EXPECT_TRUE(dispatched.load());
+  EXPECT_EQ(tenant_stats(queue, "capped").admitted, 3u);
+  EXPECT_EQ(tenant_stats(queue, "capped").completed, 1u);
+  EXPECT_EQ(queue.depth(), 2u);
 }
 
 TEST(FairShare, ConfigureRejectsNonsenseOptions) {
-  engine::EngineOptions opts;
-  engine::JobScheduler scheduler(opts);
-  engine::FairShareQueue fair(scheduler);
-  engine::TenantOptions bad;
-  bad.weight = 0.0;
-  EXPECT_THROW(fair.configure("t", bad), std::invalid_argument);
-  bad.weight = 1.0;
-  bad.max_queued = 0;
-  EXPECT_THROW(fair.configure("t", bad), std::invalid_argument);
+  engine::JobQueue queue;
+  EXPECT_THROW(queue.configure("t", {.weight = 0.0}), std::invalid_argument);
+  EXPECT_THROW(queue.configure("t", {.max_queued = 0}),
+               std::invalid_argument);
+  EXPECT_THROW(engine::JobQueue({.max_queued = 0}), std::invalid_argument);
 }
 
 TEST(FairShare, CancelRemovesPendingJobAndRecordsIt) {
   engine::EngineOptions opts;
   opts.concurrency = 1;
-  opts.queue_capacity = 1;
-  engine::JobScheduler scheduler(opts);
-  engine::FairShareQueue fair(scheduler);
-  ASSERT_TRUE(fair.submit("t", h2_job("runs")).accepted);  // fills core
-  const auto pending = fair.submit("t", h2_job("waits"));
+  engine::JobScheduler scheduler(opts);  // not started: jobs stay pending
+  ASSERT_TRUE(scheduler.submit(tenant_job("t", "runs")).accepted);
+  const auto pending = scheduler.submit(tenant_job("t", "waits"));
   ASSERT_TRUE(pending.accepted);
   std::string error;
-  EXPECT_FALSE(fair.cancel(999, "", &error));
+  EXPECT_FALSE(scheduler.cancel(999, "", &error));
   EXPECT_EQ(error, "job 999 is not pending here");
-  EXPECT_TRUE(fair.cancel(pending.id, "changed my mind", &error));
-  EXPECT_EQ(fair.backlog(), 0u);
-  EXPECT_EQ(tenant_stats(fair, "t").canceled, 1u);
-  // Canceling an already-admitted job is the scheduler's problem, not
-  // the sub-queue's: callers get a distinct error.
+  EXPECT_TRUE(scheduler.cancel(pending.id, "changed my mind", &error));
+  EXPECT_EQ(scheduler.queue().depth(), 1u);
+  EXPECT_EQ(tenant_stats(scheduler.queue(), "t").canceled, 1u);
+  EXPECT_EQ(scheduler.registry().counter_total("engine.tenant.t.canceled"),
+            1u);
   const auto records = scheduler.drain();
   bool saw_cancel = false;
   for (const auto& r : records)
@@ -694,4 +696,115 @@ TEST(FairShare, CancelRemovesPendingJobAndRecordsIt) {
       EXPECT_EQ(r.error, "changed my mind");
     }
   EXPECT_TRUE(saw_cancel);
+}
+
+TEST(FairShare, ShedNeverCrossesTenants) {
+  engine::EngineOptions opts;
+  opts.concurrency = 1;
+  opts.tenants = {{"A", {.max_queued = 2}}, {"B", {.max_queued = 2}}};
+  engine::JobScheduler scheduler(opts);  // not started: backlogs stay full
+  // B's pending work is the lowest priority anywhere in the queue.
+  ASSERT_TRUE(scheduler.submit(tenant_job("B", "b1", 0)).accepted);
+  ASSERT_TRUE(scheduler.submit(tenant_job("B", "b2", 0)).accepted);
+  ASSERT_TRUE(scheduler.submit(tenant_job("A", "a1", 5)).accepted);
+  ASSERT_TRUE(scheduler.submit(tenant_job("A", "a2", 5)).accepted);
+
+  // A strictly-higher-priority A arrival displaces A's own youngest
+  // lowest-priority job, never B's.
+  const engine::Admission hot = scheduler.submit(tenant_job("A", "hot", 9));
+  ASSERT_TRUE(hot.accepted) << hot.reason;
+  ASSERT_TRUE(hot.displaced.has_value());
+  EXPECT_EQ(hot.displaced->name, "a2");
+  EXPECT_EQ(tenant_stats(scheduler.queue(), "B").queued, 2u);
+  EXPECT_EQ(tenant_stats(scheduler.queue(), "B").shed, 0u);
+  EXPECT_EQ(tenant_stats(scheduler.queue(), "A").queued, 2u);
+
+  // An arrival equal to A's lowest pending priority is rejected.
+  const engine::Admission equal = scheduler.submit(tenant_job("A", "a3", 5));
+  EXPECT_FALSE(equal.accepted);
+  EXPECT_EQ(equal.reason, "tenant quota: 'A' queued 2/2 (in-flight 0)");
+
+  const obs::Registry& registry = scheduler.registry();
+  EXPECT_EQ(registry.counter_total("engine.jobs_shed"), 1u);
+  EXPECT_EQ(registry.counter_total("engine.tenant.A.shed"), 1u);
+  EXPECT_EQ(registry.counter_total("engine.tenant.B.shed"), 0u);
+  EXPECT_EQ(registry.counter_total("engine.jobs_rejected"), 1u);
+  EXPECT_EQ(registry.counter_total("engine.tenant.A.rejected"), 1u);
+
+  const auto records = scheduler.drain();
+  const auto shed = std::find_if(records.begin(), records.end(),
+                                 [](const auto& r) { return r.name == "a2"; });
+  ASSERT_NE(shed, records.end());
+  EXPECT_EQ(shed->state, engine::JobState::kRejected);
+  EXPECT_EQ(shed->reject_reason,
+            "shed: tenant 'A' backlog full, displaced by higher-priority "
+            "submission (id " + std::to_string(hot.id) + ")");
+}
+
+// ------------------------------------------------------- observability
+
+namespace {
+
+/// Metric names in the first column of docs/observability.md's tables.
+std::set<std::string> documented_metric_names() {
+  std::ifstream doc(MTHFX_DOCS_DIR "/observability.md");
+  EXPECT_TRUE(doc.good()) << "cannot read docs/observability.md";
+  std::set<std::string> names;
+  std::string line;
+  while (std::getline(doc, line)) {
+    if (line.rfind("| `", 0) != 0) continue;
+    const std::size_t end = line.find('`', 3);
+    if (end != std::string::npos) names.insert(line.substr(3, end - 3));
+  }
+  return names;
+}
+
+/// Registered engine.* names of `registry` that the doc table lacks;
+/// per-tenant names match the `engine.tenant.<id>.*` rows.
+std::vector<std::string> undocumented_engine_metrics(
+    const obs::Registry& registry, const std::set<std::string>& documented) {
+  std::vector<std::string> missing;
+  const obs::Json dump = registry.to_json();
+  for (const char* kind : {"counters", "timers"}) {
+    for (const auto& [name, value] : member(dump, kind).members()) {
+      if (name.rfind("engine.", 0) != 0) continue;
+      std::string row = name;
+      const std::string tenant_prefix = "engine.tenant.";
+      if (row.rfind(tenant_prefix, 0) == 0)
+        row = tenant_prefix + "<id>" + row.substr(row.rfind('.'));
+      if (!documented.count(row)) missing.push_back(name);
+    }
+  }
+  return missing;
+}
+
+}  // namespace
+
+TEST(Observability, EngineMetricNamesAreDocumented) {
+  const std::set<std::string> documented = documented_metric_names();
+
+  engine::EngineOptions campaign_opts;
+  campaign_opts.concurrency = 1;
+  engine::JobScheduler campaign(campaign_opts);
+  ASSERT_TRUE(campaign.submit(h2_job("one")).accepted);
+  campaign.drain();
+
+  engine::EngineOptions serve_opts;
+  serve_opts.concurrency = 1;
+  serve_opts.tenants = {{"acme", {}}, {"beta", {.weight = 2.0}}};
+  engine::JobScheduler service(serve_opts);
+  ASSERT_TRUE(service.submit(tenant_job("acme", "a")).accepted);
+  ASSERT_TRUE(service.submit(tenant_job("beta", "b")).accepted);
+  service.drain();
+
+  for (const engine::JobScheduler* scheduler : {&campaign, &service}) {
+    const auto missing =
+        undocumented_engine_metrics(scheduler->registry(), documented);
+    EXPECT_TRUE(missing.empty())
+        << "registered but not in docs/observability.md: "
+        << ::testing::PrintToString(missing);
+  }
+  // The campaign's one tenant ("") registers no per-tenant names.
+  EXPECT_EQ(campaign.registry().to_json().dump().find("engine.tenant."),
+            std::string::npos);
 }

@@ -105,10 +105,18 @@ std::size_t count_committed(const std::string& journal_text) {
   return count;
 }
 
+/// Poll `status` until job `id` reports running (bounded at ~2 s).
+void await_running(serve::Client& client, std::uint64_t id) {
+  for (int poll = 0; poll < 2000; ++poll) {
+    if (member(client.status(id), "state").as_string() == "running") return;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ADD_FAILURE() << "job " << id << " never reported running";
+}
+
 serve::ServeOptions quick_options() {
   serve::ServeOptions options;
   options.engine.concurrency = 2;
-  options.engine.queue_capacity = 32;
   options.engine.total_threads = 2;  // per-job cap 1: deterministic bits
   return options;
 }
@@ -271,12 +279,12 @@ TEST(Serve, QuotaRejectReasonFormatIsPinned) {
   serve::ServeOptions options = quick_options();
   options.engine.concurrency = 1;
   options.engine.total_threads = 1;
-  serve::TenantConfig acme;
+  engine::TenantConfig acme;
   acme.id = "acme";
   acme.options.weight = 1.0;
   acme.options.max_queued = 2;
   acme.options.max_in_flight = 1;
-  options.tenants.push_back(acme);
+  options.engine.tenants.push_back(acme);
   serve::Server server(options);
   server.start();
   serve::Client client("127.0.0.1", server.port());
@@ -290,6 +298,9 @@ TEST(Serve, QuotaRejectReasonFormatIsPinned) {
         client.submit("q" + std::to_string(i), slow_h2_input(i * 1e-9, 0.05));
     ASSERT_TRUE(member(r, "ok").as_bool()) << r.dump();
     ids.push_back(static_cast<std::uint64_t>(member(r, "id").as_int()));
+    // Jobs count as queued until a worker takes them: let job 1 start
+    // before filling the backlog.
+    if (i == 0) await_running(client, ids[0]);
   }
   obs::Json rejected = client.submit("q3", h2_input());
   ASSERT_FALSE(member(rejected, "ok").as_bool());
@@ -342,21 +353,20 @@ TEST(Serve, WeightedFairShareRatioUnderSaturation) {
   serve::ServeOptions options = quick_options();
   options.engine.concurrency = 2;
   options.engine.total_threads = 2;
-  options.engine.queue_capacity = 2;  // small core: DRR decides admission
-  options.engine.cache = false;       // every job really runs
-  serve::TenantConfig heavy, light;
+  options.engine.cache = false;  // every job really runs
+  engine::TenantConfig heavy, light;
   heavy.id = "heavy";
   heavy.options.weight = 2.0;
   heavy.options.max_queued = 256;
   light.id = "light";
   light.options.weight = 1.0;
   light.options.max_queued = 256;
-  options.tenants = {heavy, light};
+  options.engine.tenants = {heavy, light};
   serve::Server server(options);
   server.start();
 
-  // Saturate: both tenants pre-load far more work than the core queue
-  // admits, so every admission is a DRR decision.
+  // Saturate: both tenants pre-load far more work than the two workers
+  // take at once, so every dispatch is a DRR decision.
   constexpr int kJobs = 45;
   serve::Client heavy_client("127.0.0.1", server.port());
   serve::Client light_client("127.0.0.1", server.port());
@@ -409,7 +419,6 @@ TEST(Serve, WeightedFairShareRatioUnderSaturation) {
 
 TEST(Serve, ConcurrentClientsRaceCleanly) {
   serve::ServeOptions options = quick_options();
-  options.engine.queue_capacity = 8;
   serve::Server server(options);
   server.start();
   constexpr int kThreads = 4, kPerThread = 8;
