@@ -48,11 +48,11 @@ export TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1"
   --gtest_filter='Scheduler.*:DiskStore.*:Backoff.*'
 # Service concurrency surface: workers dispatching from and completing
 # into the one queue while client threads submit and cancel into it,
-# in-flight caps released by completions, and many client connections
-# racing one server (the crash drills fork and are exercised
-# unsanitized).
+# in-flight caps released by completions, journal-resume resubmission
+# racing a worker, and many client connections racing one server (the
+# crash drills fork and are exercised unsanitized).
 "$BUILD_DIR"/tests/test_serve \
-  --gtest_filter='Serve.WeightedFairShareRatioUnderSaturation:Serve.ConcurrentClientsRaceCleanly:Serve.SubmitResultBitIdenticalToDirectRun:Serve.QuotaRejectReasonFormatIsPinned'
+  --gtest_filter='Serve.WeightedFairShareRatioUnderSaturation:Serve.ConcurrentClientsRaceCleanly:Serve.SubmitResultBitIdenticalToDirectRun:Serve.QuotaRejectReasonFormatIsPinned:Serve.ResumeOverFullBacklogKeepsEveryJobAndFreshIdsAbove'
 # Small-iteration differential subset: randomized schedule x thread-count
 # builds race the bag/steal protocols on fresh task shapes each case,
 # and every build ends in the shared-pool tree reduction of the

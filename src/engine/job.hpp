@@ -30,7 +30,8 @@ struct Job {
   /// Already written to the write-ahead journal: a journal resume
   /// resubmits surviving jobs under their existing `submitted` records.
   /// JobScheduler::submit skips its `submitted` record when set, so a
-  /// job is journaled exactly once.
+  /// job is journaled exactly once, and JobQueue::submit does not hold
+  /// it to its tenant's backlog cap a second time.
   bool journaled = false;
   app::Input input;
 };

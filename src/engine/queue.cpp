@@ -58,7 +58,6 @@ bool JobQueue::eligible(const Tenant& t) const {
 }
 
 Admission JobQueue::reject_locked(Tenant& t, std::string reason) {
-  ++rejected_;
   ++t.totals.rejected;
   t.c_rejected.add(slot_);
   return {false, std::move(reason), 0, std::nullopt};
@@ -72,7 +71,9 @@ Admission JobQueue::submit(Job job) {
     return reject_locked(t, "job '" + job.name + "' has no geometry");
   const TenantOptions& options = t.totals.options;
   Admission admission;
-  if (t.pending.size() >= options.max_queued) {
+  // A journaled job was admitted before a restart; its resubmission
+  // is not held to the cap again.
+  if (!job.journaled && t.pending.size() >= options.max_queued) {
     // Backlog full. Shed the tenant's lowest-priority (then youngest)
     // pending job for a strictly-higher-priority newcomer; otherwise
     // reject the arrival, so FIFO fairness within a level is kept.
@@ -90,7 +91,6 @@ Admission JobQueue::submit(Job job) {
     admission.displaced = std::move(victim->second.job);
     t.pending.erase(victim);
     --depth_;
-    ++shed_;
     ++t.totals.shed;
     t.c_shed.add(slot_);
   }
@@ -98,7 +98,6 @@ Admission JobQueue::submit(Job job) {
     job.id = next_id_++;
   else
     next_id_ = std::max(next_id_, job.id + 1);
-  ++accepted_;
   ++t.totals.submitted;
   t.c_submitted.add(slot_);
   admission.accepted = true;
@@ -106,7 +105,7 @@ Admission JobQueue::submit(Job job) {
   t.pending.emplace(Key{job.priority, next_seq_++},
                     Entry{std::move(job), epoch_.seconds()});
   high_water_ = std::max(high_water_, ++depth_);
-  cv_.notify_all();
+  cv_.notify_one();  // one more job can be dispatched
   return admission;
 }
 
@@ -182,7 +181,8 @@ void JobQueue::complete(std::uint64_t id, JobState state) {
     ++t.totals.failed;
     t.c_failed.add(slot_);
   }
-  cv_.notify_all();  // the tenant may be under its cap again, or all idle
+  cv_.notify_one();  // the tenant may be under its cap again
+  if (depth_ == 0 && running_.empty()) idle_cv_.notify_all();
 }
 
 std::optional<Job> JobQueue::cancel(std::uint64_t id, std::string* error) {
@@ -195,7 +195,8 @@ std::optional<Job> JobQueue::cancel(std::uint64_t id, std::string* error) {
       --depth_;
       ++t->totals.canceled;
       t->c_canceled.add(slot_);
-      cv_.notify_all();
+      cv_.notify_all();  // a closed queue may now be drained
+      if (depth_ == 0 && running_.empty()) idle_cv_.notify_all();
       return job;
     }
   }
@@ -219,7 +220,7 @@ void JobQueue::close() {
 
 void JobQueue::wait_idle() {
   std::unique_lock<std::mutex> lock(mutex_);
-  cv_.wait(lock, [this] { return depth_ == 0 && running_.empty(); });
+  idle_cv_.wait(lock, [this] { return depth_ == 0 && running_.empty(); });
 }
 
 bool JobQueue::closed() const {
@@ -242,20 +243,22 @@ std::size_t JobQueue::high_water() const {
   return high_water_;
 }
 
-std::uint64_t JobQueue::accepted() const {
+std::uint64_t JobQueue::sum(std::uint64_t TenantStats::*field) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return accepted_;
+  std::uint64_t total = 0;
+  for (const auto& t : tenants_) total += t->totals.*field;
+  return total;
+}
+
+std::uint64_t JobQueue::accepted() const {
+  return sum(&TenantStats::submitted);
 }
 
 std::uint64_t JobQueue::rejected() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return rejected_;
+  return sum(&TenantStats::rejected);
 }
 
-std::uint64_t JobQueue::shed() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return shed_;
-}
+std::uint64_t JobQueue::shed() const { return sum(&TenantStats::shed); }
 
 std::vector<std::pair<std::string, TenantStats>> JobQueue::stats() const {
   std::lock_guard<std::mutex> lock(mutex_);

@@ -113,10 +113,11 @@ class JobQueue {
 
   /// Admission control under `job.tenant`'s backlog cap. Rejects
   /// (without blocking) when the queue is closed, the job has no
-  /// geometry, or the backlog is full and cannot shed. A job arriving
-  /// with id 0 is assigned the next id (submission order, starting at
-  /// 1); a non-zero id is honored as-is — journal replay resubmits
-  /// surviving jobs under their original ids.
+  /// geometry, or the backlog is full and cannot shed. A `journaled`
+  /// job was admitted before a restart, so it bypasses the cap. A job
+  /// arriving with id 0 is assigned the next id (submission order,
+  /// starting at 1); a non-zero id is honored as-is — journal replay
+  /// resubmits surviving jobs under their original ids.
   Admission submit(Job job);
 
   /// Blocks until some tenant can dispatch a job, or the queue is closed
@@ -145,8 +146,8 @@ class JobQueue {
   std::size_t depth() const;        ///< pending across all tenants
   std::size_t in_flight() const;    ///< dispatched, not yet complete
   std::size_t high_water() const;   ///< max depth ever reached
-  std::uint64_t accepted() const;   ///< total admitted
-  std::uint64_t rejected() const;   ///< total refused
+  std::uint64_t accepted() const;   ///< accepted at admission (all tenants)
+  std::uint64_t rejected() const;   ///< refused at admission (all tenants)
   std::uint64_t shed() const;       ///< pending jobs displaced at a cap
 
   /// Tenants in first-seen order with their accounting snapshots.
@@ -178,12 +179,14 @@ class JobQueue {
   Tenant* pick_locked();
   Admission reject_locked(Tenant& t, std::string reason);
   bool eligible(const Tenant& t) const;
+  std::uint64_t sum(std::uint64_t TenantStats::*field) const;
 
   const TenantOptions defaults_;
   obs::Registry* const registry_;
   const std::size_t slot_;
   mutable std::mutex mutex_;
-  std::condition_variable cv_;  ///< work became dispatchable, or idle
+  std::condition_variable cv_;       ///< a job became dispatchable
+  std::condition_variable idle_cv_;  ///< nothing pending or in flight
   obs::Stopwatch epoch_;
   std::vector<std::unique_ptr<Tenant>> tenants_;  ///< first-seen order
   std::unordered_map<std::string, Tenant*> by_name_;
@@ -193,9 +196,6 @@ class JobQueue {
   bool closed_ = false;
   std::uint64_t next_id_ = 1;
   std::uint64_t next_seq_ = 0;
-  std::uint64_t accepted_ = 0;
-  std::uint64_t rejected_ = 0;
-  std::uint64_t shed_ = 0;
   std::size_t high_water_ = 0;
 };
 

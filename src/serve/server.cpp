@@ -58,6 +58,9 @@ void Server::start() {
   if (options_.resume && !options_.engine.journal_path.empty()) {
     const engine::JournalReplay replay =
         engine::Journal::replay(options_.engine.journal_path);
+    // Fresh ids continue above every journaled id, including ids whose
+    // resubmission is refused, so no id is ever handed out twice.
+    scheduler_.queue().claim_id(replay.max_id());
     for (const engine::ReplayedJob& rj : replay.jobs) {
       if (rj.committed) {
         // The on_record hook files it into the job table, so clients
@@ -72,7 +75,13 @@ void Server::start() {
                                    std::to_string(job.id) + ".ckpt";
           if (std::ifstream(ckpt).good()) job.input.restore_path = ckpt;
         }
-        scheduler_.submit(std::move(job));
+        // File the id before any client can poll it, as handle_submit
+        // does; a worker may have filed the terminal entry already.
+        const engine::Admission admission = scheduler_.submit(std::move(job));
+        if (admission.accepted) {
+          std::lock_guard<std::mutex> lock(jobs_mutex_);
+          jobs_.try_emplace(admission.id);
+        }
       }
     }
   }

@@ -326,6 +326,51 @@ TEST(Serve, QuotaRejectReasonFormatIsPinned) {
   server.stop();
 }
 
+TEST(Serve, ResumeOverFullBacklogKeepsEveryJobAndFreshIdsAbove) {
+  // A journal left by a crash: tenant acme had four uncommitted jobs,
+  // more than the resumed server's backlog cap of 2 plus one worker,
+  // and job 5's record cannot be resubmitted (no geometry).
+  const std::string dir = make_temp_dir();
+  const std::string journal = dir + "/serve.wal";
+  {
+    engine::Journal writer;
+    writer.open(journal);
+    for (std::uint64_t id = 1; id <= 5; ++id) {
+      engine::Job job;
+      job.id = id;
+      job.name = "j" + std::to_string(id);
+      job.tenant = "acme";
+      job.input = slow_h2_input(static_cast<double>(id) * 1e-9, 0.02);
+      if (id == 5) job.input.molecule = chem::Molecule{};
+      writer.record_submitted(job);
+    }
+    writer.record_started(1, 1);
+  }
+  serve::ServeOptions options = quick_options();
+  options.engine.concurrency = 1;
+  options.engine.total_threads = 1;
+  options.engine.journal_path = journal;
+  options.engine.tenant_defaults.max_queued = 2;
+  options.resume = true;
+  serve::Server server(options);
+  server.start();
+  serve::Client client("127.0.0.1", server.port());
+  client.hello("acme");
+
+  // Every acknowledged job is resubmitted under its id, past the cap.
+  for (std::uint64_t id = 1; id <= 4; ++id) {
+    obs::Json r = client.result(id, 60.0);
+    ASSERT_TRUE(member(r, "ok").as_bool()) << "job " << id << ": " << r.dump();
+    EXPECT_EQ(member(r, "state").as_string(), "done") << "job " << id;
+  }
+  // Fresh ids continue above every journaled id, the refused one too.
+  obs::Json fresh = client.submit("fresh", h2_input());
+  ASSERT_TRUE(member(fresh, "ok").as_bool()) << fresh.dump();
+  EXPECT_EQ(member(fresh, "id").as_int(), 6);
+  EXPECT_TRUE(member(client.result(6, 60.0), "ok").as_bool());
+  server.stop();
+}
+
 TEST(Serve, MidJobDisconnectDoesNotLoseTheJob) {
   serve::Server server(quick_options());
   server.start();
