@@ -47,9 +47,13 @@ int main() {
               scf::homo_lumo_gap(pbe0.scf, mol) * chem::kEvPerHartree);
 
   // 3. The HFX kernel directly: screened, task-parallel exchange build.
+  // The projection in step 4 calibrates on the finest grain (about one
+  // ket per task), the machine's real minimum work unit; the host default
+  // is one task per bra row.
   hfx::HfxOptions opts;
   opts.eps_schwarz = 1e-10;
   opts.record_task_costs = true;
+  opts.target_task_cost = 1.0;
   hfx::FockBuilder builder(basis, opts);
   const auto exchange = builder.exchange(hf.density);
   const auto& st = exchange.stats;

@@ -38,6 +38,7 @@ int main(int argc, char** argv) {
   hfx::HfxOptions opts;
   opts.eps_schwarz = 1e-8;
   opts.record_task_costs = true;
+  opts.target_task_cost = 1.0;  // finest grain: the machine's work unit
   hfx::FockBuilder builder(basis, opts);
   const auto result = builder.exchange(p);
   std::printf("host HFX build: %.3f s, %llu quartets over %zu tasks on %zu "

@@ -112,16 +112,14 @@ ShellPairList make_pairs(const BasisSet& basis, const HfxOptions& options,
   return ShellPairList(basis, *schwarz, options.eps_schwarz);
 }
 
-// Culled builders run one task per bra row: the link walk below
-// enumerates a whole row, and chunked rows leave the batched kernel's
-// 8-wide batches half full (about 2x slower on an 8-water STO-3G box).
+// One task per bra row unless a dense caller asks for finer tasks:
+// chunked rows leave the batched kernel's 8-wide batches mostly padding,
+// and culled builders always run rows, the unit the link walk enumerates.
 std::vector<QuartetTask> builder_tasks(const BasisSet& basis,
                                        const ShellPairList& pairs,
                                        const HfxOptions& options,
                                        bool culled) {
-  return make_tasks(basis, pairs,
-                    culled ? std::numeric_limits<double>::infinity()
-                           : options.target_task_cost,
+  return make_tasks(basis, pairs, culled ? 0.0 : options.target_task_cost,
                     options.eps_schwarz, options.eri_kernel);
 }
 

@@ -80,9 +80,11 @@ struct HfxOptions {
   bool density_screening = true;  ///< stage-two |P|-weighted screening
   HfxSchedule schedule = HfxSchedule::kDynamicBag;
   std::size_t num_threads = 0;    ///< 0 selects hardware concurrency
-  /// Estimated cost per task; 0 selects a heuristic granularity. Culled
-  /// builders ignore it: they run one task per bra row, the unit the
-  /// density-linked walk enumerates.
+  /// Task granularity. 0 runs one task per bra row, which keeps the
+  /// batched kernel's batches full. A positive value splits dense rows
+  /// into tasks of about that estimated cost (1 is the finest grain, used
+  /// to calibrate the BG/Q projections). Culled builders ignore it: they
+  /// always run rows, the unit the density-linked walk enumerates.
   double target_task_cost = 0.0;
   bool record_task_costs = false; ///< collect per-task timings (for bgq sim)
 
@@ -93,8 +95,8 @@ struct HfxOptions {
   /// Transactional task commit: digest into a per-thread scratch matrix,
   /// sweep it with std::isfinite, and add it to the accumulator only when
   /// clean — a poisoned (NaN/Inf) task throws and is retried instead of
-  /// corrupting K. Costs one extra nao^2 zero+add per task, and culled
-  /// builders run one task per bra row.
+  /// corrupting K. Costs one extra nao^2 zero+add per task, so one per
+  /// bra row at the default granularity.
   bool validate_tasks = false;
 
   /// Pair-formation / blocked-build regime (see SparsityOptions). The

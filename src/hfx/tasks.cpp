@@ -56,9 +56,7 @@ std::vector<QuartetTask> make_tasks(const chem::BasisSet& basis,
   // The quartet cost model is separable per pair up to the Hermite-box
   // term: cost(b, k) = w_b * w_k * volume(l_b + l_k). Factoring it once
   // makes each quartet cost a table lookup and two multiplies, so the
-  // O(np^2) sweeps below never re-derive shell data per quartet (the old
-  // code called the full shell-level estimator twice per quartet: once
-  // in the target-cost pre-pass and again while chunking).
+  // chunking below never re-derives shell data per quartet.
   std::vector<double> weight(np);
   std::vector<int> lsum(np);
   int lmax = 0;
@@ -109,20 +107,14 @@ std::vector<QuartetTask> make_tasks(const chem::BasisSet& basis,
     return weight[b] * s;
   };
 
-  if (target_cost <= 0.0) {
-    double total = 0.0;
-    for (std::size_t b = 0; b < np; ++b)
-      total += range_cost(b, 0, pairs.live_end(b, eps_schwarz));
-    target_cost = total / (64.0 * static_cast<double>(np));
-  }
-
   for (std::size_t b = 0; b < np; ++b) {
     const std::size_t live = pairs.live_end(b, eps_schwarz);
-    if (live == 0) {
-      // Entire row is Schwarz-screened: one zero-cost task carries the
-      // ket range so the builder's bulk tail accounting still sees it.
+    if (target_cost <= 0.0 || live == 0) {
+      // One task per row. A wholly Schwarz-screened row still gets its
+      // zero-cost task so the builder's bulk tail accounting sees it.
       tasks.push_back({static_cast<std::uint32_t>(b), 0,
-                       static_cast<std::uint32_t>(b + 1), 0.0});
+                       static_cast<std::uint32_t>(b + 1),
+                       range_cost(b, 0, live)});
       continue;
     }
     std::size_t begin = 0;

@@ -4,9 +4,9 @@
 //
 // A task is one bra shell-pair combined with a contiguous range of ket
 // shell-pairs (ket list position <= bra list position, which realizes the
-// 8-fold permutational symmetry at pair level). Heavy bra rows are split
-// into multiple tasks so the cost distribution is even enough for the
-// dynamic scheduler; the per-task cost estimate drives both the host
+// 8-fold permutational symmetry at pair level). By default a task is a
+// whole bra row; a positive target cost splits rows into finer tasks,
+// down to one ket each. The per-task cost estimate drives both the host
 // execution order and the BG/Q machine simulator.
 
 #include <cstdint>
@@ -29,9 +29,12 @@ struct QuartetTask {
 double estimate_quartet_cost(const chem::BasisSet& basis, const ShellPair& bra,
                              const ShellPair& ket);
 
-/// Build the task list. `target_cost` bounds the estimated cost per task;
-/// 0 selects a heuristic (total cost / (64 * pairs)), and +infinity gives
-/// one task per bra row. With a positive
+/// Build the task list. 0 (the default) gives one task per bra row,
+/// covering kets [0, bra + 1): whole rows keep the batched kernel's
+/// 8-wide batches full. A positive `target_cost` splits each row into
+/// chunks that end once their estimated cost reaches it; 1 gives about
+/// one ket per task, the finest grain, which the BG/Q projections
+/// calibrate on. With a positive
 /// `eps_schwarz`, quartets the builder will Schwarz-screen
 /// (bra.q * ket.q < eps) are costed at zero — they are a `break` in the
 /// kernel loop, not work — so chunk boundaries track the work that

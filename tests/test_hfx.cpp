@@ -14,6 +14,7 @@
 #include "hfx/tasks.hpp"
 #include "ints/eri.hpp"
 #include "ints/schwarz.hpp"
+#include "workload/geometries.hpp"
 
 namespace chem = mthfx::chem;
 namespace hfx = mthfx::hfx;
@@ -87,20 +88,38 @@ TEST(Tasks, CoverEveryKetRangeExactlyOnce) {
   const auto basis = chem::BasisSet::build(m, "sto-3g");
   const auto q = ints::schwarz_bounds(basis);
   hfx::ShellPairList pairs(basis, q, 1e-14);
-  const auto tasks = hfx::make_tasks(basis, pairs, 0.0);
-  // Union of [ket_begin, ket_end) per bra must equal [0, bra+1).
-  std::vector<std::vector<bool>> covered(pairs.size());
-  for (std::size_t b = 0; b < pairs.size(); ++b)
-    covered[b].assign(b + 1, false);
-  for (const auto& t : tasks) {
-    for (std::uint32_t k = t.ket_begin; k < t.ket_end; ++k) {
-      ASSERT_LE(k, t.bra);
-      ASSERT_FALSE(covered[t.bra][k]);
-      covered[t.bra][k] = true;
+  // Rows (the default) and chunked rows down to the finest grain.
+  for (const double target : {0.0, 100.0, 1.0}) {
+    SCOPED_TRACE(target);
+    const auto tasks = hfx::make_tasks(basis, pairs, target);
+    // Union of [ket_begin, ket_end) per bra must equal [0, bra+1).
+    std::vector<std::vector<bool>> covered(pairs.size());
+    for (std::size_t b = 0; b < pairs.size(); ++b)
+      covered[b].assign(b + 1, false);
+    for (const auto& t : tasks) {
+      for (std::uint32_t k = t.ket_begin; k < t.ket_end; ++k) {
+        ASSERT_LE(k, t.bra);
+        ASSERT_FALSE(covered[t.bra][k]);
+        covered[t.bra][k] = true;
+      }
     }
+    for (const auto& row : covered)
+      for (bool c : row) EXPECT_TRUE(c);
   }
-  for (const auto& row : covered)
-    for (bool c : row) EXPECT_TRUE(c);
+}
+
+TEST(Tasks, DefaultIsOneTaskPerBraRow) {
+  const auto m = water();
+  const auto basis = chem::BasisSet::build(m, "6-31g");
+  const auto q = ints::schwarz_bounds(basis);
+  hfx::ShellPairList pairs(basis, q, 1e-14);
+  const auto tasks = hfx::make_tasks(basis, pairs, 0.0);
+  ASSERT_EQ(tasks.size(), pairs.size());
+  for (std::size_t b = 0; b < tasks.size(); ++b) {
+    EXPECT_EQ(tasks[b].bra, b);
+    EXPECT_EQ(tasks[b].ket_begin, 0u);
+    EXPECT_EQ(tasks[b].ket_end, b + 1);
+  }
 }
 
 TEST(Tasks, GranularityRespondsToTargetCost) {
@@ -141,6 +160,32 @@ TEST(FockBuilder, ExchangeMatchesDenseReference) {
   hfx::FockBuilder builder(basis, opts);
   const auto result = builder.exchange(p);
   EXPECT_LT(la::max_abs(result.k - kref), 1e-10);
+}
+
+// Row tasks change only which quartets share a kernel batch, not the
+// digestion order, so one thread must reproduce the finest grain exactly.
+TEST(FockBuilder, RowTasksBitIdenticalToFineTasksAtOneThread) {
+  const std::pair<chem::Molecule, const char*> cases[] = {
+      {water(), "6-31g"}, {mthfx::workload::lithium_peroxide(), "sto-3g"}};
+  for (const auto& [mol, basis_name] : cases) {
+    SCOPED_TRACE(basis_name);
+    const auto basis = chem::BasisSet::build(mol, basis_name);
+    const la::Matrix p = random_density(basis.num_functions(), 5);
+
+    hfx::HfxOptions rows;
+    rows.num_threads = 1;
+    hfx::HfxOptions fine = rows;
+    fine.target_task_cost = 1.0;
+    const hfx::FockBuilder row_builder(basis, rows);
+    const hfx::FockBuilder fine_builder(basis, fine);
+    ASSERT_EQ(row_builder.tasks().size(), row_builder.pairs().size());
+    ASSERT_GT(fine_builder.tasks().size(), row_builder.tasks().size());
+
+    const auto a = row_builder.coulomb_exchange(p);
+    const auto b = fine_builder.coulomb_exchange(p);
+    EXPECT_EQ(la::max_abs(a.j - b.j), 0.0);
+    EXPECT_EQ(la::max_abs(a.k - b.k), 0.0);
+  }
 }
 
 TEST(FockBuilder, CoulombExchangeMatchesDenseReference) {
