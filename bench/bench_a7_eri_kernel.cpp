@@ -1,10 +1,10 @@
 // A7 — ERI kernel microbenchmark: quartet throughput by L-class for the
 // batched SIMD kernel and the scalar sparse Hermite kernel (compacted
-// E-lists + ket-side contraction intermediates) against the
-// pre-optimization dense reference kernel, on the same precomputed pair
-// data. The kernel variant is selected by the EriKernel flag on
-// ShellPairHermite, so every column runs from identical inputs and is
-// cross-checked element by element.
+// E-lists + ket-side contraction intermediates), which read the same
+// ShellPairHermite pair data, against the dense reference oracle
+// (testing::dense_reference_quartet), which builds its own dense pair
+// boxes from the same shells with ints::HermiteE/HermiteR. Every column
+// is cross-checked element by element.
 //
 // Workloads replicate each shell at several jittered centers, the way a
 // molecular row repeats the same contraction pattern across atoms —
@@ -32,12 +32,13 @@
 #include "bench_common.hpp"
 #include "ints/eri.hpp"
 #include "ints/eri_batch.hpp"
+#include "testing/oracles.hpp"
 
 namespace {
 
 using namespace mthfx;
-using ints::EriKernel;
 using ints::ShellPairHermite;
+using testing::DenseHermitePair;
 
 // A small synthetic shell of the given angular momentum: 3 primitives
 // with TZ-ish exponent spread, slightly off-center so no coordinate
@@ -71,7 +72,7 @@ struct ClassWorkload {
   static constexpr int kReplicas = 8;
 
   std::vector<ShellPairHermite> bras, kets;
-  std::vector<ShellPairHermite> dense_bras, dense_kets;
+  std::vector<DenseHermitePair> dense_bras, dense_kets;
   std::vector<ints::QuartetRef> stream;
 
   explicit ClassWorkload(const LClass& cls) {
@@ -84,10 +85,10 @@ struct ClassWorkload {
       const auto b = make_shell(cls.lb, jitter({0.3, -0.2, 0.9}, i));
       const auto c = make_shell(cls.lc, jitter({1.1, 0.7, -0.4}, i));
       const auto d = make_shell(cls.ld, jitter({-0.5, 1.3, 0.6}, i));
-      bras.emplace_back(a, b, EriKernel::kBatched);
-      kets.emplace_back(c, d, EriKernel::kBatched);
-      dense_bras.emplace_back(a, b, EriKernel::kDenseReference);
-      dense_kets.emplace_back(c, d, EriKernel::kDenseReference);
+      bras.emplace_back(a, b);
+      kets.emplace_back(c, d);
+      dense_bras.emplace_back(a, b);
+      dense_kets.emplace_back(c, d);
     }
     for (int i = 0; i < kReplicas; ++i)
       for (int j = 0; j < kReplicas; ++j)
@@ -120,8 +121,7 @@ double stream_agreement(const ClassWorkload& w,
     diff = std::max(diff, max_abs_diff(batched[q], ref));
     const std::size_t i = q / ClassWorkload::kReplicas;
     const std::size_t j = q % ClassWorkload::kReplicas;
-    ints::eri_shell_quartet_dense_reference(w.dense_bras[i], w.dense_kets[j],
-                                            ref);
+    testing::dense_reference_quartet(w.dense_bras[i], w.dense_kets[j], ref);
     diff = std::max(diff, max_abs_diff(batched[q], ref));
   }
   return diff;
@@ -155,7 +155,7 @@ void print_table_header(const char* title) {
 obs::Json throughput_table(bool smoke, bool* agreement_ok) {
   print_table_header(
       "A7: ERI quartet throughput, batched SIMD vs. scalar sparse vs. dense "
-      "reference (same pair data)");
+      "reference oracle (same shells)");
 
   obs::Json rows = obs::Json::array();
   const int sweeps = smoke ? 5 : 400;
@@ -184,8 +184,8 @@ obs::Json throughput_table(bool smoke, bool* agreement_ok) {
         [&] {
           for (std::size_t i = 0; i < w.dense_bras.size(); ++i)
             for (std::size_t j = 0; j < w.dense_kets.size(); ++j)
-              ints::eri_shell_quartet_dense_reference(w.dense_bras[i],
-                                                      w.dense_kets[j], block);
+              testing::dense_reference_quartet(w.dense_bras[i],
+                                               w.dense_kets[j], block);
         },
         sweeps);
     const double total = static_cast<double>(n * sweeps);
@@ -206,11 +206,12 @@ obs::Json mixed_workload(bool smoke, bool* agreement_ok) {
     shells.push_back(make_shell(1, jitter({0.4, -0.3, 0.8}, i)));
     shells.push_back(make_shell(2, jitter({-0.7, 0.9, 0.2}, i)));
   }
-  std::vector<ShellPairHermite> pairs, dense;
+  std::vector<ShellPairHermite> pairs;
+  std::vector<DenseHermitePair> dense;
   for (std::size_t a = 0; a < shells.size(); ++a)
     for (std::size_t b = 0; b <= a; ++b) {
-      pairs.emplace_back(shells[a], shells[b], EriKernel::kBatched);
-      dense.emplace_back(shells[a], shells[b], EriKernel::kDenseReference);
+      pairs.emplace_back(shells[a], shells[b]);
+      dense.emplace_back(shells[a], shells[b]);
     }
   std::vector<ints::QuartetRef> stream;
   std::vector<std::size_t> bra_of, ket_of;
@@ -229,8 +230,7 @@ obs::Json mixed_workload(bool smoke, bool* agreement_ok) {
   for (std::size_t q = 0; q < n; ++q) {
     ints::eri_shell_quartet(*stream[q].bra, *stream[q].ket, ref);
     diff = std::max(diff, max_abs_diff(batched[q], ref));
-    ints::eri_shell_quartet_dense_reference(dense[bra_of[q]], dense[ket_of[q]],
-                                            ref);
+    testing::dense_reference_quartet(dense[bra_of[q]], dense[ket_of[q]], ref);
     diff = std::max(diff, max_abs_diff(batched[q], ref));
   }
   if (diff > 1e-12) *agreement_ok = false;
@@ -250,8 +250,8 @@ obs::Json mixed_workload(bool smoke, bool* agreement_ok) {
   const double td = seconds_for(
       [&] {
         for (std::size_t q = 0; q < n; ++q)
-          ints::eri_shell_quartet_dense_reference(dense[bra_of[q]],
-                                                  dense[ket_of[q]], block);
+          testing::dense_reference_quartet(dense[bra_of[q]], dense[ket_of[q]],
+                                           block);
       },
       sweeps);
   const double total = static_cast<double>(n * sweeps);
@@ -329,8 +329,8 @@ void BM_DenseReferenceKernel(benchmark::State& state) {
   for (auto _ : state) {
     for (std::size_t i = 0; i < w.dense_bras.size(); ++i)
       for (std::size_t j = 0; j < w.dense_kets.size(); ++j)
-        ints::eri_shell_quartet_dense_reference(w.dense_bras[i],
-                                                w.dense_kets[j], block);
+        testing::dense_reference_quartet(w.dense_bras[i], w.dense_kets[j],
+                                         block);
     benchmark::DoNotOptimize(block.values.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *

@@ -50,7 +50,7 @@ case "$TIER" in
     fi
     if [ "$TIER" = tier1 ]; then
       # Perf smoke: small-iteration A7 kernel sweep. Counts and
-      # batched-vs-sparse-vs-dense cross-checks only — no timing
+      # batched + scalar + oracle cross-checks only — no timing
       # assertions, so it cannot flake on a loaded machine.
       "$BUILD_DIR"/bench/bench_a7_eri_kernel --smoke
       # A8 smoke: a 2-step PBE0 trajectory checking the accelerated

@@ -35,7 +35,7 @@ MTHFX_PROPERTY_ITERS=3 "$BUILD_DIR"/tests/test_differential
 "$BUILD_DIR"/tests/test_gradient
 MTHFX_PROPERTY_ITERS=2 "$BUILD_DIR"/tests/test_property_grad \
   --gtest_filter='PropertyGrad.NetForceVanishes'
-# The A7 smoke sweeps every shell class through batched + scalar + dense
+# The A7 smoke sweeps every shell class through batched + scalar + oracle
 # in one process — the densest UB net over the micro-kernel itself.
 "$BUILD_DIR"/bench/bench_a7_eri_kernel --smoke
 

@@ -120,7 +120,7 @@ std::vector<QuartetTask> builder_tasks(const BasisSet& basis,
                                        const HfxOptions& options,
                                        bool culled) {
   return make_tasks(basis, pairs, culled ? 0.0 : options.target_task_cost,
-                    options.eps_schwarz, options.eri_kernel);
+                    options.eps_schwarz);
 }
 
 // Density-linked (LinK-style) ket source of culled builders.
@@ -316,8 +316,7 @@ FockBuilder::FockBuilder(const BasisSet& basis, HfxOptions options)
   index_pairs_by_shell();
   pair_hermites_.reserve(pairs_.size());
   for (const ShellPair& pr : pairs_.pairs())
-    pair_hermites_.emplace_back(basis_->shell(pr.sa), basis_->shell(pr.sb),
-                                options_.eri_kernel);
+    pair_hermites_.emplace_back(basis_->shell(pr.sa), basis_->shell(pr.sb));
   if (options_.fault.enabled()) injector_.emplace(options_.fault);
 }
 
@@ -390,8 +389,7 @@ void FockBuilder::rebind(const BasisSet& basis) {
         continue;
       }
     }
-    new_hermites.emplace_back(basis.shell(pr.sa), basis.shell(pr.sb),
-                              options_.eri_kernel);
+    new_hermites.emplace_back(basis.shell(pr.sa), basis.shell(pr.sb));
   }
 
   pairs_ = std::move(new_pairs);
@@ -424,7 +422,8 @@ JkResult FockBuilder::coulomb_exchange_blocked(
 JkResult FockBuilder::build(const Matrix& density, bool want_coulomb) const {
   obs::Trace::Scope build_span(obs::global_trace(), "jk.build");
   const std::size_t nao = basis_->num_functions();
-  const std::size_t nthreads = resolve_thread_count(options_.num_threads);
+  const std::size_t nthreads =
+      parallel::resolve_thread_count(options_.num_threads);
   const double eps_contribution = options_.contribution_cutoff();
 
   obs::Registry registry(nthreads);
@@ -514,7 +513,6 @@ JkResult FockBuilder::build(const Matrix& density, bool want_coulomb) const {
     thread_local std::vector<std::uint32_t> survivors;
     thread_local std::vector<ints::QuartetRef> stream;
     thread_local std::vector<ints::EriBlock> blocks;
-    thread_local ints::EriBlock scalar_block;
     survivors.clear();
     const obs::Stopwatch watch;
     const auto screen = [&](std::uint32_t kk) {
@@ -537,29 +535,18 @@ JkResult FockBuilder::build(const Matrix& density, bool want_coulomb) const {
       for (std::uint32_t kk = task.ket_begin; kk < live; ++kk) screen(kk);
     }
 
-    // The batched kernel evaluates every survivor in one call; the scalar
-    // kernels evaluate each one just before it is digested.
-    const ints::ShellPairHermite& bra_h = pair_hermites_[task.bra];
-    const bool batched = options_.eri_kernel == ints::EriKernel::kBatched;
-    if (batched && !survivors.empty()) {
-      stream.clear();
-      for (const std::uint32_t kk : survivors)
-        stream.push_back({&bra_h, &pair_hermites_[kk]});
-      if (blocks.size() < survivors.size()) blocks.resize(survivors.size());
-      ints::eri_shell_quartet_batched({stream.data(), stream.size()},
-                                      blocks.data());
-    }
+    // One batched kernel call evaluates every survivor of the task.
+    stream.clear();
+    for (const std::uint32_t kk : survivors)
+      stream.push_back({&pair_hermites_[task.bra], &pair_hermites_[kk]});
+    if (blocks.size() < survivors.size()) blocks.resize(survivors.size());
+    ints::eri_shell_quartet_batched({stream.data(), stream.size()},
+                                    blocks.data());
     for (std::size_t i = 0; i < survivors.size(); ++i) {
-      const std::uint32_t kk = survivors[i];
-      ints::EriBlock& block = batched ? blocks[i] : scalar_block;
-      if (options_.eri_kernel == ints::EriKernel::kDenseReference)
-        ints::eri_shell_quartet_dense_reference(bra_h, pair_hermites_[kk],
-                                                block);
-      else if (!batched)
-        ints::eri_shell_quartet(bra_h, pair_hermites_[kk], block);
-      const ShellPair& ket = pairs_[kk];
-      digest_quartet(*basis_, bra.sa, bra.sb, ket.sa, ket.sb, block, density,
-                     j_acc, k_acc, /*braket_same=*/kk == task.bra,
+      const ShellPair& ket = pairs_[survivors[i]];
+      digest_quartet(*basis_, bra.sa, bra.sb, ket.sa, ket.sb, blocks[i],
+                     density, j_acc, k_acc,
+                     /*braket_same=*/survivors[i] == task.bra,
                      eps_contribution);
     }
     // A kCorrupt fault models silent data corruption in the task's

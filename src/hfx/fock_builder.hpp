@@ -63,15 +63,6 @@ struct SparsityOptions {
 
 struct HfxOptions {
   double eps_schwarz = 1e-10;     ///< integral-neglect threshold
-  /// Quartet kernel. kBatched (default) streams each task's surviving
-  /// quartets through the SIMD micro-kernel (ints/eri_batch.hpp) and
-  /// digests the returned blocks in the original deterministic ket
-  /// order; kSparse computes/digests one quartet at a time with the
-  /// scalar kernel; kDenseReference runs the pre-optimization kernel
-  /// (baseline / oracle use). All three produce K to within the kernels'
-  /// few-ulp agreement, and each is individually run-to-run and
-  /// schedule-deterministic.
-  ints::EriKernel eri_kernel = ints::EriKernel::kBatched;
   /// Per-element magnitude cutoff inside the digestion kernel: computed
   /// integrals below this skip the J/K updates. 0 derives it from the
   /// screening threshold (eps_schwarz * kContributionCutoffScale), so

@@ -46,12 +46,6 @@ TaskFailure::TaskFailure(std::vector<Failed> failed_tasks)
     : std::runtime_error(task_failure_message(failed_tasks)),
       failures(std::move(failed_tasks)) {}
 
-std::size_t resolve_thread_count(std::size_t requested) {
-  // Single policy shared with ThreadPool so the HFX layer can never size
-  // per-thread buffers against a different count than the pool runs.
-  return parallel::resolve_thread_count(requested);
-}
-
 void execute_tasks(std::size_t num_tasks, std::size_t num_threads,
                    HfxSchedule schedule,
                    const std::function<void(std::size_t, std::size_t)>& body,

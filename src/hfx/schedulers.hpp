@@ -19,10 +19,6 @@ class ThreadPool;
 
 namespace mthfx::hfx {
 
-/// 0 -> hardware concurrency (delegates to parallel::resolve_thread_count
-/// so HFX and ThreadPool always agree).
-std::size_t resolve_thread_count(std::size_t requested);
-
 /// Failure policy for execute_tasks. A task whose body throws is caught
 /// (never a std::terminate in a pool worker), retried up to max_retries
 /// additional attempts, and only counted in "sched.tasks_executed" once
@@ -51,7 +47,7 @@ struct TaskFailure : std::runtime_error {
 /// "sched.tasks_executed" per thread (successful commits only), pool
 /// occupancy timers, "fault.retries" / "fault.permanent_failures" on the
 /// failure path, and (for work stealing) the ws.* steal counters; the
-/// registry must have slots for resolve_thread_count(num_threads)
+/// registry must have slots for parallel::resolve_thread_count(num_threads)
 /// threads. A throwing task is retried per `retry`; under kWorkStealing
 /// the failed task is re-queued through the scheduler, under the
 /// parallel_for policies it is retried in place. Exhausted budgets

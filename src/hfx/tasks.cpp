@@ -27,28 +27,9 @@ double batched_speedup(int lsum) {
 
 }  // namespace
 
-double estimate_quartet_cost(const chem::BasisSet& basis, const ShellPair& bra,
-                             const ShellPair& ket) {
-  const auto& a = basis.shell(bra.sa);
-  const auto& b = basis.shell(bra.sb);
-  const auto& c = basis.shell(ket.sa);
-  const auto& d = basis.shell(ket.sb);
-  const double prim = static_cast<double>(a.num_primitives()) *
-                      static_cast<double>(b.num_primitives()) *
-                      static_cast<double>(c.num_primitives()) *
-                      static_cast<double>(d.num_primitives());
-  const double comp = static_cast<double>(a.num_functions()) *
-                      static_cast<double>(b.num_functions()) *
-                      static_cast<double>(c.num_functions()) *
-                      static_cast<double>(d.num_functions());
-  // Hermite contraction grows roughly with the volume of the (t,u,v) box.
-  return prim * comp * hermite_volume(a.l() + b.l() + c.l() + d.l());
-}
-
 std::vector<QuartetTask> make_tasks(const chem::BasisSet& basis,
                                     const ShellPairList& pairs,
-                                    double target_cost, double eps_schwarz,
-                                    ints::EriKernel kernel) {
+                                    double target_cost, double eps_schwarz) {
   const std::size_t np = pairs.size();
   std::vector<QuartetTask> tasks;
   if (np == 0) return tasks;
@@ -71,11 +52,9 @@ std::vector<QuartetTask> make_tasks(const chem::BasisSet& basis,
     lmax = std::max(lmax, lsum[i]);
   }
   std::vector<double> volume(static_cast<std::size_t>(2 * lmax) + 1);
-  for (std::size_t l = 0; l < volume.size(); ++l) {
-    volume[l] = hermite_volume(static_cast<int>(l));
-    if (kernel == ints::EriKernel::kBatched)
-      volume[l] /= batched_speedup(static_cast<int>(l));
-  }
+  for (std::size_t l = 0; l < volume.size(); ++l)
+    volume[l] = hermite_volume(static_cast<int>(l)) /
+                batched_speedup(static_cast<int>(l));
 
   // Schwarz-screened quartets cost zero: the builder stops at the end of
   // each row's live prefix (pairs are sorted by descending q), so

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "hfx/shell_pairs.hpp"
-#include "ints/eri.hpp"
 
 namespace mthfx::hfx {
 
@@ -23,11 +22,6 @@ struct QuartetTask {
   std::uint32_t ket_end = 0;
   double est_cost = 0.0;        ///< estimated kernel cost (arbitrary units)
 };
-
-/// Primitive-and-angular-momentum flop model for one shell quartet.
-/// Units are "primitive Hermite terms"; only relative sizes matter.
-double estimate_quartet_cost(const chem::BasisSet& basis, const ShellPair& bra,
-                             const ShellPair& ket);
 
 /// Build the task list. 0 (the default) gives one task per bra row,
 /// covering kets [0, bra + 1): whole rows keep the batched kernel's
@@ -39,14 +33,15 @@ double estimate_quartet_cost(const chem::BasisSet& basis, const ShellPair& bra,
 /// (bra.q * ket.q < eps) are costed at zero — they are a `break` in the
 /// kernel loop, not work — so chunk boundaries track the work that
 /// actually runs instead of being skewed toward screened-out regions.
-/// `kernel` selects the cost model: the batched SIMD kernel compresses
-/// the quartet cost spread between angular classes (low-L classes gain
-/// more from vectorization than high-L ones), so its per-class costs are
-/// deflated by measured per-class speedups to keep chunks even.
-std::vector<QuartetTask> make_tasks(
-    const chem::BasisSet& basis, const ShellPairList& pairs,
-    double target_cost = 0.0, double eps_schwarz = 0.0,
-    ints::EriKernel kernel = ints::EriKernel::kSparse);
+/// Costs model the batched SIMD kernel the builder runs: a primitive
+/// and angular-momentum flop count per quartet, with each angular class
+/// deflated by its measured vectorization speedup (low-L classes gain
+/// more than high-L ones), so chunks stay time-even across classes.
+/// Units are arbitrary; only relative sizes matter.
+std::vector<QuartetTask> make_tasks(const chem::BasisSet& basis,
+                                    const ShellPairList& pairs,
+                                    double target_cost = 0.0,
+                                    double eps_schwarz = 0.0);
 
 /// Total estimated cost of a task list.
 double total_cost(const std::vector<QuartetTask>& tasks);

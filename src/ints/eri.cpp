@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cassert>
 #include <cmath>
 #include <numbers>
 
@@ -21,7 +20,11 @@ namespace {
 constexpr int kMaxL = kEriMaxL;
 constexpr int kMaxLab = 2 * kMaxL;          // per-side Hermite order
 constexpr int kMaxTuv = kEriMaxTuv;         // combined order for R
-constexpr std::size_t kE1 = kMaxLab + 1;    // per-dimension box extent
+// Extent of E1d's t axis. Stored orders reach kMaxLab, but the
+// j-recurrence reads E(t+1; i, j-1) for t up to i+j, one slot past the
+// last stored order; that slot must exist and stay zero, or an f x f
+// pair reads its own freshly written E(0; i, j) there.
+constexpr std::size_t kE1 = kMaxLab + 2;
 
 // Fixed-capacity E(t; i, j) table for one direction of one primitive pair.
 struct E1d {
@@ -135,8 +138,7 @@ thread_local std::vector<double> tls_panel;  // [ket comp][union point]
 
 }  // namespace
 
-ShellPairHermite::ShellPairHermite(const Shell& a, const Shell& b,
-                                   EriKernel variant)
+ShellPairHermite::ShellPairHermite(const Shell& a, const Shell& b)
     : lab_(a.l() + b.l()),
       powers_a_(cartesian_powers(a.l())),
       powers_b_(cartesian_powers(b.l())) {
@@ -260,7 +262,6 @@ ShellPairHermite::ShellPairHermite(const Shell& a, const Shell& b,
           }
     }
     prim.comp_begin[ncomp_] = static_cast<std::uint32_t>(prim.entries.size());
-    if (variant == EriKernel::kDenseReference) prim.dense = std::move(boxes[pi]);
   }
 
   // Structural class key for the batched kernel: FNV-1a over everything
@@ -366,88 +367,6 @@ void eri_shell_quartet(const ShellPairHermite& bra,
           for (const HermiteEntry* be = be0; be != be1; ++be)
             sum += be->val * panel_kc[be->upos];
           orow[kc] += pref * sum;
-        }
-      }
-    }
-  }
-}
-
-void eri_shell_quartet_dense_reference(const ShellPairHermite& bra,
-                                       const ShellPairHermite& ket,
-                                       EriBlock& out) {
-  out.na = bra.na_;
-  out.nb = bra.nb_;
-  out.nc = ket.na_;
-  out.nd = ket.nb_;
-  out.values.assign(out.na * out.nb * out.nc * out.nd, 0.0);
-
-  const int lab = bra.lab_;
-  const int lcd = ket.lab_;
-  const std::size_t nb1 = static_cast<std::size_t>(lab + 1);
-  const std::size_t kb1 = static_cast<std::size_t>(lcd + 1);
-  const std::size_t bra_box = nb1 * nb1 * nb1;
-  const std::size_t ket_box = kb1 * kb1 * kb1;
-  const double pi52 = 2.0 * std::pow(std::numbers::pi, 2.5);
-  const std::size_t rn1 = static_cast<std::size_t>(lab + lcd + 1);
-
-  for (const auto& bp : bra.prims_) {
-    assert(!bp.dense.empty() &&
-           "dense-reference kernel needs EriKernel::kDenseReference pairs");
-    for (const auto& kp : ket.prims_) {
-      const double p = bp.p, q = kp.p;
-      const double pref = pi52 / (p * q * std::sqrt(p + q));
-      if (pref * bp.max_abs_e * kp.max_abs_e < kEriPrimitiveCutoff) continue;
-      const double alpha = p * q / (p + q);
-      const Vec3 pq = bp.center - kp.center;
-      const double* r = tls_r.build(lab + lcd, alpha, pq.x, pq.y, pq.z);
-
-      std::size_t braq = 0;
-      for (std::size_t ia = 0; ia < out.na; ++ia) {
-        for (std::size_t ib = 0; ib < out.nb; ++ib, ++braq) {
-          const int tx = bra.powers_a_[ia].x + bra.powers_b_[ib].x;
-          const int ty = bra.powers_a_[ia].y + bra.powers_b_[ib].y;
-          const int tz = bra.powers_a_[ia].z + bra.powers_b_[ib].z;
-          const double* eb = bp.dense.data() + braq * bra_box;
-          std::size_t ketq = 0;
-          for (std::size_t ic = 0; ic < out.nc; ++ic) {
-            for (std::size_t id = 0; id < out.nd; ++id, ++ketq) {
-              const int sx = ket.powers_a_[ic].x + ket.powers_b_[id].x;
-              const int sy = ket.powers_a_[ic].y + ket.powers_b_[id].y;
-              const int sz = ket.powers_a_[ic].z + ket.powers_b_[id].z;
-              const double* ek = kp.dense.data() + ketq * ket_box;
-              double sum = 0.0;
-              for (int t = 0; t <= tx; ++t)
-                for (int u = 0; u <= ty; ++u)
-                  for (int v = 0; v <= tz; ++v) {
-                    const double ebv =
-                        eb[(static_cast<std::size_t>(t) * nb1 +
-                            static_cast<std::size_t>(u)) *
-                               nb1 +
-                           static_cast<std::size_t>(v)];
-                    if (ebv == 0.0) continue;
-                    double inner = 0.0;
-                    for (int tt = 0; tt <= sx; ++tt)
-                      for (int uu = 0; uu <= sy; ++uu)
-                        for (int vv = 0; vv <= sz; ++vv) {
-                          const double ekv =
-                              ek[(static_cast<std::size_t>(tt) * kb1 +
-                                  static_cast<std::size_t>(uu)) *
-                                     kb1 +
-                                 static_cast<std::size_t>(vv)];
-                          if (ekv == 0.0) continue;
-                          const double rv =
-                              r[(static_cast<std::size_t>(t + tt) * rn1 +
-                                 static_cast<std::size_t>(u + uu)) *
-                                    rn1 +
-                                static_cast<std::size_t>(v + vv)];
-                          inner += ((tt + uu + vv) & 1) ? -ekv * rv : ekv * rv;
-                        }
-                    sum += ebv * inner;
-                  }
-              out.values[((ia * out.nb + ib) * out.nc + ic) * out.nd + id] +=
-                  pref * sum;
-            }
-          }
         }
       }
     }

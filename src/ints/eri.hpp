@@ -17,6 +17,12 @@
 // R is contracted with each ket component's E-list once, into a panel
 // indexed by the bra pair's union pattern, and that panel is reused by
 // every bra component (see docs/hfx_scheme.md, "The ERI kernel").
+//
+// Two kernels read this layout: the scalar eri_shell_quartet below,
+// which Schwarz bounds, eri_tensor and the shell-level API use, and the
+// batched SIMD kernel (eri_batch.hpp), which the J/K build runs. The
+// dense reference they are both tested against shares none of this
+// code; it lives in src/testing (testing::DenseHermitePair).
 
 #include <cstddef>
 #include <cstdint>
@@ -54,15 +60,6 @@ struct EriBlock {
   }
 };
 
-/// Which quartet kernel consumes a ShellPairHermite (and what data the
-/// pair therefore carries). kSparse is the scalar production kernel;
-/// kBatched is the SIMD kernel (eri_batch.hpp), which reads the same
-/// sparse layout plus the structural class key; kDenseReference
-/// additionally keeps the historical dense (lab+1)^3 boxes so the
-/// pre-optimization kernel (eri_shell_quartet_dense_reference) can run
-/// as a before/after baseline in benches and differential tests.
-enum class EriKernel { kSparse, kDenseReference, kBatched };
-
 /// One structurally nonzero Hermite expansion coefficient of one
 /// Cartesian component: E(t,u,v) with the contraction/normalization
 /// coefficient folded in.
@@ -80,11 +77,11 @@ struct HermiteCoord {
 
 /// Precomputed coefficient-weighted Hermite expansion of one contracted
 /// shell pair (all primitive pairs), compacted to structurally nonzero
-/// entries.
+/// entries. The same object feeds the scalar and the batched kernel;
+/// structure_key() is what the batched kernel groups lanes by.
 class ShellPairHermite {
  public:
-  ShellPairHermite(const chem::Shell& a, const chem::Shell& b,
-                   EriKernel variant = EriKernel::kSparse);
+  ShellPairHermite(const chem::Shell& a, const chem::Shell& b);
 
   std::size_t num_functions_bra() const { return na_; }
   std::size_t num_functions_ket() const { return nb_; }
@@ -103,9 +100,6 @@ class ShellPairHermite {
   friend class BatchedEri;
   friend void eri_shell_quartet(const ShellPairHermite& bra,
                                 const ShellPairHermite& ket, EriBlock& out);
-  friend void eri_shell_quartet_dense_reference(const ShellPairHermite& bra,
-                                                const ShellPairHermite& ket,
-                                                EriBlock& out);
 
   struct Prim {
     double p = 0.0;         // exponent sum
@@ -115,8 +109,6 @@ class ShellPairHermite {
     /// owns entries [comp_begin[c], comp_begin[c+1]).
     std::vector<HermiteEntry> entries;
     std::vector<std::uint32_t> comp_begin;
-    /// Dense [comp][t][u][v] boxes — only with EriKernel::kDenseReference.
-    std::vector<double> dense;
   };
 
   int lab_ = 0;
@@ -131,18 +123,9 @@ class ShellPairHermite {
 
 /// Compute one shell quartet from precomputed pair data into `out`
 /// (buffers are reused across calls — the hot path never allocates once
-/// capacities are warm). Sparse production kernel.
+/// capacities are warm). Scalar kernel: one quartet at a time.
 void eri_shell_quartet(const ShellPairHermite& bra,
                        const ShellPairHermite& ket, EriBlock& out);
-
-/// Pre-optimization reference kernel: dense (lab+1)^3 boxes with
-/// zero-skipping branches, ket contraction redone per bra component.
-/// Both pairs must have been built with EriKernel::kDenseReference.
-/// Kept as the before/after baseline for bench_a7 and the differential
-/// sparse-vs-dense agreement tests.
-void eri_shell_quartet_dense_reference(const ShellPairHermite& bra,
-                                       const ShellPairHermite& ket,
-                                       EriBlock& out);
 
 /// Convenience: compute one shell quartet (ab|cd) from shells.
 EriBlock eri_shell_quartet(const chem::Shell& a, const chem::Shell& b,

@@ -31,8 +31,8 @@
 
 namespace mthfx::ints {
 
-/// One quartet of a post-screening stream: bra/ket pair expansions built
-/// with EriKernel::kSparse or kBatched. Pairs may repeat across entries.
+/// One quartet of a post-screening stream: bra/ket pair expansions.
+/// Pairs may repeat across entries.
 struct QuartetRef {
   const ShellPairHermite* bra = nullptr;
   const ShellPairHermite* ket = nullptr;

@@ -1,14 +1,117 @@
 #include "testing/oracles.hpp"
 
 #include <array>
+#include <cmath>
+#include <numbers>
 #include <stdexcept>
 
-#include "ints/eri.hpp"
+#include "ints/hermite.hpp"
 
 namespace mthfx::testing {
 
 using chem::BasisSet;
 using linalg::Matrix;
+
+DenseHermitePair::DenseHermitePair(const chem::Shell& a, const chem::Shell& b)
+    : lab(a.l() + b.l()),
+      powers_a(chem::cartesian_powers(a.l())),
+      powers_b(chem::cartesian_powers(b.l())) {
+  const std::size_t n1 = static_cast<std::size_t>(lab + 1);
+  const std::size_t box = n1 * n1 * n1;
+  const chem::Vec3& ca = a.center();
+  const chem::Vec3& cb = b.center();
+  for (std::size_t i = 0; i < a.num_primitives(); ++i)
+    for (std::size_t j = 0; j < b.num_primitives(); ++j) {
+      const double ea = a.exponents()[i];
+      const double eb = b.exponents()[j];
+      const ints::HermiteE ex(a.l(), b.l(), ea, eb, ca.x - cb.x);
+      const ints::HermiteE ey(a.l(), b.l(), ea, eb, ca.y - cb.y);
+      const ints::HermiteE ez(a.l(), b.l(), ea, eb, ca.z - cb.z);
+      Prim prim;
+      prim.p = ea + eb;
+      prim.center = (1.0 / prim.p) * (ea * ca + eb * cb);
+      prim.box.assign(powers_a.size() * powers_b.size() * box, 0.0);
+      std::size_t comp = 0;
+      for (std::size_t ia = 0; ia < powers_a.size(); ++ia)
+        for (std::size_t ib = 0; ib < powers_b.size(); ++ib, ++comp) {
+          const chem::CartPowers& pa = powers_a[ia];
+          const chem::CartPowers& pb = powers_b[ib];
+          const double cc = a.norm_coef(i, ia) * b.norm_coef(j, ib);
+          double* dst = prim.box.data() + comp * box;
+          for (int t = 0; t <= pa.x + pb.x; ++t)
+            for (int u = 0; u <= pa.y + pb.y; ++u)
+              for (int v = 0; v <= pa.z + pb.z; ++v)
+                dst[(static_cast<std::size_t>(t) * n1 +
+                     static_cast<std::size_t>(u)) *
+                        n1 +
+                    static_cast<std::size_t>(v)] =
+                    cc * ex(pa.x, pb.x, t) * ey(pa.y, pb.y, u) *
+                    ez(pa.z, pb.z, v);
+        }
+      prims.push_back(std::move(prim));
+    }
+}
+
+void dense_reference_quartet(const DenseHermitePair& bra,
+                             const DenseHermitePair& ket,
+                             ints::EriBlock& out) {
+  out.na = bra.powers_a.size();
+  out.nb = bra.powers_b.size();
+  out.nc = ket.powers_a.size();
+  out.nd = ket.powers_b.size();
+  out.values.assign(out.na * out.nb * out.nc * out.nd, 0.0);
+
+  const std::size_t nb1 = static_cast<std::size_t>(bra.lab + 1);
+  const std::size_t kb1 = static_cast<std::size_t>(ket.lab + 1);
+  const std::size_t bra_box = nb1 * nb1 * nb1;
+  const std::size_t ket_box = kb1 * kb1 * kb1;
+  const double pi52 = 2.0 * std::pow(std::numbers::pi, 2.5);
+  const auto at = [](const double* box, std::size_t n1, int t, int u, int v) {
+    return box[(static_cast<std::size_t>(t) * n1 +
+                static_cast<std::size_t>(u)) *
+                   n1 +
+               static_cast<std::size_t>(v)];
+  };
+
+  for (const auto& bp : bra.prims)
+    for (const auto& kp : ket.prims) {
+      const double p = bp.p, q = kp.p;
+      const double pref = pi52 / (p * q * std::sqrt(p + q));
+      const chem::Vec3 pq = bp.center - kp.center;
+      const ints::HermiteR r(bra.lab + ket.lab, p * q / (p + q), pq.x, pq.y,
+                             pq.z);
+      std::size_t braq = 0;
+      for (std::size_t ia = 0; ia < out.na; ++ia)
+        for (std::size_t ib = 0; ib < out.nb; ++ib, ++braq) {
+          const chem::CartPowers& pa = bra.powers_a[ia];
+          const chem::CartPowers& pb = bra.powers_b[ib];
+          const double* eb = bp.box.data() + braq * bra_box;
+          std::size_t ketq = 0;
+          for (std::size_t ic = 0; ic < out.nc; ++ic)
+            for (std::size_t id = 0; id < out.nd; ++id, ++ketq) {
+              const chem::CartPowers& pc = ket.powers_a[ic];
+              const chem::CartPowers& pd = ket.powers_b[id];
+              const double* ek = kp.box.data() + ketq * ket_box;
+              double sum = 0.0;
+              for (int t = 0; t <= pa.x + pb.x; ++t)
+                for (int u = 0; u <= pa.y + pb.y; ++u)
+                  for (int v = 0; v <= pa.z + pb.z; ++v) {
+                    double inner = 0.0;
+                    for (int tt = 0; tt <= pc.x + pd.x; ++tt)
+                      for (int uu = 0; uu <= pc.y + pd.y; ++uu)
+                        for (int vv = 0; vv <= pc.z + pd.z; ++vv) {
+                          const double term = at(ek, kb1, tt, uu, vv) *
+                                              r(t + tt, u + uu, v + vv);
+                          inner += ((tt + uu + vv) & 1) ? -term : term;
+                        }
+                    sum += at(eb, nb1, t, u, v) * inner;
+                  }
+              out.values[((ia * out.nb + ib) * out.nc + ic) * out.nd + id] +=
+                  pref * sum;
+            }
+        }
+    }
+}
 
 std::vector<double> naive_eri_tensor(const BasisSet& basis) {
   const std::size_t n = basis.num_functions();

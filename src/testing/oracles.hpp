@@ -10,9 +10,39 @@
 #include <vector>
 
 #include "chem/basis.hpp"
+#include "ints/eri.hpp"
 #include "linalg/matrix.hpp"
 
 namespace mthfx::testing {
+
+/// Dense McMurchie–Davidson expansion of one contracted shell pair in the
+/// pre-optimization layout: per primitive pair, a [component][t][u][v]
+/// box of coefficient-weighted Hermite E values, (lab+1)^3 slots per
+/// component with every slot kept. Built from the shells with the public
+/// ints::HermiteE and nothing of the production pair data
+/// (ints::ShellPairHermite), so an error in the production expansion
+/// shows up as a disagreement instead of being copied.
+struct DenseHermitePair {
+  DenseHermitePair(const chem::Shell& a, const chem::Shell& b);
+
+  struct Prim {
+    double p = 0.0;       ///< exponent sum
+    chem::Vec3 center{};  ///< Gaussian product center
+    std::vector<double> box;
+  };
+  int lab = 0;
+  std::vector<chem::CartPowers> powers_a, powers_b;
+  std::vector<Prim> prims;
+};
+
+/// Reference quartet kernel over dense pairs: the textbook Hermite
+/// contraction sum_{tuv} E^bra sum_{t'u'v'} (-1)^{t'+u'+v'} E^ket
+/// R_{t+t',u+u',v+v'}, with an ints::HermiteR tensor per primitive
+/// quartet and no primitive cutoff. Writes the layout of
+/// ints::eri_shell_quartet.
+void dense_reference_quartet(const DenseHermitePair& bra,
+                             const DenseHermitePair& ket,
+                             ints::EriBlock& out);
 
 struct DenseJk {
   linalg::Matrix j;

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <sstream>
@@ -49,6 +50,115 @@ const char* schedule_name(hfx::HfxSchedule s) {
     case hfx::HfxSchedule::kWorkStealing: return "work-stealing";
   }
   return "?";
+}
+
+// Synthetic s, p, d and f shells (no bundled basis has f), built like
+// bench A7's shells at randomly jittered generic centres. Each shell has
+// one primitive: the dense oracle's (ff|ff) quartets cost ~100x more at
+// three, and contraction is already covered by the 6-31g* basis. The two
+// f shells share their exponent, so f pairs fill batched lanes together.
+std::vector<chem::Shell> f_shell_set(mt::Rng& rng) {
+  const auto shell = [&rng](int l, chem::Vec3 c, double exponent) {
+    const chem::Vec3 at{c.x + rng.uniform(-0.1, 0.1),
+                        c.y + rng.uniform(-0.1, 0.1),
+                        c.z + rng.uniform(-0.1, 0.1)};
+    return chem::Shell(l, 0, at, {exponent}, {1.0});
+  };
+  const double f_exponent = rng.uniform(0.3, 2.0);
+  return {shell(0, {0.0, 0.0, 0.0}, rng.uniform(0.3, 2.0)),
+          shell(1, {0.4, -0.3, 0.8}, rng.uniform(0.3, 2.0)),
+          shell(2, {-0.7, 0.9, 0.2}, rng.uniform(0.3, 2.0)),
+          shell(3, {0.3, 0.6, -0.5}, f_exponent),
+          shell(3, {-0.6, -0.4, 0.7}, f_exponent)};
+}
+
+// The scalar kernel against the dense reference oracle on every
+// bra >= ket quartet of the shell pairs of `shells`.
+std::string scalar_vs_oracle(const std::vector<chem::Shell>& shells) {
+  namespace ints = mthfx::ints;
+  std::vector<ints::ShellPairHermite> sparse;
+  std::vector<mt::DenseHermitePair> dense;
+  for (std::size_t sa = 0; sa < shells.size(); ++sa)
+    for (std::size_t sb = 0; sb <= sa; ++sb) {
+      sparse.emplace_back(shells[sa], shells[sb]);
+      dense.emplace_back(shells[sa], shells[sb]);
+    }
+
+  ints::EriBlock bs;
+  ints::EriBlock bd;
+  for (std::size_t bra = 0; bra < sparse.size(); ++bra)
+    for (std::size_t ket = 0; ket <= bra; ++ket) {
+      ints::eri_shell_quartet(sparse[bra], sparse[ket], bs);
+      mt::dense_reference_quartet(dense[bra], dense[ket], bd);
+      for (std::size_t i = 0; i < bs.values.size(); ++i)
+        if (std::abs(bs.values[i] - bd.values[i]) > 1e-12)
+          return "quartet (" + std::to_string(bra) + "," +
+                 std::to_string(ket) + ") element " + std::to_string(i) +
+                 ": sparse " + fmt(bs.values[i]) + " vs dense " +
+                 fmt(bd.values[i]);
+    }
+  return "";
+}
+
+// The batched kernel against the scalar kernel and the dense reference
+// oracle, quartet by quartet, on random slices of the shuffled stream of
+// every bra >= ket quartet over the shell pairs of `shells`.
+std::string batched_vs_scalar_and_oracle(mt::Rng& rng,
+                                         const std::vector<chem::Shell>& shells) {
+  namespace ints = mthfx::ints;
+  std::vector<ints::ShellPairHermite> batched;
+  std::vector<mt::DenseHermitePair> dense;
+  const std::size_t ns = shells.size();
+  batched.reserve(ns * (ns + 1) / 2);
+  for (std::size_t sa = 0; sa < ns; ++sa)
+    for (std::size_t sb = 0; sb <= sa; ++sb) {
+      batched.emplace_back(shells[sa], shells[sb]);
+      dense.emplace_back(shells[sa], shells[sb]);
+    }
+
+  // Shuffled full quartet stream: quartet (bra, ket) with ket <= bra,
+  // encoded as bra * npairs + ket.
+  const std::size_t npairs = batched.size();
+  std::vector<std::size_t> quartets;
+  for (std::size_t bra = 0; bra < npairs; ++bra)
+    for (std::size_t ket = 0; ket <= bra; ++ket)
+      quartets.push_back(bra * npairs + ket);
+  for (std::size_t i = quartets.size(); i > 1; --i)
+    std::swap(quartets[i - 1], quartets[rng.index(i)]);
+
+  // Random slice lengths, always including 1 and a ragged tail.
+  std::vector<std::size_t> lens;
+  lens.push_back(1);
+  lens.push_back(1 + rng.index(8));
+  lens.push_back(std::min(quartets.size(), 8 + 1 + rng.index(16)));
+  lens.push_back(quartets.size());
+  for (const std::size_t len : lens) {
+    std::vector<ints::QuartetRef> stream;
+    for (std::size_t q = 0; q < len; ++q)
+      stream.push_back({&batched[quartets[q] / npairs],
+                        &batched[quartets[q] % npairs]});
+    std::vector<ints::EriBlock> out(len);
+    ints::eri_shell_quartet_batched({stream.data(), len}, out.data());
+
+    ints::EriBlock ref_sparse;
+    ints::EriBlock ref_dense;
+    for (std::size_t q = 0; q < len; ++q) {
+      ints::eri_shell_quartet(*stream[q].bra, *stream[q].ket, ref_sparse);
+      mt::dense_reference_quartet(dense[quartets[q] / npairs],
+                                  dense[quartets[q] % npairs], ref_dense);
+      for (std::size_t i = 0; i < ref_sparse.values.size(); ++i) {
+        const double b = out[q].values[i];
+        if (std::abs(b - ref_sparse.values[i]) > 1e-12 ||
+            std::abs(b - ref_dense.values[i]) > 1e-12)
+          return "len " + std::to_string(len) + " quartet " +
+                 std::to_string(q) + " element " + std::to_string(i) +
+                 ": batched " + fmt(b) + " vs sparse " +
+                 fmt(ref_sparse.values[i]) + " vs dense " +
+                 fmt(ref_dense.values[i]);
+      }
+    }
+  }
+  return "";
 }
 
 }  // namespace
@@ -160,43 +270,21 @@ TEST(Differential, ThreadCountIsInvisibleAcrossSchedules) {
       });
 }
 
-// The sparse compacted-E-list kernel against the retained dense
-// reference kernel, quartet by quartet, on a basis with s, p and d
-// shells (6-31g* puts Cartesian d on O). The sparse kernel preserves
-// the dense kernel's association order, so agreement is bitwise; we
-// assert the acceptance bound of 1e-12.
+// The scalar sparse kernel against the dense reference oracle, quartet
+// by quartet, on a basis with s, p and d shells (6-31g* puts Cartesian d
+// on O) and on a synthetic set that adds f shells. The oracle expands
+// the pairs itself with ints::HermiteE, so agreement to 1e-12 checks the
+// production pair expansion too.
 TEST(Differential, SparseKernelMatchesDenseReferenceOnMixedShells) {
   MTHFX_PROPERTY_N(
       "Differential.SparseKernelMatchesDenseReferenceOnMixedShells", 6,
       [](mt::Rng& rng, std::size_t) -> std::string {
-        namespace ints = mthfx::ints;
         const auto mol = mt::jittered(rng, mthfx::workload::water(), 0.08);
         const auto basis = chem::BasisSet::build(mol, "6-31g*");
-
-        std::vector<ints::ShellPairHermite> sparse;
-        std::vector<ints::ShellPairHermite> dense;
-        for (std::size_t sa = 0; sa < basis.num_shells(); ++sa)
-          for (std::size_t sb = 0; sb <= sa; ++sb) {
-            sparse.emplace_back(basis.shell(sa), basis.shell(sb));
-            dense.emplace_back(basis.shell(sa), basis.shell(sb),
-                               ints::EriKernel::kDenseReference);
-          }
-
-        ints::EriBlock bs;
-        ints::EriBlock bd;
-        for (std::size_t bra = 0; bra < sparse.size(); ++bra)
-          for (std::size_t ket = 0; ket <= bra; ++ket) {
-            ints::eri_shell_quartet(sparse[bra], sparse[ket], bs);
-            ints::eri_shell_quartet_dense_reference(dense[bra], dense[ket],
-                                                    bd);
-            for (std::size_t i = 0; i < bs.values.size(); ++i)
-              if (std::abs(bs.values[i] - bd.values[i]) > 1e-12)
-                return "quartet (" + std::to_string(bra) + "," +
-                       std::to_string(ket) + ") element " +
-                       std::to_string(i) + ": sparse " + fmt(bs.values[i]) +
-                       " vs dense " + fmt(bd.values[i]);
-          }
-        return "";
+        const std::string err = scalar_vs_oracle(basis.shells());
+        if (!err.empty()) return "6-31g* water: " + err;
+        const std::string ferr = scalar_vs_oracle(f_shell_set(rng));
+        return ferr.empty() ? "" : "s-f shell set: " + ferr;
       });
 }
 
@@ -307,114 +395,24 @@ TEST(Differential, ScfEnergyScheduleIndependent) {
       });
 }
 
-// The batched SIMD kernel against both retained oracles — the scalar
-// sparse kernel and the dense reference — quartet by quartet, on random
-// stream slices. Slice lengths are drawn to cover single-quartet
-// streams, sub-width batches and ragged tails (the stream length mod 8
-// varies with the draw), and the stream is shuffled so batches mix
-// structural classes in different lane orders each case.
+// The batched SIMD kernel against the scalar kernel and the dense
+// reference oracle, quartet by quartet, on random stream slices of the
+// 6-31g* water basis and of the synthetic s-f shell set. Slice lengths
+// are drawn to cover single-quartet streams, sub-width batches and
+// ragged tails (the stream length mod 8 varies with the draw), and the
+// stream is shuffled so batches mix structural classes in different
+// lane orders each case.
 TEST(Differential, BatchedKernelMatchesScalarAndDenseOnMixedShells) {
   MTHFX_PROPERTY_N(
       "Differential.BatchedKernelMatchesScalarAndDenseOnMixedShells", 6,
       [](mt::Rng& rng, std::size_t) -> std::string {
-        namespace ints = mthfx::ints;
         const auto mol = mt::jittered(rng, mthfx::workload::water(), 0.08);
         const auto basis = chem::BasisSet::build(mol, "6-31g*");
-
-        std::vector<ints::ShellPairHermite> batched;
-        std::vector<ints::ShellPairHermite> dense;
-        const std::size_t ns = basis.num_shells();
-        batched.reserve(ns * (ns + 1) / 2);
-        dense.reserve(ns * (ns + 1) / 2);
-        for (std::size_t sa = 0; sa < ns; ++sa)
-          for (std::size_t sb = 0; sb <= sa; ++sb) {
-            batched.emplace_back(basis.shell(sa), basis.shell(sb),
-                                 ints::EriKernel::kBatched);
-            dense.emplace_back(basis.shell(sa), basis.shell(sb),
-                               ints::EriKernel::kDenseReference);
-          }
-
-        // Shuffled full quartet stream: quartet (bra, ket) with
-        // ket <= bra, encoded as bra * npairs + ket (a bare pair's
-        // template comma would split the property macro's arguments).
-        const std::size_t npairs = batched.size();
-        std::vector<std::size_t> quartets;
-        for (std::size_t bra = 0; bra < npairs; ++bra)
-          for (std::size_t ket = 0; ket <= bra; ++ket)
-            quartets.push_back(bra * npairs + ket);
-        for (std::size_t i = quartets.size(); i > 1; --i)
-          std::swap(quartets[i - 1], quartets[rng.index(i)]);
-
-        // Random slice lengths, always including 1 and a ragged tail.
-        std::vector<std::size_t> lens;
-        lens.push_back(1);
-        lens.push_back(1 + rng.index(8));
-        lens.push_back(8 + 1 + rng.index(16));
-        lens.push_back(quartets.size());
-        for (const std::size_t len : lens) {
-          std::vector<ints::QuartetRef> stream;
-          for (std::size_t q = 0; q < len; ++q)
-            stream.push_back({&batched[quartets[q] / npairs],
-                              &batched[quartets[q] % npairs]});
-          std::vector<ints::EriBlock> out(len);
-          ints::eri_shell_quartet_batched({stream.data(), len}, out.data());
-
-          ints::EriBlock ref_sparse;
-          ints::EriBlock ref_dense;
-          for (std::size_t q = 0; q < len; ++q) {
-            ints::eri_shell_quartet(*stream[q].bra, *stream[q].ket,
-                                    ref_sparse);
-            ints::eri_shell_quartet_dense_reference(
-                dense[quartets[q] / npairs], dense[quartets[q] % npairs],
-                ref_dense);
-            for (std::size_t i = 0; i < ref_sparse.values.size(); ++i) {
-              const double b = out[q].values[i];
-              if (std::abs(b - ref_sparse.values[i]) > 1e-12 ||
-                  std::abs(b - ref_dense.values[i]) > 1e-12)
-                return "len " + std::to_string(len) + " quartet " +
-                       std::to_string(q) + " element " + std::to_string(i) +
-                       ": batched " + fmt(b) + " vs sparse " +
-                       fmt(ref_sparse.values[i]) + " vs dense " +
-                       fmt(ref_dense.values[i]);
-            }
-          }
-        }
-        return "";
-      });
-}
-
-// Builder-level kernel cross-check: the same build with each of the
-// three quartet kernels must produce the same K to the kernels'
-// agreement budget — across a random schedule and thread count, so the
-// batched stream formation composes with every task partitioning.
-TEST(Differential, BuildAgreesAcrossEriKernels) {
-  MTHFX_PROPERTY_N(
-      "Differential.BuildAgreesAcrossEriKernels", 6,
-      [](mt::Rng& rng, std::size_t) -> std::string {
-        namespace ints = mthfx::ints;
-        const auto mol = mt::jittered(rng, mthfx::workload::water(), 0.08);
-        const auto basis = chem::BasisSet::build(mol, "6-31g*");
-        const auto p = mt::random_symmetric_density(rng, basis.num_functions());
-
-        hfx::HfxOptions opts;
-        opts.eps_schwarz = 1e-12;
-        opts.schedule = mt::all_schedules()[rng.index(4)];
-        opts.num_threads = 1 + rng.index(8);
-
-        opts.eri_kernel = ints::EriKernel::kSparse;
-        const auto k_sparse = hfx::FockBuilder(basis, opts).exchange(p).k;
-        opts.eri_kernel = ints::EriKernel::kBatched;
-        const auto k_batched = hfx::FockBuilder(basis, opts).exchange(p).k;
-        opts.eri_kernel = ints::EriKernel::kDenseReference;
-        const auto k_dense = hfx::FockBuilder(basis, opts).exchange(p).k;
-
-        const double db = la::max_abs(k_batched - k_sparse);
-        const double dd = la::max_abs(k_dense - k_sparse);
-        if (db > 1e-12 || dd > 1e-12)
-          return std::string("schedule ") + schedule_name(opts.schedule) +
-                 " (threads " + std::to_string(opts.num_threads) +
-                 "): |K_batched - K_sparse| " + fmt(db) +
-                 ", |K_dense - K_sparse| " + fmt(dd);
-        return "";
+        const std::string err =
+            batched_vs_scalar_and_oracle(rng, basis.shells());
+        if (!err.empty()) return "6-31g* water: " + err;
+        const std::string ferr =
+            batched_vs_scalar_and_oracle(rng, f_shell_set(rng));
+        return ferr.empty() ? "" : "s-f shell set: " + ferr;
       });
 }

@@ -193,8 +193,7 @@ TEST(EriBatched, MatchesScalarOnRaggedMixedStreams) {
   pairs.reserve(ns * (ns + 1) / 2);
   for (std::size_t i = 0; i < ns; ++i)
     for (std::size_t j = 0; j <= i; ++j)
-      pairs.emplace_back(basis.shell(i), basis.shell(j),
-                         ints::EriKernel::kBatched);
+      pairs.emplace_back(basis.shell(i), basis.shell(j));
 
   std::vector<ints::QuartetRef> stream;
   for (const auto& bra : pairs)
@@ -227,8 +226,7 @@ TEST(EriBatched, RepeatedCallsAreDeterministic) {
   pairs.reserve(ns * (ns + 1) / 2);
   for (std::size_t i = 0; i < ns; ++i)
     for (std::size_t j = 0; j <= i; ++j)
-      pairs.emplace_back(basis.shell(i), basis.shell(j),
-                         ints::EriKernel::kBatched);
+      pairs.emplace_back(basis.shell(i), basis.shell(j));
   std::vector<ints::QuartetRef> stream;
   for (const auto& bra : pairs)
     for (const auto& ket : pairs) stream.push_back({&bra, &ket});

@@ -312,11 +312,6 @@ TEST(FockBuilder, StatsArePopulated) {
   EXPECT_GT(result.stats.screening.quartets_computed, 0u);
 }
 
-TEST(Schedulers, ResolveThreadCount) {
-  EXPECT_EQ(hfx::resolve_thread_count(5), 5u);
-  EXPECT_GE(hfx::resolve_thread_count(0), 1u);
-}
-
 TEST(Schedulers, ExecuteTasksRunsAll) {
   std::vector<std::atomic<int>> hits(500);
   for (auto s :
