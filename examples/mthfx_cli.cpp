@@ -127,6 +127,7 @@ int main(int argc, char** argv) {
     auto input = mthfx::app::parse_input_file(input_path);
     input.checkpoint_path = checkpoint_file;
     input.restore_path = restore_file;
+    if (trace) mthfx::obs::global_trace().set_enabled(true);
     const auto result = mthfx::app::run_structured(input);
     if (json) {
       const auto record = mthfx::engine::result_record(input, result);

@@ -29,9 +29,12 @@ export UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1"
 # Small-iteration differential subset: randomized quartet streams drive
 # the batched kernel's ragged-tail and lane-masking paths.
 MTHFX_PROPERTY_ITERS=3 "$BUILD_DIR"/tests/test_differential
-# Derivative-ERI index arithmetic: the deterministic gradient unit
-# suite plus a couple of random force-property cases run the dA/dB
-# Hermite recursion and its packed index walks end to end.
+# Derivative-ERI index arithmetic: the gradient unit suite plus a
+# couple of random force-property cases run the derivative pair
+# expansions (E tables to la+1, lb+1) and the quartet kernel's point and
+# panel walks (Coulomb tensor of order L+1) end to end. The f-shell
+# capacity case is Differential.EriGradientMatchesReference above, whose
+# s-f shell set drives f x f pairs through the kernel.
 "$BUILD_DIR"/tests/test_gradient
 MTHFX_PROPERTY_ITERS=2 "$BUILD_DIR"/tests/test_property_grad \
   --gtest_filter='PropertyGrad.NetForceVanishes'

@@ -13,6 +13,14 @@ namespace mthfx::hfx {
 using chem::Vec3;
 using linalg::Matrix;
 
+namespace {
+
+// Most row chunks per call. Enough to balance a pool of a few threads
+// over the triangular row profile; each costs one natoms-long partial.
+constexpr std::size_t kChunks = 64;
+
+}  // namespace
+
 std::vector<Vec3> two_electron_gradient(const chem::BasisSet& basis,
                                         const ShellPairList& pairs,
                                         const Matrix& density,
@@ -33,90 +41,122 @@ std::vector<Vec3> two_electron_gradient(const chem::BasisSet& basis,
   double global_pmax = 0.0;
   for (const double v : block_max.flat())
     global_pmax = std::max(global_pmax, v);
-  // Upper bound on |Gamma| for the bra-sorted early exit.
+  // Upper bound on |Gamma|: a ket is live while q_bra * q_ket * gamma_cap
+  // clears eps_grad, and the descending-q sort makes that a prefix.
   const double gamma_cap = (1.0 + ax) * global_pmax * global_pmax;
+  // A NaN density walks every ket, so the NaN reaches the gradient.
+  const double eps_live = gamma_cap > 0.0 ? eps_grad / gamma_cap : 0.0;
 
-  const std::size_t nthreads =
-      parallel::resolve_thread_count(options.num_threads);
-  std::vector<std::vector<Vec3>> g_private(
-      nthreads, std::vector<Vec3>(natoms, Vec3{0, 0, 0}));
+  // Rows and their live ket counts; chunk boundaries split the total
+  // ket count into kChunks near-equal runs of consecutive rows. They
+  // depend on the pair list and density alone, never on the threads.
+  const std::size_t npairs = pairs.size();
+  std::vector<std::size_t> live(npairs);
+  std::size_t total = 0;
+  for (std::size_t ib = 0; ib < npairs; ++ib)
+    total += live[ib] = pairs.live_end(ib, eps_live);
+  if (total == 0) return grad;
+  std::vector<std::size_t> chunk_end;
+  for (std::size_t ib = 0, seen = 0; ib < npairs; ++ib) {
+    seen += live[ib];
+    if (seen * kChunks >= (chunk_end.size() + 1) * total || ib + 1 == npairs)
+      chunk_end.push_back(ib + 1);
+  }
+  const std::size_t nchunks = chunk_end.size();
 
-  auto run_bra = [&](std::size_t ib, std::size_t tid) {
-    std::vector<Vec3>& acc = g_private[tid];
-    const ShellPair& bra = pairs[ib];
-    const chem::Shell& a = basis.shell(bra.sa);
-    const chem::Shell& b = basis.shell(bra.sb);
-    const std::size_t oa = basis.first_function(bra.sa);
-    const std::size_t ob = basis.first_function(bra.sb);
+  // Derivative expansions once per call: npairs * nprim^2 work against
+  // the quartets' nprim^4.
+  std::vector<ints::ShellPairDeriv> expansions;
+  expansions.reserve(npairs);
+  for (const ShellPair& pair : pairs.pairs())
+    expansions.emplace_back(basis.shell(pair.sa), basis.shell(pair.sb));
 
-    // Kets walk the descending-q prefix of the pair list up to the bra,
-    // so each unordered pair-of-pairs is visited exactly once and the
-    // first ket failing the bare Schwarz product ends the loop.
-    for (std::size_t ik = 0; ik <= ib; ++ik) {
-      const ShellPair& ket = pairs[ik];
-      const double qq = bra.q * ket.q;
-      if (qq * gamma_cap < eps_grad) break;
+  // One natoms-long partial per chunk, summed in chunk order below.
+  std::vector<Vec3> partial(nchunks * natoms, Vec3{0, 0, 0});
 
-      // Density-weighted bound over every block Gamma touches.
-      const double gmax =
-          block_max(bra.sa, bra.sb) * block_max(ket.sa, ket.sb) +
-          0.5 * ax *
-              (block_max(bra.sa, ket.sa) * block_max(bra.sb, ket.sb) +
-               block_max(bra.sa, ket.sb) * block_max(bra.sb, ket.sa));
-      if (qq * gmax < eps_grad) continue;
+  auto run_chunk = [&](std::size_t chunk, std::size_t) {
+    Vec3* acc = partial.data() + chunk * natoms;
+    ints::EriGradBlocks dblk;
+    for (std::size_t ib = chunk == 0 ? 0 : chunk_end[chunk - 1];
+         ib < chunk_end[chunk]; ++ib) {
+      const ShellPair& bra = pairs[ib];
+      const chem::Shell& a = basis.shell(bra.sa);
+      const chem::Shell& b = basis.shell(bra.sb);
+      const std::size_t oa = basis.first_function(bra.sa);
+      const std::size_t ob = basis.first_function(bra.sb);
 
-      const chem::Shell& c = basis.shell(ket.sa);
-      const chem::Shell& dsh = basis.shell(ket.sb);
-      const std::size_t oc = basis.first_function(ket.sa);
-      const std::size_t od = basis.first_function(ket.sb);
+      // Kets walk the bra's live prefix of the pair list, so each
+      // unordered pair-of-pairs is visited exactly once.
+      for (std::size_t ik = 0; ik < live[ib]; ++ik) {
+        const ShellPair& ket = pairs[ik];
+        const double qq = bra.q * ket.q;
 
-      // Shell-level orbit size of this canonical quartet: the symmetric
-      // Gamma absorbs the function-level permutations, so the unique-
-      // quartet sum just scales by the count of distinct shell images.
-      const double deg = (bra.sa == bra.sb ? 1.0 : 2.0) *
-                         (ket.sa == ket.sb ? 1.0 : 2.0) *
-                         (ib == ik ? 1.0 : 2.0);
+        // Density-weighted bound over every block Gamma touches.
+        const double gmax =
+            block_max(bra.sa, bra.sb) * block_max(ket.sa, ket.sb) +
+            0.5 * ax *
+                (block_max(bra.sa, ket.sa) * block_max(bra.sb, ket.sb) +
+                 block_max(bra.sa, ket.sb) * block_max(bra.sb, ket.sa));
+        if (qq * gmax < eps_grad) continue;
 
-      const ints::EriGradBlocks dblk = ints::eri_gradient_blocks(a, b, c, dsh);
-      const std::size_t centers[4] = {a.atom_index(), b.atom_index(),
-                                      c.atom_index(), dsh.atom_index()};
+        const chem::Shell& c = basis.shell(ket.sa);
+        const chem::Shell& dsh = basis.shell(ket.sb);
+        const std::size_t oc = basis.first_function(ket.sa);
+        const std::size_t od = basis.first_function(ket.sb);
 
-      std::size_t idx = 0;
-      for (std::size_t i = 0; i < a.num_functions(); ++i)
-        for (std::size_t j = 0; j < b.num_functions(); ++j)
-          for (std::size_t k = 0; k < c.num_functions(); ++k)
-            for (std::size_t l = 0; l < dsh.num_functions(); ++l, ++idx) {
-              const double gamma =
-                  density(oa + i, ob + j) * density(oc + k, od + l) -
-                  0.25 * ax *
-                      (density(oa + i, oc + k) * density(ob + j, od + l) +
-                       density(oa + i, od + l) * density(ob + j, oc + k));
-              if (gamma == 0.0) continue;
-              const double pref = 0.5 * deg * gamma;
-              for (std::size_t ctr = 0; ctr < 3; ++ctr)
-                for (std::size_t d = 0; d < 3; ++d) {
-                  const double contrib = pref * dblk.g[ctr][d][idx];
-                  acc[centers[ctr]][d] += contrib;
-                  // D center by translational invariance.
-                  acc[centers[3]][d] -= contrib;
-                }
-            }
+        // Shell-level orbit size of this canonical quartet: the symmetric
+        // Gamma absorbs the function-level permutations, so the unique-
+        // quartet sum just scales by the count of distinct shell images.
+        const double deg = (bra.sa == bra.sb ? 1.0 : 2.0) *
+                           (ket.sa == ket.sb ? 1.0 : 2.0) *
+                           (ib == ik ? 1.0 : 2.0);
+
+        ints::eri_gradient_quartet(expansions[ib], expansions[ik], dblk);
+
+        // Gamma-weighted sums of the nine blocks, then one update per
+        // center.
+        double sum[3][3] = {};
+        std::size_t idx = 0;
+        for (std::size_t i = 0; i < a.num_functions(); ++i)
+          for (std::size_t j = 0; j < b.num_functions(); ++j)
+            for (std::size_t k = 0; k < c.num_functions(); ++k)
+              for (std::size_t l = 0; l < dsh.num_functions(); ++l, ++idx) {
+                const double gamma =
+                    density(oa + i, ob + j) * density(oc + k, od + l) -
+                    0.25 * ax *
+                        (density(oa + i, oc + k) * density(ob + j, od + l) +
+                         density(oa + i, od + l) * density(ob + j, oc + k));
+                if (gamma == 0.0) continue;
+                for (std::size_t ctr = 0; ctr < 3; ++ctr)
+                  for (std::size_t d = 0; d < 3; ++d)
+                    sum[ctr][d] += gamma * dblk.g[ctr][d][idx];
+              }
+        const std::size_t centers[4] = {a.atom_index(), b.atom_index(),
+                                        c.atom_index(), dsh.atom_index()};
+        for (std::size_t ctr = 0; ctr < 3; ++ctr)
+          for (std::size_t d = 0; d < 3; ++d) {
+            const double contrib = 0.5 * deg * sum[ctr][d];
+            acc[centers[ctr]][d] += contrib;
+            // D center by translational invariance.
+            acc[centers[3]][d] -= contrib;
+          }
+      }
     }
   };
 
+  const std::size_t nthreads =
+      std::min(parallel::resolve_thread_count(options.num_threads), nchunks);
   if (nthreads == 1) {
-    for (std::size_t ib = 0; ib < pairs.size(); ++ib) run_bra(ib, 0);
+    for (std::size_t chunk = 0; chunk < nchunks; ++chunk) run_chunk(chunk, 0);
   } else {
-    // Round-robin static chunks: deterministic bra->thread assignment
-    // (for a fixed thread count) that still balances the triangular
-    // ket-count profile across the pool.
+    // Threads claim chunks from the dynamic bag; which thread ran a chunk
+    // does not reach the sum.
     parallel::ThreadPool pool(nthreads);
-    pool.parallel_for(0, pairs.size(), run_bra,
-                      parallel::Schedule::kStaticCyclic, 1);
+    pool.parallel_for(0, nchunks, run_chunk, parallel::Schedule::kDynamic, 1);
   }
-  for (std::size_t t = 0; t < nthreads; ++t)
+  for (std::size_t chunk = 0; chunk < nchunks; ++chunk)
     for (std::size_t at = 0; at < natoms; ++at)
-      grad[at] = grad[at] + g_private[t][at];
+      grad[at] = grad[at] + partial[chunk * natoms + at];
   return grad;
 }
 

@@ -8,11 +8,19 @@
 // density for a hybrid exchange fraction ax:
 //     Gamma = P_munu P_lamsig - (ax/4) (P_mulam P_nusig + P_musig P_nulam).
 // The quartet stream is the same canonical (bra pair >= ket pair) walk the
-// FockBuilder screens: Schwarz bound per pair product, then a density-
-// weighted bound, both against a gradient threshold derived from
-// eps_schwarz. The derivative blocks for all three independent centers
-// come from ints::eri_gradient_blocks; the fourth center follows from
-// translational invariance.
+// FockBuilder screens: each bra row runs over its Schwarz-live ket prefix
+// (ShellPairList::live_end against eps_grad / max|Gamma|), and each
+// quartet must also pass a density-weighted bound, both against a
+// gradient threshold derived from eps_schwarz. Each call builds one
+// ints::ShellPairDeriv per pair, and ints::eri_gradient_quartet gives the
+// derivative blocks for the three independent centers; the fourth center
+// follows from translational invariance.
+//
+// Threads: the rows are cut into a fixed number of chunks of consecutive
+// rows, with boundaries taken from the pair list's live ket counts. Pool
+// threads claim chunks dynamically, each chunk sums into its own
+// natoms x 3 partial, and the partials are added in chunk order, so the
+// gradient is bit-identical for any num_threads.
 
 #include <vector>
 

@@ -1,9 +1,12 @@
 #include "ints/deriv.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <memory>
 #include <numbers>
 
 #include "ints/hermite.hpp"
+#include "ints/hermite_fixed.hpp"
 
 namespace mthfx::ints {
 
@@ -39,6 +42,30 @@ PairTables tables(const Shell& a, const Shell& b, std::size_t pa,
           HermiteE(a.l() + extra_i, b.l() + extra_j, ea, eb, ca.z - cb.z),
           p,
           (1.0 / p) * (ea * ca + eb * cb)};
+}
+
+// Derivative-kernel capacity: E tables to (la+1, lb+1) and a Coulomb
+// tensor one order above the value kernel's, for f shells on every
+// center (kEriMaxL).
+using E1dDeriv = detail::E1d<kEriMaxL + 1, kEriMaxL + 1>;
+using RTensorDeriv = detail::RTensor<kEriMaxTuv + 1>;
+
+// Per-thread scratch of eri_gradient_quartet, allocated on the thread's
+// first quartet and reused: the Coulomb tensor, the R offsets of the bra
+// points and the two ket panels. Heap rather than static thread_local
+// storage, so threads that never run the gradient carry none of it.
+struct GradScratch {
+  RTensorDeriv r;
+  std::vector<std::uint32_t> rbase_d, rbase_p;
+  std::vector<double> panel, cpanel;
+};
+
+thread_local std::unique_ptr<GradScratch> tls_grad;
+
+GradScratch& grad_scratch() {
+  // Default-initialised: the tensor's pages are touched only as used.
+  if (!tls_grad) tls_grad.reset(new GradScratch);
+  return *tls_grad;
 }
 
 }  // namespace
@@ -213,115 +240,216 @@ std::vector<std::array<Matrix, 3>> nuclear_gradient_blocks(
   return grads;
 }
 
-EriGradBlocks eri_gradient_blocks(const Shell& a, const Shell& b,
-                                  const Shell& c, const Shell& d) {
+ShellPairDeriv::ShellPairDeriv(const Shell& a, const Shell& b)
+    : lab_(a.l() + b.l()) {
   const auto pa = cartesian_powers(a.l());
   const auto pb = cartesian_powers(b.l());
-  const auto pc = cartesian_powers(c.l());
-  const auto pd = cartesian_powers(d.l());
-  const std::size_t nblock = pa.size() * pb.size() * pc.size() * pd.size();
-  EriGradBlocks out;
-  for (auto& center : out.g)
-    for (auto& dir : center) dir.assign(nblock, 0.0);
+  ncomp_ = pa.size() * pb.size();
 
-  const int lsum = a.l() + b.l() + c.l() + d.l();
-  const double pi52 = 2.0 * std::pow(std::numbers::pi, 2.5);
+  // Entries first carry their offset in a box of Hermite orders up to
+  // lab + 1 per direction; the offsets are remapped to the compact point
+  // lists once every primitive pair has marked the points it touches.
+  const std::size_t n1 = static_cast<std::size_t>(lab_ + 2);
+  const std::size_t box = n1 * n1 * n1;
+  std::vector<char> used_plain(box, 0), used_deriv(box, 0);
 
-  for (std::size_t ia = 0; ia < a.num_primitives(); ++ia) {
-    for (std::size_t ib = 0; ib < b.num_primitives(); ++ib) {
-      const PairTables bra = tables(a, b, ia, ib, 1, 1);
-      for (std::size_t ic = 0; ic < c.num_primitives(); ++ic) {
-        for (std::size_t id = 0; id < d.num_primitives(); ++id) {
-          const PairTables ket = tables(c, d, ic, id, 1, 1);
-          const double p = bra.p, q = ket.p;
-          const double alpha = p * q / (p + q);
-          const Vec3 pq = bra.pcen - ket.pcen;
-          const HermiteR r(lsum + 1, alpha, pq.x, pq.y, pq.z);
-          const double pref = pi52 / (p * q * std::sqrt(p + q));
+  const Vec3& ca = a.center();
+  const Vec3& cb = b.center();
+  const double ab[3] = {ca.x - cb.x, ca.y - cb.y, ca.z - cb.z};
+  E1dDeriv e[3];
+  prims_.resize(a.num_primitives() * b.num_primitives());
+  std::size_t pp = 0;
+  for (std::size_t i = 0; i < a.num_primitives(); ++i) {
+    for (std::size_t j = 0; j < b.num_primitives(); ++j, ++pp) {
+      const double ea = a.exponents()[i];
+      const double eb = b.exponents()[j];
+      Prim& prim = prims_[pp];
+      prim.p = ea + eb;
+      prim.center = (1.0 / prim.p) * (ea * ca + eb * cb);
+      for (int d = 0; d < 3; ++d)
+        e[d].build(a.l() + 1, b.l() + 1, ea, eb, ab[d]);
 
-          const HermiteE* be[3] = {&bra.ex, &bra.ey, &bra.ez};
-          const HermiteE* ke[3] = {&ket.ex, &ket.ey, &ket.ez};
-
-          // Full contraction with arbitrary powers on all four indices.
-          auto eri = [&](const int qa[3], const int qb[3], const int qc[3],
-                         const int qd[3]) {
-            for (int dd = 0; dd < 3; ++dd)
-              if (qa[dd] < 0 || qb[dd] < 0 || qc[dd] < 0 || qd[dd] < 0)
-                return 0.0;
-            double sum = 0.0;
-            for (int tt = 0; tt <= qa[0] + qb[0]; ++tt)
-              for (int uu = 0; uu <= qa[1] + qb[1]; ++uu)
-                for (int vv = 0; vv <= qa[2] + qb[2]; ++vv) {
-                  const double ebv = (*be[0])(qa[0], qb[0], tt) *
-                                     (*be[1])(qa[1], qb[1], uu) *
-                                     (*be[2])(qa[2], qb[2], vv);
-                  if (ebv == 0.0) continue;
-                  for (int t2 = 0; t2 <= qc[0] + qd[0]; ++t2)
-                    for (int u2 = 0; u2 <= qc[1] + qd[1]; ++u2)
-                      for (int v2 = 0; v2 <= qc[2] + qd[2]; ++v2) {
-                        const double ekv = (*ke[0])(qc[0], qd[0], t2) *
-                                           (*ke[1])(qc[1], qd[1], u2) *
-                                           (*ke[2])(qc[2], qd[2], v2);
-                        if (ekv == 0.0) continue;
-                        const double sign =
-                            ((t2 + u2 + v2) % 2 == 0) ? 1.0 : -1.0;
-                        sum += ebv * ekv * sign *
-                               r(tt + t2, uu + u2, vv + v2);
-                      }
-                }
-            return sum;
-          };
-
-          const double expos[3] = {a.exponents()[ia], b.exponents()[ib],
-                                   c.exponents()[ic]};
-
-          std::size_t idx = 0;
-          for (std::size_t caa = 0; caa < pa.size(); ++caa) {
-            const int qa0[3] = {pa[caa].x, pa[caa].y, pa[caa].z};
-            for (std::size_t cbb = 0; cbb < pb.size(); ++cbb) {
-              const int qb0[3] = {pb[cbb].x, pb[cbb].y, pb[cbb].z};
-              for (std::size_t ccc = 0; ccc < pc.size(); ++ccc) {
-                const int qc0[3] = {pc[ccc].x, pc[ccc].y, pc[ccc].z};
-                for (std::size_t cdd = 0; cdd < pd.size(); ++cdd, ++idx) {
-                  const int qd0[3] = {pd[cdd].x, pd[cdd].y, pd[cdd].z};
-                  const double cc = a.norm_coef(ia, caa) *
-                                    b.norm_coef(ib, cbb) *
-                                    c.norm_coef(ic, ccc) *
-                                    d.norm_coef(id, cdd) * pref;
-                  for (int center = 0; center < 3; ++center) {
-                    for (std::size_t dd = 0; dd < 3; ++dd) {
-                      int qa[3] = {qa0[0], qa0[1], qa0[2]};
-                      int qb[3] = {qb0[0], qb0[1], qb0[2]};
-                      int qc[3] = {qc0[0], qc0[1], qc0[2]};
-                      int* mut = center == 0 ? qa : center == 1 ? qb : qc;
-                      const int orig = mut[dd];
-                      mut[dd] = orig + 1;
-                      double val = 2.0 * expos[center] * eri(qa, qb, qc, qd0);
-                      mut[dd] = orig - 1;
-                      if (orig > 0) val -= orig * eri(qa, qb, qc, qd0);
-                      mut[dd] = orig;
-                      out.g[static_cast<std::size_t>(center)][dd][idx] +=
-                          cc * val;
-                    }
-                  }
+      prim.begin.reserve(kSegments * ncomp_ + 1);
+      for (std::size_t seg = 0; seg < kSegments; ++seg) {
+        std::vector<char>& used = seg == 0 ? used_plain : used_deriv;
+        for (std::size_t ia = 0; ia < pa.size(); ++ia) {
+          for (std::size_t ib = 0; ib < pb.size(); ++ib) {
+            prim.begin.push_back(
+                static_cast<std::uint32_t>(prim.entries.size()));
+            const int ip[3] = {pa[ia].x, pa[ia].y, pa[ia].z};
+            const int jp[3] = {pb[ib].x, pb[ib].y, pb[ib].z};
+            // 1-D factors: E(t; i, j), or in the differentiated direction
+            // the shift relation, one order longer.
+            double f[3][E1dDeriv::kT] = {};
+            int nt[3] = {};
+            for (int d = 0; d < 3; ++d) {
+              const auto& v = e[d].v;
+              const int ii = ip[d], jj = jp[d];
+              const bool on_a = seg == static_cast<std::size_t>(1 + d);
+              const bool on_b = seg == static_cast<std::size_t>(4 + d);
+              nt[d] = ii + jj + (on_a || on_b ? 2 : 1);
+              for (int t = 0; t < nt[d]; ++t) {
+                if (on_a)
+                  f[d][t] = 2.0 * ea * v[ii + 1][jj][t] -
+                            (ii > 0 ? ii * v[ii - 1][jj][t] : 0.0);
+                else if (on_b)
+                  f[d][t] = 2.0 * eb * v[ii][jj + 1][t] -
+                            (jj > 0 ? jj * v[ii][jj - 1][t] : 0.0);
+                else
+                  f[d][t] = v[ii][jj][t];
+              }
+            }
+            const double cc = a.norm_coef(i, ia) * b.norm_coef(j, ib);
+            for (int t = 0; t < nt[0]; ++t) {
+              if (f[0][t] == 0.0) continue;
+              for (int u = 0; u < nt[1]; ++u) {
+                if (f[1][u] == 0.0) continue;
+                for (int w = 0; w < nt[2]; ++w) {
+                  const double ev = cc * f[0][t] * f[1][u] * f[2][w];
+                  if (ev == 0.0) continue;
+                  const std::size_t off =
+                      (static_cast<std::size_t>(t) * n1 +
+                       static_cast<std::size_t>(u)) *
+                          n1 +
+                      static_cast<std::size_t>(w);
+                  HermiteEntry entry;
+                  entry.val = ev;
+                  entry.sval = ((t + u + w) & 1) ? -ev : ev;
+                  entry.t = static_cast<std::uint8_t>(t);
+                  entry.u = static_cast<std::uint8_t>(u);
+                  entry.v = static_cast<std::uint8_t>(w);
+                  entry.upos = static_cast<std::uint16_t>(off);
+                  prim.entries.push_back(entry);
+                  used[off] = 1;
+                  prim.max_abs = std::max(prim.max_abs, std::abs(ev));
                 }
               }
             }
           }
         }
       }
+      prim.begin.push_back(static_cast<std::uint32_t>(prim.entries.size()));
     }
   }
-  return out;
+
+  // Compact point lists in box-offset order, and the entries' upos
+  // rewritten from box offsets to positions in them.
+  std::vector<std::uint16_t> plain_pos(box, 0), deriv_pos(box, 0);
+  const auto compact = [n1, box](const std::vector<char>& used,
+                                 std::vector<HermiteCoord>& points,
+                                 std::vector<std::uint16_t>& pos) {
+    for (std::size_t off = 0; off < box; ++off) {
+      if (!used[off]) continue;
+      pos[off] = static_cast<std::uint16_t>(points.size());
+      points.push_back({static_cast<std::uint8_t>(off / (n1 * n1)),
+                        static_cast<std::uint8_t>(off / n1 % n1),
+                        static_cast<std::uint8_t>(off % n1)});
+    }
+  };
+  compact(used_plain, points_, plain_pos);
+  compact(used_deriv, dpoints_, deriv_pos);
+  for (Prim& prim : prims_) {
+    const std::size_t plain_end = prim.begin[ncomp_];
+    for (std::size_t k = 0; k < prim.entries.size(); ++k) {
+      std::uint16_t& upos = prim.entries[k].upos;
+      upos = k < plain_end ? plain_pos[upos] : deriv_pos[upos];
+    }
+  }
 }
 
-std::array<std::vector<double>, 3> eri_gradient_block(const Shell& a,
-                                                      const Shell& b,
-                                                      const Shell& c,
-                                                      const Shell& d,
-                                                      int center) {
-  EriGradBlocks all = eri_gradient_blocks(a, b, c, d);
-  return std::move(all.g[static_cast<std::size_t>(center)]);
+void eri_gradient_quartet(const ShellPairDeriv& bra, const ShellPairDeriv& ket,
+                          EriGradBlocks& out) {
+  using Prim = ShellPairDeriv::Prim;
+  const std::size_t nbc = bra.ncomp_;
+  const std::size_t nkc = ket.ncomp_;
+  for (auto& center : out.g)
+    for (auto& dir : center) dir.assign(nbc * nkc, 0.0);
+
+  const int order = bra.lab_ + ket.lab_ + 1;
+  const std::size_t rn1 = static_cast<std::size_t>(order + 1);
+  const std::size_t nd = bra.dpoints_.size();
+  const std::size_t np = bra.points_.size();
+  GradScratch& s = grad_scratch();
+  // R offset of every bra point: R(point + ket entry) sits at
+  // rbase[point] + the entry's own offset, since rn1 is fixed per quartet.
+  const auto offsets = [rn1](const std::vector<HermiteCoord>& points,
+                             std::vector<std::uint32_t>& rbase) {
+    rbase.resize(points.size());
+    for (std::size_t k = 0; k < points.size(); ++k)
+      rbase[k] = static_cast<std::uint32_t>(
+          (points[k].t * rn1 + points[k].u) * rn1 + points[k].v);
+  };
+  offsets(bra.dpoints_, s.rbase_d);
+  offsets(bra.points_, s.rbase_p);
+  s.panel.resize(nkc * nd);
+  s.cpanel.resize(3 * nkc * np);
+
+  // One row per ket component: the component's list in segment `seg`,
+  // sign-folded for the ket side, contracted with R over `npts` bra
+  // points.
+  const auto ket_rows = [nkc, rn1](const Prim& kp, std::size_t seg,
+                                   const double* r, const std::uint32_t* rbase,
+                                   std::size_t npts, double* rows) {
+    for (std::size_t kc = 0; kc < nkc; ++kc) {
+      double* row = rows + kc * npts;
+      std::fill(row, row + npts, 0.0);
+      const HermiteEntry* e = kp.entries.data() + kp.begin[seg * nkc + kc];
+      const HermiteEntry* end =
+          kp.entries.data() + kp.begin[seg * nkc + kc + 1];
+      for (; e != end; ++e) {
+        const double sv = e->sval;
+        const double* rk = r + (e->t * rn1 + e->u) * rn1 + e->v;
+        for (std::size_t pnt = 0; pnt < npts; ++pnt)
+          row[pnt] += sv * rk[rbase[pnt]];
+      }
+    }
+  };
+  // A bra list read against one panel row.
+  const auto dot = [](const Prim& bp, std::size_t list, const double* row) {
+    double sum = 0.0;
+    const HermiteEntry* e = bp.entries.data() + bp.begin[list];
+    const HermiteEntry* end = bp.entries.data() + bp.begin[list + 1];
+    for (; e != end; ++e) sum += e->val * row[e->upos];
+    return sum;
+  };
+
+  const double pi52 = 2.0 * std::pow(std::numbers::pi, 2.5);
+  for (const Prim& bp : bra.prims_) {
+    for (const Prim& kp : ket.prims_) {
+      const double p = bp.p, q = kp.p;
+      const double pref = pi52 / (p * q * std::sqrt(p + q));
+      if (pref * bp.max_abs * kp.max_abs < kEriPrimitiveCutoff) continue;
+      const double alpha = p * q / (p + q);
+      const Vec3 pq = bp.center - kp.center;
+      const double* r = s.r.build(order, alpha, pq.x, pq.y, pq.z);
+
+      // Ket plain rows over the bra derivative points (for dA, dB) and
+      // ket center-C rows over the bra plain points (for dC).
+      ket_rows(kp, 0, r, s.rbase_d.data(), nd, s.panel.data());
+      for (std::size_t dir = 0; dir < 3; ++dir)
+        ket_rows(kp, 1 + dir, r, s.rbase_p.data(), np,
+                 s.cpanel.data() + dir * nkc * np);
+
+      for (std::size_t bc = 0; bc < nbc; ++bc)
+        for (std::size_t kc = 0; kc < nkc; ++kc) {
+          const double* row = s.panel.data() + kc * nd;
+          const std::size_t idx = bc * nkc + kc;
+          for (std::size_t dir = 0; dir < 3; ++dir) {
+            out.g[0][dir][idx] += pref * dot(bp, (1 + dir) * nbc + bc, row);
+            out.g[1][dir][idx] += pref * dot(bp, (4 + dir) * nbc + bc, row);
+            out.g[2][dir][idx] +=
+                pref * dot(bp, bc, s.cpanel.data() + (dir * nkc + kc) * np);
+          }
+        }
+    }
+  }
+}
+
+EriGradBlocks eri_gradient_quartet(const Shell& a, const Shell& b,
+                                   const Shell& c, const Shell& d) {
+  EriGradBlocks out;
+  eri_gradient_quartet(ShellPairDeriv(a, b), ShellPairDeriv(c, d), out);
+  return out;
 }
 
 }  // namespace mthfx::ints

@@ -5,7 +5,7 @@
 #include <cmath>
 #include <numbers>
 
-#include "ints/boys.hpp"
+#include "ints/hermite_fixed.hpp"
 
 namespace mthfx::ints {
 
@@ -17,100 +17,8 @@ namespace {
 
 // Compile-time capacity: supports shells up to l = kEriMaxL (f) on each
 // center, i.e. Hermite orders up to kEriMaxTuv in the Coulomb tensor.
-constexpr int kMaxL = kEriMaxL;
-constexpr int kMaxLab = 2 * kMaxL;          // per-side Hermite order
-constexpr int kMaxTuv = kEriMaxTuv;         // combined order for R
-// Extent of E1d's t axis. Stored orders reach kMaxLab, but the
-// j-recurrence reads E(t+1; i, j-1) for t up to i+j, one slot past the
-// last stored order; that slot must exist and stay zero, or an f x f
-// pair reads its own freshly written E(0; i, j) there.
-constexpr std::size_t kE1 = kMaxLab + 2;
-
-// Fixed-capacity E(t; i, j) table for one direction of one primitive pair.
-struct E1d {
-  double v[kMaxL + 1][kMaxL + 1][kE1];  // e[i][j][t]
-
-  void build(int imax, int jmax, double a, double b, double ab) {
-    const double p = a + b;
-    const double mu = a * b / p;
-    const double pa = -b * ab / p;
-    const double pb = a * ab / p;
-    const double inv2p = 0.5 / p;
-
-    for (int i = 0; i <= imax; ++i)
-      for (int j = 0; j <= jmax; ++j)
-        for (std::size_t t = 0; t < kE1; ++t) v[i][j][t] = 0.0;
-
-    v[0][0][0] = std::exp(-mu * ab * ab);
-    for (int i = 1; i <= imax; ++i)
-      for (int t = 0; t <= i; ++t) {
-        double val = pa * v[i - 1][0][t];
-        if (t > 0) val += inv2p * v[i - 1][0][t - 1];
-        val += (t + 1) * v[i - 1][0][t + 1];
-        v[i][0][t] = val;
-      }
-    for (int j = 1; j <= jmax; ++j)
-      for (int i = 0; i <= imax; ++i)
-        for (int t = 0; t <= i + j; ++t) {
-          double val = pb * v[i][j - 1][t];
-          if (t > 0) val += inv2p * v[i][j - 1][t - 1];
-          val += (t + 1) * v[i][j - 1][t + 1];
-          v[i][j][t] = val;
-        }
-  }
-};
-
-// Hermite Coulomb tensor with fixed-capacity ping-pong slices.
-struct RTensor {
-  std::size_t n1 = 0;
-  double slice_a[(kMaxTuv + 1) * (kMaxTuv + 1) * (kMaxTuv + 1)];
-  double slice_b[(kMaxTuv + 1) * (kMaxTuv + 1) * (kMaxTuv + 1)];
-
-  const double* build(int tuv_max, double alpha, double x, double y,
-                      double z) {
-    n1 = static_cast<std::size_t>(tuv_max + 1);
-    double f[kMaxTuv + 1];
-    boys(tuv_max, alpha * (x * x + y * y + z * z), {f, n1});
-
-    double* hi = slice_a;
-    double* lo = slice_b;
-    const auto idx = [this](int t, int u, int v) {
-      return (static_cast<std::size_t>(t) * n1 + static_cast<std::size_t>(u)) *
-                 n1 +
-             static_cast<std::size_t>(v);
-    };
-    double powers[kMaxTuv + 1];
-    double m2a = 1.0;
-    for (int n = 0; n <= tuv_max; ++n) {
-      powers[n] = m2a;
-      m2a *= -2.0 * alpha;
-    }
-    for (int n = tuv_max; n >= 0; --n) {
-      lo[idx(0, 0, 0)] = powers[n] * f[n];
-      for (int total = 1; total <= tuv_max - n; ++total) {
-        for (int t = total; t >= 0; --t) {
-          for (int u = total - t; u >= 0; --u) {
-            const int v = total - t - u;
-            double val = 0.0;
-            if (t > 0) {
-              if (t > 1) val += (t - 1) * hi[idx(t - 2, u, v)];
-              val += x * hi[idx(t - 1, u, v)];
-            } else if (u > 0) {
-              if (u > 1) val += (u - 1) * hi[idx(t, u - 2, v)];
-              val += y * hi[idx(t, u - 1, v)];
-            } else {
-              if (v > 1) val += (v - 1) * hi[idx(t, u, v - 2)];
-              val += z * hi[idx(t, u, v - 1)];
-            }
-            lo[idx(t, u, v)] = val;
-          }
-        }
-      }
-      std::swap(hi, lo);
-    }
-    return hi;  // the n = 0 slice
-  }
-};
+using E1d = detail::E1d<kEriMaxL, kEriMaxL>;
+using RTensor = detail::RTensor<kEriMaxTuv>;
 
 // True when E(t; i, j) vanishes identically in one dimension, by
 // parity rather than by accident of the geometry. A same-coordinate

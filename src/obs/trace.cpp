@@ -5,11 +5,15 @@
 namespace mthfx::obs {
 
 Trace::Scope::Scope(Trace& trace, std::string name)
-    : trace_(trace), name_(std::move(name)) {
-  depth_ = trace_.open(&start_);
+    : trace_(trace.enabled() ? &trace : nullptr) {
+  if (trace_ == nullptr) return;
+  name_ = std::move(name);
+  depth_ = trace_->open(&start_);
 }
 
-Trace::Scope::~Scope() { trace_.close(std::move(name_), depth_, start_); }
+Trace::Scope::~Scope() {
+  if (trace_ != nullptr) trace_->close(std::move(name_), depth_, start_);
+}
 
 std::uint32_t Trace::open(double* start) {
   std::lock_guard lock(mutex_);
@@ -85,7 +89,7 @@ Json Trace::to_json() const {
 }
 
 Trace& global_trace() {
-  static Trace trace;
+  static Trace trace(/*enabled=*/false);
   return trace;
 }
 

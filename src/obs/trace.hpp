@@ -7,8 +7,10 @@
 //
 // Recording takes a mutex, so spans belong at *phase* granularity (an SCF
 // iteration, one J/K build), never inside per-quartet loops — those go
-// through Registry counters instead.
+// through Registry counters instead. A disabled Trace records nothing: a
+// Scope opened on it takes no lock and does no lookup.
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <mutex>
@@ -31,7 +33,12 @@ struct SpanRecord {
 
 class Trace {
  public:
-  Trace() = default;
+  explicit Trace(bool enabled = true) : enabled_(enabled) {}
+
+  /// Whether new spans are recorded. A span already open when this
+  /// changes keeps its state.
+  bool enabled() const { return enabled_.load(); }
+  void set_enabled(bool on) { enabled_.store(on); }
 
   /// RAII span: opens at construction, records at destruction.
   class Scope {
@@ -43,10 +50,10 @@ class Trace {
     Scope& operator=(const Scope&) = delete;
 
    private:
-    Trace& trace_;
+    Trace* trace_;  // null when the trace was disabled at construction
     std::string name_;
-    std::uint32_t depth_;
-    double start_;
+    std::uint32_t depth_ = 0;
+    double start_ = 0.0;
   };
 
   /// Completed spans in completion order (a parent records after its
@@ -81,10 +88,14 @@ class Trace {
   std::vector<SpanRecord> finished_;
   std::map<std::thread::id, std::uint32_t> open_depth_;
   std::uint64_t dropped_ = 0;
+  std::atomic<bool> enabled_;
 };
 
-/// Process-wide trace: lets the CLI and benches collect the SCF/HFX phase
-/// hierarchy without threading a Trace through every API.
+/// Process-wide trace: lets the CLI collect the SCF/HFX phase hierarchy
+/// without threading a Trace through every API. It starts disabled, so
+/// processes that never read it (MD runs, the service, benches) neither
+/// pay a lock per span nor grow a span buffer; `mthfx_cli --trace`
+/// enables it.
 Trace& global_trace();
 
 }  // namespace mthfx::obs

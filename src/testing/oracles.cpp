@@ -113,6 +113,130 @@ void dense_reference_quartet(const DenseHermitePair& bra,
     }
 }
 
+namespace {
+
+// E tables of one primitive pair raised by one order on both centers
+// (the shift relation's i+1 terms), with its exponent sum and center.
+struct RaisedPairTables {
+  RaisedPairTables(const chem::Shell& a, const chem::Shell& b, std::size_t ia,
+                   std::size_t ib)
+      : ea(a.exponents()[ia]),
+        eb(b.exponents()[ib]),
+        p(ea + eb),
+        center((1.0 / p) * (ea * a.center() + eb * b.center())),
+        ex(a.l() + 1, b.l() + 1, ea, eb, a.center().x - b.center().x),
+        ey(a.l() + 1, b.l() + 1, ea, eb, a.center().y - b.center().y),
+        ez(a.l() + 1, b.l() + 1, ea, eb, a.center().z - b.center().z) {}
+  double ea, eb, p;
+  chem::Vec3 center;
+  ints::HermiteE ex, ey, ez;
+};
+
+}  // namespace
+
+ints::EriGradBlocks reference_eri_gradient_blocks(const chem::Shell& a,
+                                                  const chem::Shell& b,
+                                                  const chem::Shell& c,
+                                                  const chem::Shell& d) {
+  const auto pa = chem::cartesian_powers(a.l());
+  const auto pb = chem::cartesian_powers(b.l());
+  const auto pc = chem::cartesian_powers(c.l());
+  const auto pd = chem::cartesian_powers(d.l());
+  const std::size_t nblock = pa.size() * pb.size() * pc.size() * pd.size();
+  ints::EriGradBlocks out;
+  for (auto& center : out.g)
+    for (auto& dir : center) dir.assign(nblock, 0.0);
+
+  const int lsum = a.l() + b.l() + c.l() + d.l();
+  const double pi52 = 2.0 * std::pow(std::numbers::pi, 2.5);
+
+  for (std::size_t ia = 0; ia < a.num_primitives(); ++ia) {
+    for (std::size_t ib = 0; ib < b.num_primitives(); ++ib) {
+      const RaisedPairTables bra(a, b, ia, ib);
+      for (std::size_t ic = 0; ic < c.num_primitives(); ++ic) {
+        for (std::size_t id = 0; id < d.num_primitives(); ++id) {
+          const RaisedPairTables ket(c, d, ic, id);
+          const double p = bra.p, q = ket.p;
+          const double alpha = p * q / (p + q);
+          const chem::Vec3 pq = bra.center - ket.center;
+          const ints::HermiteR r(lsum + 1, alpha, pq.x, pq.y, pq.z);
+          const double pref = pi52 / (p * q * std::sqrt(p + q));
+
+          const ints::HermiteE* be[3] = {&bra.ex, &bra.ey, &bra.ez};
+          const ints::HermiteE* ke[3] = {&ket.ex, &ket.ey, &ket.ez};
+
+          // Full contraction with arbitrary powers on all four indices.
+          auto eri = [&](const int qa[3], const int qb[3], const int qc[3],
+                         const int qd[3]) {
+            for (int dd = 0; dd < 3; ++dd)
+              if (qa[dd] < 0 || qb[dd] < 0 || qc[dd] < 0 || qd[dd] < 0)
+                return 0.0;
+            double sum = 0.0;
+            for (int tt = 0; tt <= qa[0] + qb[0]; ++tt)
+              for (int uu = 0; uu <= qa[1] + qb[1]; ++uu)
+                for (int vv = 0; vv <= qa[2] + qb[2]; ++vv) {
+                  const double ebv = (*be[0])(qa[0], qb[0], tt) *
+                                     (*be[1])(qa[1], qb[1], uu) *
+                                     (*be[2])(qa[2], qb[2], vv);
+                  if (ebv == 0.0) continue;
+                  for (int t2 = 0; t2 <= qc[0] + qd[0]; ++t2)
+                    for (int u2 = 0; u2 <= qc[1] + qd[1]; ++u2)
+                      for (int v2 = 0; v2 <= qc[2] + qd[2]; ++v2) {
+                        const double ekv = (*ke[0])(qc[0], qd[0], t2) *
+                                           (*ke[1])(qc[1], qd[1], u2) *
+                                           (*ke[2])(qc[2], qd[2], v2);
+                        if (ekv == 0.0) continue;
+                        const double sign =
+                            ((t2 + u2 + v2) % 2 == 0) ? 1.0 : -1.0;
+                        sum += ebv * ekv * sign *
+                               r(tt + t2, uu + u2, vv + v2);
+                      }
+                }
+            return sum;
+          };
+
+          const double expos[3] = {bra.ea, bra.eb, ket.ea};
+
+          std::size_t idx = 0;
+          for (std::size_t caa = 0; caa < pa.size(); ++caa) {
+            const int qa0[3] = {pa[caa].x, pa[caa].y, pa[caa].z};
+            for (std::size_t cbb = 0; cbb < pb.size(); ++cbb) {
+              const int qb0[3] = {pb[cbb].x, pb[cbb].y, pb[cbb].z};
+              for (std::size_t ccc = 0; ccc < pc.size(); ++ccc) {
+                const int qc0[3] = {pc[ccc].x, pc[ccc].y, pc[ccc].z};
+                for (std::size_t cdd = 0; cdd < pd.size(); ++cdd, ++idx) {
+                  const int qd0[3] = {pd[cdd].x, pd[cdd].y, pd[cdd].z};
+                  const double cc = a.norm_coef(ia, caa) *
+                                    b.norm_coef(ib, cbb) *
+                                    c.norm_coef(ic, ccc) *
+                                    d.norm_coef(id, cdd) * pref;
+                  for (int center = 0; center < 3; ++center) {
+                    for (std::size_t dd = 0; dd < 3; ++dd) {
+                      int qa[3] = {qa0[0], qa0[1], qa0[2]};
+                      int qb[3] = {qb0[0], qb0[1], qb0[2]};
+                      int qc[3] = {qc0[0], qc0[1], qc0[2]};
+                      int* mut = center == 0 ? qa : center == 1 ? qb : qc;
+                      const int orig = mut[dd];
+                      mut[dd] = orig + 1;
+                      double val = 2.0 * expos[center] * eri(qa, qb, qc, qd0);
+                      mut[dd] = orig - 1;
+                      if (orig > 0) val -= orig * eri(qa, qb, qc, qd0);
+                      mut[dd] = orig;
+                      out.g[static_cast<std::size_t>(center)][dd][idx] +=
+                          cc * val;
+                    }
+                  }
+                }
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  return out;
+}
+
 std::vector<double> naive_eri_tensor(const BasisSet& basis) {
   const std::size_t n = basis.num_functions();
   const std::size_t ns = basis.num_shells();

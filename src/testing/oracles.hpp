@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "chem/basis.hpp"
+#include "ints/deriv.hpp"
 #include "ints/eri.hpp"
 #include "linalg/matrix.hpp"
 
@@ -43,6 +44,18 @@ struct DenseHermitePair {
 void dense_reference_quartet(const DenseHermitePair& bra,
                              const DenseHermitePair& ket,
                              ints::EriBlock& out);
+
+/// Reference derivative ERIs of one shell quartet, g[center][dir] for
+/// centers A, B, C as in ints::EriGradBlocks: per primitive quartet it
+/// rebuilds raised ints::HermiteE tables for both pairs and an
+/// ints::HermiteR tensor of order L+1, and evaluates every element of
+/// every derivative as 2a (a+1|..) - i (a-1|..) with two full Hermite
+/// sums. No primitive cutoff and nothing of ints::ShellPairDeriv, so the
+/// production kernel is checked against the shift relation directly.
+ints::EriGradBlocks reference_eri_gradient_blocks(const chem::Shell& a,
+                                                  const chem::Shell& b,
+                                                  const chem::Shell& c,
+                                                  const chem::Shell& d);
 
 struct DenseJk {
   linalg::Matrix j;

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "chem/basis.hpp"
 #include "chem/elements.hpp"
@@ -174,8 +175,11 @@ TEST(Basis, GradientMatchesFiniteDifference) {
   }
 }
 
+// The basis name is a std::string, not a const char*: gtest prints a
+// pointer parameter with its address, which would put a per-run value into
+// the discovered test names.
 class ShellNormalization
-    : public ::testing::TestWithParam<std::tuple<int, const char*>> {};
+    : public ::testing::TestWithParam<std::tuple<int, std::string>> {};
 
 TEST_P(ShellNormalization, ContractedSelfOverlapIsOne) {
   // For every element/basis pair, numerically integrate the square of the

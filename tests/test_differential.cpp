@@ -17,6 +17,7 @@
 #include "chem/basis.hpp"
 #include "chem/molecule.hpp"
 #include "hfx/fock_builder.hpp"
+#include "ints/deriv.hpp"
 #include "ints/eri.hpp"
 #include "ints/eri_batch.hpp"
 #include "linalg/matrix.hpp"
@@ -161,7 +162,67 @@ std::string batched_vs_scalar_and_oracle(mt::Rng& rng,
   return "";
 }
 
+// The derivative ERI kernel against the reference oracle on every
+// bra >= ket quartet of the shell pairs of `shells`: all three centers,
+// every direction and element.
+std::string gradient_vs_oracle(const std::vector<chem::Shell>& shells) {
+  namespace ints = mthfx::ints;
+  std::vector<std::pair<std::size_t, std::size_t>> ids;
+  std::vector<ints::ShellPairDeriv> pairs;
+  for (std::size_t sa = 0; sa < shells.size(); ++sa)
+    for (std::size_t sb = 0; sb <= sa; ++sb) {
+      ids.emplace_back(sa, sb);
+      pairs.emplace_back(shells[sa], shells[sb]);
+    }
+
+  ints::EriGradBlocks fast;
+  for (std::size_t bra = 0; bra < pairs.size(); ++bra)
+    for (std::size_t ket = 0; ket <= bra; ++ket) {
+      ints::eri_gradient_quartet(pairs[bra], pairs[ket], fast);
+      const ints::EriGradBlocks ref = mt::reference_eri_gradient_blocks(
+          shells[ids[bra].first], shells[ids[bra].second],
+          shells[ids[ket].first], shells[ids[ket].second]);
+      for (std::size_t center = 0; center < 3; ++center)
+        for (std::size_t dir = 0; dir < 3; ++dir) {
+          const std::vector<double>& f = fast.g[center][dir];
+          const std::vector<double>& r = ref.g[center][dir];
+          if (f.size() != r.size())
+            return "quartet (" + std::to_string(bra) + "," +
+                   std::to_string(ket) + ") block size " +
+                   std::to_string(f.size()) + " vs " + std::to_string(r.size());
+          for (std::size_t i = 0; i < f.size(); ++i)
+            if (std::abs(f[i] - r[i]) > 1e-12)
+              return "quartet (" + std::to_string(bra) + "," +
+                     std::to_string(ket) + ") center " +
+                     std::to_string(center) + " dir " + std::to_string(dir) +
+                     " element " + std::to_string(i) + ": kernel " +
+                     fmt(f[i]) + " vs reference " + fmt(r[i]);
+        }
+    }
+  return "";
+}
+
 }  // namespace
+
+// The derivative ERI kernel against the per-primitive reference on d
+// shells with contracted primitives (6-31g* water), on the Li2O2 STO-3G
+// basis the MD fragments use, and on the synthetic s-f shell set, which
+// runs the kernel's tables at full capacity (f x f pairs, order L+1).
+// One fixed draw: the reference costs about a millisecond per quartet.
+TEST(Differential, EriGradientMatchesReference) {
+  mt::Rng rng(20170);
+  const auto water = mt::jittered(rng, mthfx::workload::water(), 0.08);
+  EXPECT_EQ(gradient_vs_oracle(chem::BasisSet::build(water, "6-31g*").shells()),
+            "")
+      << "6-31g* water";
+  EXPECT_EQ(gradient_vs_oracle(
+                chem::BasisSet::build(mthfx::workload::lithium_peroxide(),
+                                      "sto-3g")
+                    .shells()),
+            "")
+      << "sto-3g Li2O2";
+  EXPECT_EQ(gradient_vs_oracle(f_shell_set(rng)), "") << "s-f shell set";
+}
 
 // The production tensor builder (pair-data reuse) against the naive
 // one-pass oracle, element by element.

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "chem/basis.hpp"
+#include "hfx/grad_contraction.hpp"
 #include "ints/deriv.hpp"
 #include "ints/eri.hpp"
 #include "ints/one_electron.hpp"
@@ -11,6 +12,7 @@
 #include "workload/geometries.hpp"
 
 namespace chem = mthfx::chem;
+namespace hfx = mthfx::hfx;
 namespace ints = mthfx::ints;
 namespace la = mthfx::linalg;
 namespace scf = mthfx::scf;
@@ -169,13 +171,38 @@ TEST(DerivInts, EriGradientMatchesFd) {
     const auto blkm = ints::eri_shell_quartet(bm.shell(2), bm.shell(3),
                                               bm.shell(0), bm.shell(3));
 
-    const auto ga = ints::eri_gradient_block(a, b, c, d4, 0);
-    const auto gc = ints::eri_gradient_block(a, b, c, d4, 2);
+    const ints::EriGradBlocks g = ints::eri_gradient_quartet(a, b, c, d4);
     for (std::size_t idx = 0; idx < blkp.values.size(); ++idx) {
       const double fd =
           (blkp.values[idx] - blkm.values[idx]) / (2 * kFdStep);
-      EXPECT_NEAR(ga[d][idx] + gc[d][idx], fd, 1e-7) << idx << " dir " << d;
+      EXPECT_NEAR(g.g[0][d][idx] + g.g[2][d][idx], fd, 1e-7)
+          << idx << " dir " << d;
     }
+  }
+}
+
+// Row chunks are cut from the pair list and summed in chunk order, so the
+// two-electron gradient must not depend on how many threads ran them.
+TEST(Gradient, TwoElectronGradientBitIdenticalAcrossThreadCounts) {
+  const auto mol = wl::lithium_peroxide();
+  const auto basis = chem::BasisSet::build(mol, "sto-3g");
+  const auto r = scf::rhf(mol, basis);
+  ASSERT_TRUE(r.converged);
+  const la::Matrix& p = r.density;
+  hfx::GradContractionOptions opts;
+  opts.ax = 0.25;
+  opts.num_threads = 1;
+  const std::vector<chem::Vec3> ref =
+      hfx::two_electron_gradient(basis, p, opts);
+  for (const std::size_t threads : {2, 4, 8}) {
+    opts.num_threads = threads;
+    const std::vector<chem::Vec3> g =
+        hfx::two_electron_gradient(basis, p, opts);
+    ASSERT_EQ(g.size(), ref.size());
+    for (std::size_t atom = 0; atom < g.size(); ++atom)
+      for (std::size_t d = 0; d < 3; ++d)
+        EXPECT_EQ(g[atom][d], ref[atom][d])
+            << threads << " threads, atom " << atom << " dir " << d;
   }
 }
 

@@ -261,6 +261,34 @@ TEST(Trace, GlobalTraceIsSingleton) {
   EXPECT_EQ(&obs::global_trace(), &obs::global_trace());
 }
 
+TEST(Trace, DisabledTraceRecordsNothingEnabledRecordsNested) {
+  obs::Trace trace(/*enabled=*/false);
+  EXPECT_FALSE(trace.enabled());
+  {
+    obs::Trace::Scope outer(trace, "outer");
+    obs::Trace::Scope inner(trace, "inner");
+  }
+  EXPECT_TRUE(trace.spans().empty());
+  EXPECT_EQ(trace.dropped(), 0u);
+
+  trace.set_enabled(true);
+  {
+    obs::Trace::Scope outer(trace, "outer");
+    obs::Trace::Scope inner(trace, "inner");
+  }
+  const auto spans = trace.spans();
+  ASSERT_EQ(spans.size(), 2u);
+  EXPECT_EQ(spans[0].name, "inner");  // a child records before its parent
+  EXPECT_EQ(spans[0].depth, 1u);
+  EXPECT_EQ(spans[1].name, "outer");
+  EXPECT_EQ(spans[1].depth, 0u);
+}
+
+TEST(Trace, GlobalTraceStartsDisabled) {
+  // Nothing in this test binary enables it.
+  EXPECT_FALSE(obs::global_trace().enabled());
+}
+
 TEST(Stopwatch, MeasuresNonNegativeAndResets) {
   obs::Stopwatch w;
   const double t1 = w.seconds();
