@@ -15,11 +15,14 @@
 // rejected, 2 on usage/parse errors.
 //
 // Durability: --journal writes every job transition ahead to a
-// checksummed journal; --resume replays it — committed jobs are served
-// from their journaled records (bit-identical physics, zero duplicated
-// SCF work), in-flight jobs restart from their checkpoints. --store
-// persists the result cache across runs; --deadline bounds each job's
-// wall clock. See docs/engine.md (Durability).
+// checksummed journal; --resume runs JobScheduler::resume, which serves
+// committed jobs from their journaled records (bit-identical physics,
+// zero duplicated SCF work) and resubmits every other journaled job
+// under its id, from its checkpoint when one was written. The journal is
+// authoritative for every id it holds: the campaign file only supplies
+// the jobs it never saw. --store persists the result cache across runs;
+// --deadline bounds each job's wall clock. See docs/engine.md
+// (Durability).
 
 #include <csignal>
 #include <cstdio>
@@ -29,7 +32,6 @@
 #include <vector>
 
 #include "engine/campaign.hpp"
-#include "engine/journal.hpp"
 #include "engine/report.hpp"
 #include "engine/scheduler.hpp"
 #include "parse_number.hpp"
@@ -100,17 +102,10 @@ int main(int argc, char** argv) {
     }
 
     std::vector<engine::Job> jobs = spec.expand();
-    // Deterministic ids (expansion order, starting at 1): a resumed run
-    // re-derives the same ids, so journal records line up with jobs.
+    // Ids follow expansion order (starting at 1), so a resumed run can
+    // tell which jobs the journal already holds.
     for (std::size_t i = 0; i < jobs.size(); ++i)
       jobs[i].id = static_cast<std::uint64_t>(i) + 1;
-
-    engine::JournalReplay replay;
-    if (resume) {
-      replay = engine::Journal::replay(spec.engine.journal_path);
-      for (const std::string& warning : replay.warnings)
-        std::fprintf(stderr, "[resume] %s\n", warning.c_str());
-    }
 
     engine::JobScheduler scheduler(spec.engine);
     std::printf(
@@ -123,39 +118,27 @@ int main(int argc, char** argv) {
     std::signal(SIGTERM, handle_signal);
 
     scheduler.start();
-    std::size_t replayed = 0, resumed_ckpt = 0, unsubmitted = 0;
+    engine::ResumeSummary resumed;
+    if (resume) {
+      resumed = scheduler.resume();
+      for (const std::string& warning : resumed.replay.warnings)
+        std::fprintf(stderr, "[resume] %s\n", warning.c_str());
+      std::printf(
+          "[resume] %zu job(s) served from the journal, %zu restarting "
+          "from checkpoints, %zu journal record(s) applied\n",
+          resumed.adopted, resumed.from_checkpoint, resumed.replay.records);
+    }
+    std::size_t unsubmitted = 0;
     for (engine::Job& job : jobs) {
+      if (resumed.replay.find(job.id)) continue;  // resume() owns it
       if (g_signal != 0) {
         ++unsubmitted;
         continue;
-      }
-      if (resume) {
-        const engine::ReplayedJob* prior = replay.find(job.id);
-        if (prior && prior->committed) {
-          scheduler.adopt(prior->record);
-          ++replayed;
-          continue;
-        }
-        // The job was in flight (or never started) when the previous run
-        // died; restart it from its checkpoint when one was written.
-        if (!spec.engine.checkpoint_dir.empty()) {
-          const std::string ckpt = spec.engine.checkpoint_dir + "/job_" +
-                                   std::to_string(job.id) + ".ckpt";
-          if (std::ifstream(ckpt).good()) {
-            job.input.restore_path = ckpt;
-            ++resumed_ckpt;
-          }
-        }
       }
       const engine::Admission admission = scheduler.submit(std::move(job));
       if (!admission.accepted)
         std::fprintf(stderr, "rejected: %s\n", admission.reason.c_str());
     }
-    if (resume)
-      std::printf(
-          "[resume] %zu job(s) served from the journal, %zu restarting "
-          "from checkpoints, %zu journal record(s) applied\n",
-          replayed, resumed_ckpt, replay.records);
     const std::vector<engine::JobRecord> records = scheduler.drain();
     if (scheduler.journal().active())
       scheduler.journal().record_shutdown(

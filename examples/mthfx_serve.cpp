@@ -142,9 +142,11 @@ int main(int argc, char** argv) {
                 options.engine.tenant_defaults.max_queued,
                 options.engine.journal_path.empty() ? "" : ", journaled",
                 options.resume ? ", resumed" : "");
-    if (server.replayed() > 0)
-      std::printf("[resume] %zu job(s) served from the journal\n",
-                  server.replayed());
+    const auto replayed =
+        server.scheduler().registry().counter_total("engine.jobs_replayed");
+    if (replayed > 0)
+      std::printf("[resume] %llu job(s) served from the journal\n",
+                  static_cast<unsigned long long>(replayed));
     if (!port_file.empty()) {
       std::ofstream out(port_file);
       out << server.port() << "\n";

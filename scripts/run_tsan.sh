@@ -42,17 +42,22 @@ export TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1"
 "$BUILD_DIR"/tests/test_engine --gtest_filter='JobQueue.*:JobScheduler.*:FairShare.*'
 # Durable-engine concurrency surface: the watchdog thread cancelling
 # in-flight attempts it races with workers registering/unregistering
-# them, journal appends from submitter + workers at once, and the disk
-# store's LRU under concurrent lookup/insert.
+# them, journal appends from submitter + workers at once, the disk
+# store's LRU under concurrent lookup/insert, the scheduler's job lookup
+# (status/wait against a worker's publish), and JobScheduler::resume
+# adopting and resubmitting while a worker runs (the SIGKILL drill
+# forks and is exercised unsanitized).
 "$BUILD_DIR"/tests/test_durability \
-  --gtest_filter='Scheduler.*:DiskStore.*:Backoff.*'
+  --gtest_filter='Scheduler.*:DiskStore.*:Backoff.*:CrashRecovery.ResumeOfCompletedCampaignRecomputesNothing'
 # Service concurrency surface: workers dispatching from and completing
 # into the one queue while client threads submit and cancel into it,
-# in-flight caps released by completions, journal-resume resubmission
-# racing a worker, and many client connections racing one server (the
-# crash drills fork and are exercised unsanitized).
+# in-flight caps released by completions, connection threads reading
+# the scheduler's job lookup (status, blocking result) while a worker
+# publishes the record, JobScheduler::resume resubmitting journaled
+# jobs onto a started worker pool, and many client connections racing
+# one server (the crash drills fork and are exercised unsanitized).
 "$BUILD_DIR"/tests/test_serve \
-  --gtest_filter='Serve.WeightedFairShareRatioUnderSaturation:Serve.ConcurrentClientsRaceCleanly:Serve.SubmitResultBitIdenticalToDirectRun:Serve.QuotaRejectReasonFormatIsPinned:Serve.ResumeOverFullBacklogKeepsEveryJobAndFreshIdsAbove'
+  --gtest_filter='Serve.WeightedFairShareRatioUnderSaturation:Serve.ConcurrentClientsRaceCleanly:Serve.SubmitResultBitIdenticalToDirectRun:Serve.QuotaRejectReasonFormatIsPinned:Serve.ResumeOverFullBacklogKeepsEveryJobAndFreshIdsAbove:Serve.MidJobDisconnectDoesNotLoseTheJob:Serve.UnknownJobIdsAreErrors'
 # Small-iteration differential subset: randomized schedule x thread-count
 # builds race the bag/steal protocols on fresh task shapes each case,
 # and every build ends in the shared-pool tree reduction of the

@@ -85,9 +85,19 @@ JobScheduler::~JobScheduler() {
 }
 
 void JobScheduler::publish(JobRecord record) {
-  if (options_.on_record) options_.on_record(record);
+  {
+    std::lock_guard<std::mutex> lock(records_mutex_);
+    if (record.id != 0) jobs_[record.id] = {record.state, records_.size()};
+    records_.push_back(std::move(record));
+  }
+  records_cv_.notify_all();
+}
+
+void JobScheduler::mark_running(std::uint64_t id) {
+  // A running job cannot have been published yet: only pending jobs
+  // are canceled or shed.
   std::lock_guard<std::mutex> lock(records_mutex_);
-  records_.push_back(std::move(record));
+  jobs_[id].state = JobState::kRunning;
 }
 
 Admission JobScheduler::submit(Job job) {
@@ -110,6 +120,11 @@ Admission JobScheduler::submit(Job job) {
     return admission;
   }
   c_submitted_.add(submit_slot);
+  {
+    // try_emplace: a worker may already have started or finished it.
+    std::lock_guard<std::mutex> lock(records_mutex_);
+    jobs_.try_emplace(admission.id);
+  }
   if (journaling) {
     journaled.id = admission.id;
     journal_.record_submitted(journaled);
@@ -162,6 +177,67 @@ void JobScheduler::adopt(JobRecord record) {
   publish(std::move(record));
 }
 
+ResumeSummary JobScheduler::resume() {
+  ResumeSummary summary;
+  if (options_.journal_path.empty()) return summary;
+  summary.replay = Journal::replay(options_.journal_path);
+  // Fresh ids continue above every journaled id, including ids whose
+  // resubmission is refused, so no id is ever handed out twice.
+  queue_.claim_id(summary.replay.max_id());
+  for (const ReplayedJob& prior : summary.replay.jobs) {
+    if (prior.committed) {
+      adopt(prior.record);
+      ++summary.adopted;
+      continue;
+    }
+    Job job = prior.job;
+    job.journaled = true;  // its submitted record is already on disk
+    if (!options_.checkpoint_dir.empty()) {
+      const std::string ckpt = options_.checkpoint_dir + "/job_" +
+                               std::to_string(job.id) + ".ckpt";
+      if (file_exists(ckpt)) {
+        job.input.restore_path = ckpt;
+        ++summary.from_checkpoint;
+      }
+    }
+    submit(std::move(job));
+  }
+  return summary;
+}
+
+std::optional<JobState> JobScheduler::status(std::uint64_t id) const {
+  std::lock_guard<std::mutex> lock(records_mutex_);
+  auto it = jobs_.find(id);
+  if (it == jobs_.end()) return std::nullopt;
+  return it->second.state;
+}
+
+std::optional<JobRecord> JobScheduler::wait(std::uint64_t id,
+                                            double timeout_seconds) {
+  std::unique_lock<std::mutex> lock(records_mutex_);
+  auto it = jobs_.find(id);
+  if (it == jobs_.end()) return std::nullopt;
+  const Tracked& job = it->second;  // map references survive rehashing
+  auto terminal = [&job] { return job.record != kNoRecord; };
+  if (timeout_seconds > 0.0) {
+    if (!records_cv_.wait_for(
+            lock, std::chrono::duration<double>(timeout_seconds), terminal))
+      return std::nullopt;
+  } else {
+    records_cv_.wait(lock, terminal);
+  }
+  return records_[job.record];
+}
+
+JobCounts JobScheduler::job_counts() const {
+  std::lock_guard<std::mutex> lock(records_mutex_);
+  JobCounts counts;
+  counts.tracked = jobs_.size();
+  for (const auto& [id, job] : jobs_)
+    if (job.record != kNoRecord) ++counts.terminal;
+  return counts;
+}
+
 void JobScheduler::start() {
   if (started_) return;
   started_ = true;
@@ -177,15 +253,19 @@ std::vector<JobRecord> JobScheduler::drain() {
   for (auto& worker : workers_)
     if (worker.joinable()) worker.join();
   stop_watchdog();
-  drained_ = true;
-  std::lock_guard<std::mutex> lock(records_mutex_);
+  std::vector<JobRecord> sorted;
+  {
+    // Sort a copy: `wait` indexes records_ in publish order.
+    std::lock_guard<std::mutex> lock(records_mutex_);
+    sorted = records_;
+  }
   // Rejected jobs never get an id (0) and sort first, in submission
   // order; executed jobs follow in id order.
-  std::stable_sort(records_.begin(), records_.end(),
+  std::stable_sort(sorted.begin(), sorted.end(),
                    [](const JobRecord& a, const JobRecord& b) {
                      return a.id < b.id;
                    });
-  return records_;
+  return sorted;
 }
 
 void JobScheduler::worker_loop(std::size_t worker_id) {
@@ -305,7 +385,7 @@ JobRecord JobScheduler::execute(Job job, double wait_seconds,
   while (true) {
     ++record.attempts;
     journal_.record_started(job.id, record.attempts);
-    if (options_.on_started) options_.on_started(job.id, record.attempts);
+    mark_running(job.id);
     std::string fail_reason = "exception";
     if (deadline > 0.0) {
       auto token = std::make_shared<fault::CancelToken>();

@@ -27,21 +27,24 @@
 // add engine.tenant.<id>.* (see queue.hpp).
 //
 // Durability (docs/engine.md): with `journal_path` set every job
-// transition is written ahead to a checksummed journal, so a killed
-// campaign resumes — committed jobs served from their journaled records,
-// in-flight jobs from their checkpoints — with bit-identical physics and
-// zero duplicated SCF work. With `store_dir` set the ResultStore writes
-// through to disk, so a resumed campaign's cache is warm. Per-job
-// wall-clock deadlines are enforced by a watchdog thread that cancels
-// overdue attempts at the next SCF-iteration cancellation point; the
-// attempt is retried after a seeded jittered exponential backoff.
+// transition is written ahead to a checksummed journal, and `resume`,
+// the one replay loop of every front, restarts a killed run with
+// bit-identical physics and zero duplicated SCF work. With `store_dir`
+// set the ResultStore writes through to disk, so a resumed campaign's
+// cache is warm. Per-job wall-clock deadlines are enforced by a
+// watchdog thread that cancels overdue attempts at the next
+// SCF-iteration cancellation point; the attempt is retried after a
+// seeded jittered exponential backoff.
+//
+// Job lookup: `status` and `wait` follow every admitted or adopted id,
+// so a long-lived front keeps no job table of its own.
 
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
-#include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -106,14 +109,21 @@ struct EngineOptions {
   /// at pickup, DFT jobs run on a coarsened XC grid (flagged in the
   /// record). 0 disables.
   std::size_t degrade_depth = 0;
-  /// Scheduler hooks for long-lived fronts (the serve layer): called on
-  /// every terminal record — completion, failure, rejection, shed,
-  /// cancel, adopt — and at each attempt start. Both may be invoked
-  /// concurrently from worker and submitter threads; the callee must be
-  /// thread-safe and must not call back into the scheduler's blocking
-  /// APIs (drain). Empty = off.
-  std::function<void(const JobRecord&)> on_record;
-  std::function<void(std::uint64_t id, std::size_t attempt)> on_started;
+};
+
+/// What JobScheduler::resume did. `replay` is the journal as read, for
+/// `find` (which ids it saw) and `warnings` (skipped records).
+struct ResumeSummary {
+  JournalReplay replay;
+  std::size_t adopted = 0;  ///< committed jobs served from the journal
+  std::size_t from_checkpoint = 0;  ///< resubmitted to restore a checkpoint
+};
+
+/// Ids the scheduler tracks (admitted or adopted) and how many of them
+/// have a terminal record.
+struct JobCounts {
+  std::size_t tracked = 0;
+  std::size_t terminal = 0;
 };
 
 class JobScheduler {
@@ -137,10 +147,28 @@ class JobScheduler {
   /// pending.
   bool cancel(std::uint64_t id, const std::string& note, std::string* error);
 
-  /// Adopt a journal-replayed record: it joins the final report (flagged
-  /// `replayed`), its result warms the cache, no SCF work runs, and
-  /// fresh ids continue above its id.
-  void adopt(JobRecord record);
+  /// Replay `options().journal_path` (nothing to do when empty). Fresh
+  /// ids continue above every journaled id. Committed records are
+  /// adopted: they join the final report flagged `replayed`, warm the
+  /// cache and run no SCF work. Every uncommitted job is resubmitted
+  /// under its id as `journaled` — so it is neither journaled twice nor
+  /// held to its tenant's backlog cap again — restoring from
+  /// <checkpoint_dir>/job_<id>.ckpt when that file exists. Call it once,
+  /// before submitting fresh work.
+  ResumeSummary resume();
+
+  /// The id's state: kQueued from admission, kRunning from each attempt
+  /// start, then its terminal state. nullopt for an id never admitted or
+  /// adopted. Thread-safe.
+  std::optional<JobState> status(std::uint64_t id) const;
+
+  /// Block until the id has a terminal record and return it; nullopt
+  /// when the id is unknown or `timeout_seconds` (> 0; otherwise no
+  /// limit) passes first. Every admitted job ends in a record before
+  /// drain() returns, so no wait outlives the engine. Thread-safe.
+  std::optional<JobRecord> wait(std::uint64_t id, double timeout_seconds);
+
+  JobCounts job_counts() const;
 
   /// Launch the worker threads (idempotent; submit works before or
   /// after).
@@ -173,10 +201,19 @@ class JobScheduler {
     std::shared_ptr<fault::CancelToken> token;
   };
 
+  /// An id's state, and once terminal, its record's index in records_.
+  struct Tracked {
+    JobState state = JobState::kQueued;
+    std::size_t record = kNoRecord;
+  };
+  static constexpr std::size_t kNoRecord = static_cast<std::size_t>(-1);
+
   void worker_loop(std::size_t worker_id);
   JobRecord execute(Job job, double wait_seconds, std::size_t worker_id);
-  /// Fire on_record, then append to the final report. The hook runs
-  /// outside records_mutex_ so a callee may query the scheduler.
+  /// Adopt a journal-replayed record (see resume).
+  void adopt(JobRecord record);
+  void mark_running(std::uint64_t id);
+  /// Append to the final report and wake `wait`ers.
   void publish(JobRecord record);
   void watchdog_loop();
   void stop_watchdog();
@@ -195,8 +232,11 @@ class JobScheduler {
   obs::Counter c_deadline_expired_, c_backoff_ms_;
   obs::Timer t_wait_, t_run_;
 
-  std::mutex records_mutex_;
+  // Records in publish order, and every tracked id.
+  mutable std::mutex records_mutex_;
+  std::condition_variable records_cv_;  ///< a record was published
   std::vector<JobRecord> records_;
+  std::unordered_map<std::uint64_t, Tracked> jobs_;
 
   // Running attempts, scanned by the watchdog for blown deadlines.
   std::mutex active_mutex_;
@@ -208,7 +248,6 @@ class JobScheduler {
 
   std::vector<std::thread> workers_;
   bool started_ = false;
-  bool drained_ = false;
 };
 
 }  // namespace mthfx::engine

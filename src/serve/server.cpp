@@ -6,85 +6,24 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <chrono>
 #include <cstring>
-#include <fstream>
 #include <stdexcept>
 #include <utility>
 
 #include "engine/journal.hpp"
-#include "engine/report.hpp"
 
 namespace mthfx::serve {
 
-engine::EngineOptions Server::engine_options(const ServeOptions& options) {
-  engine::EngineOptions e = options.engine;
-  e.on_record = [this](const engine::JobRecord& r) { on_record(r); };
-  e.on_started = [this](std::uint64_t id, std::size_t attempt) {
-    on_started(id, attempt);
-  };
-  return e;
-}
-
 Server::Server(ServeOptions options)
-    : options_(std::move(options)), scheduler_(engine_options(options_)) {}
+    : options_(std::move(options)), scheduler_(options_.engine) {}
 
 Server::~Server() {
   stop();
 }
 
-void Server::on_record(const engine::JobRecord& record) {
-  if (record.id == 0) return;  // admission reject without an id
-  {
-    std::lock_guard<std::mutex> lock(jobs_mutex_);
-    JobEntry& entry = jobs_[record.id];
-    entry.terminal = true;
-    entry.state = engine::to_string(record.state);
-    entry.record = engine::job_record_to_json(record);
-  }
-  jobs_cv_.notify_all();
-}
-
-void Server::on_started(std::uint64_t id, std::size_t attempt) {
-  (void)attempt;
-  std::lock_guard<std::mutex> lock(jobs_mutex_);
-  JobEntry& entry = jobs_[id];
-  if (!entry.terminal) entry.state = "running";
-}
-
 void Server::start() {
   scheduler_.start();
-
-  if (options_.resume && !options_.engine.journal_path.empty()) {
-    const engine::JournalReplay replay =
-        engine::Journal::replay(options_.engine.journal_path);
-    // Fresh ids continue above every journaled id, including ids whose
-    // resubmission is refused, so no id is ever handed out twice.
-    scheduler_.queue().claim_id(replay.max_id());
-    for (const engine::ReplayedJob& rj : replay.jobs) {
-      if (rj.committed) {
-        // The on_record hook files it into the job table, so clients
-        // polling the old id get the journaled (bit-identical) record.
-        scheduler_.adopt(rj.record);
-        ++replayed_;
-      } else {
-        engine::Job job = rj.job;
-        job.journaled = true;  // its submitted record is already on disk
-        if (!options_.engine.checkpoint_dir.empty()) {
-          const std::string ckpt = options_.engine.checkpoint_dir + "/job_" +
-                                   std::to_string(job.id) + ".ckpt";
-          if (std::ifstream(ckpt).good()) job.input.restore_path = ckpt;
-        }
-        // File the id before any client can poll it, as handle_submit
-        // does; a worker may have filed the terminal entry already.
-        const engine::Admission admission = scheduler_.submit(std::move(job));
-        if (admission.accepted) {
-          std::lock_guard<std::mutex> lock(jobs_mutex_);
-          jobs_.try_emplace(admission.id);
-        }
-      }
-    }
-  }
+  if (options_.resume) scheduler_.resume();
 
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
   if (listen_fd_ < 0)
@@ -178,13 +117,13 @@ obs::Json Server::handle_request(const Request& request,
     case Op::kSubmit:
       return handle_submit(request, conn_tenant);
     case Op::kStatus: {
-      std::lock_guard<std::mutex> lock(jobs_mutex_);
-      auto it = jobs_.find(request.id);
-      if (it == jobs_.end())
+      const std::optional<engine::JobState> state =
+          scheduler_.status(request.id);
+      if (!state)
         return error_response("unknown job id " + std::to_string(request.id));
       obs::Json r = ok_response(Op::kStatus);
       r["id"] = request.id;
-      r["state"] = it->second.state;
+      r["state"] = engine::to_string(*state);
       return r;
     }
     case Op::kResult:
@@ -209,10 +148,7 @@ obs::Json Server::handle_request(const Request& request,
       draining_.store(true);
       scheduler_.queue().wait_idle();
       obs::Json r = ok_response(Op::kDrain);
-      {
-        std::lock_guard<std::mutex> lock(jobs_mutex_);
-        r["jobs"] = jobs_.size();
-      }
+      r["jobs"] = scheduler_.job_counts().tracked;
       request_stop(request.note.empty() ? "drain requested" : request.note);
       return r;
     }
@@ -231,46 +167,31 @@ obs::Json Server::handle_submit(const Request& request,
   job.tenant = conn_tenant.empty() ? "anonymous" : conn_tenant;
   const engine::Admission admission = scheduler_.submit(std::move(job));
   if (!admission.accepted) return error_response(admission.reason);
-  {
-    // The worker may already have finished (and filed the terminal
-    // entry) by now; try_emplace never clobbers it.
-    std::lock_guard<std::mutex> lock(jobs_mutex_);
-    jobs_.try_emplace(admission.id);
-  }
   obs::Json r = ok_response(Op::kSubmit);
   r["id"] = admission.id;
   return r;
 }
 
 obs::Json Server::handle_result(const Request& request) {
-  std::unique_lock<std::mutex> lock(jobs_mutex_);
-  auto it = jobs_.find(request.id);
-  if (it == jobs_.end())
+  if (!scheduler_.status(request.id))
     return error_response("unknown job id " + std::to_string(request.id));
-  auto done = [&] { return jobs_[request.id].terminal || jobs_closing_; };
-  if (request.timeout_s > 0.0) {
-    if (!jobs_cv_.wait_for(
-            lock, std::chrono::duration<double>(request.timeout_s), done))
-      return error_response("timeout waiting for job " +
-                            std::to_string(request.id));
-  } else {
-    jobs_cv_.wait(lock, done);
-  }
-  const JobEntry& entry = jobs_[request.id];
-  if (!entry.terminal)
-    return error_response("server stopping before job " +
-                          std::to_string(request.id) + " finished");
+  const std::optional<engine::JobRecord> record =
+      scheduler_.wait(request.id, request.timeout_s);
+  if (!record)
+    return error_response("timeout waiting for job " +
+                          std::to_string(request.id));
   obs::Json r = ok_response(Op::kResult);
   r["id"] = request.id;
-  r["state"] = entry.state;
-  r["record"] = entry.record;
+  r["state"] = engine::to_string(record->state);
+  r["record"] = engine::job_record_to_json(*record);
   return r;
 }
 
 obs::Json Server::stats_json() {
   obs::Json s = obs::Json::object();
   s["draining"] = draining_.load();
-  s["replayed"] = replayed_;
+  s["replayed"] =
+      scheduler_.registry().counter_total("engine.jobs_replayed");
   const engine::JobQueue& q = scheduler_.queue();
   obs::Json tenants = obs::Json::object();
   for (const auto& [id, t] : q.stats()) {
@@ -305,16 +226,10 @@ obs::Json Server::stats_json() {
   cache["entries"] = scheduler_.store().size();
   s["cache"] = std::move(cache);
 
-  std::size_t tracked = 0, terminal = 0;
-  {
-    std::lock_guard<std::mutex> lock(jobs_mutex_);
-    tracked = jobs_.size();
-    for (const auto& [id, entry] : jobs_)
-      if (entry.terminal) ++terminal;
-  }
+  const engine::JobCounts counts = scheduler_.job_counts();
   obs::Json jobs = obs::Json::object();
-  jobs["tracked"] = tracked;
-  jobs["terminal"] = terminal;
+  jobs["tracked"] = counts.tracked;
+  jobs["terminal"] = counts.terminal;
   s["jobs"] = std::move(jobs);
   return s;
 }
@@ -325,12 +240,6 @@ void Server::request_stop(const std::string& reason) {
     if (stop_reason_.empty()) stop_reason_ = reason;
   }
   stop_flag_.store(true);
-  stop_cv_.notify_all();
-}
-
-void Server::wait_for_stop() {
-  std::unique_lock<std::mutex> lock(stop_mutex_);
-  stop_cv_.wait(lock, [this] { return stop_flag_.load(); });
 }
 
 std::vector<engine::JobRecord> Server::stop() {
@@ -346,14 +255,9 @@ std::vector<engine::JobRecord> Server::stop() {
   // Finish everything accepted: drain closes the queue, and the workers
   // empty every tenant backlog before they exit.
   records_ = scheduler_.drain();
+  // Every accepted job is terminal by now, so no `result` wait is left
+  // parked.
   scheduler_.journal().record_shutdown(stop_reason_);
-  {
-    // Every accepted job is terminal by now; release any straggler
-    // still parked in a blocking `result` wait.
-    std::lock_guard<std::mutex> lock(jobs_mutex_);
-    jobs_closing_ = true;
-  }
-  jobs_cv_.notify_all();
 
   // Tear down the listener (unblocks accept) and every connection
   // (unblocks their reads), then join.

@@ -6,25 +6,24 @@
 // the scheduler's per-tenant JobQueue, which does admission, shedding
 // and fair-share dispatch for the service exactly as for a campaign.
 // One accept thread, one thread per connection, strictly
-// request/response per connection; results are delivered by a blocking
-// `result` op against a server-side job table that the scheduler's
-// on_record/on_started hooks keep current.
+// request/response per connection. `status`, `result` and `stats` read
+// the scheduler's own job lookup (JobScheduler::status/wait), so the
+// server keeps no job table.
 //
 // Durability: JobScheduler::submit journals every accepted submission,
-// so a SIGKILLed server restarted with `resume = true` adopts committed
-// records (bit-identical energies, zero recomputed SCF work) and
-// resubmits the rest under their original ids — reconnecting clients
-// keep polling the same ids. A graceful stop drains in-flight work and
-// appends a clean `shutdown` journal record.
+// so a SIGKILLed server restarted with `resume = true` runs
+// JobScheduler::resume: committed records are adopted (bit-identical
+// energies, zero recomputed SCF work) and the rest resubmitted under
+// their original ids — reconnecting clients keep polling the same ids.
+// A graceful stop drains in-flight work and appends a clean `shutdown`
+// journal record.
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <list>
 #include <mutex>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "engine/scheduler.hpp"
@@ -40,11 +39,10 @@ struct ServeOptions {
   /// `hello`; stats and drain are always allowed.
   bool require_hello = true;
   /// Engine configuration, tenant quotas and weights included
-  /// (`tenant_defaults`, `tenants`); `on_record`/`on_started` are owned
-  /// by the server.
+  /// (`tenant_defaults`, `tenants`).
   engine::EngineOptions engine;
-  /// Replay engine.journal_path on start(): adopt committed records,
-  /// resubmit the rest under their original ids.
+  /// Run JobScheduler::resume on start(): adopt committed records of
+  /// engine.journal_path, resubmit the rest under their original ids.
   bool resume = false;
 };
 
@@ -63,11 +61,9 @@ class Server {
   int port() const { return port_; }
 
   /// Ask for a graceful stop (signal handler path, or the drain op).
-  /// Returns immediately; wait_for_stop()/stop() do the work.
+  /// Returns immediately; stop() does the work.
   void request_stop(const std::string& reason);
   bool stop_requested() const { return stop_flag_.load(); }
-  /// Block until request_stop is called (the serving thread parks here).
-  void wait_for_stop();
 
   /// Graceful shutdown: refuse new submissions, run every accepted job
   /// to completion, journal a clean `shutdown` record, close the
@@ -76,26 +72,16 @@ class Server {
   std::vector<engine::JobRecord> stop();
 
   engine::JobScheduler& scheduler() { return scheduler_; }
-  std::size_t replayed() const { return replayed_; }
   obs::Json stats_json();
 
  private:
-  struct JobEntry {
-    std::string state = "queued";
-    bool terminal = false;
-    obs::Json record;  ///< full job_record_to_json once terminal
-  };
   struct Connection {
     int fd = -1;
     std::thread thread;
   };
 
-  engine::EngineOptions engine_options(const ServeOptions& options);
-  void on_record(const engine::JobRecord& record);
-  void on_started(std::uint64_t id, std::size_t attempt);
   void accept_loop();
   void handle_connection(Connection* conn);
-  /// nullopt = no response (connection should close without replying).
   obs::Json handle_request(const Request& request, std::string& conn_tenant);
   obs::Json handle_submit(const Request& request,
                           const std::string& conn_tenant);
@@ -113,19 +99,12 @@ class Server {
   std::list<Connection> connections_;  ///< stable addresses for threads
   bool accepting_ = false;
 
-  std::mutex jobs_mutex_;
-  std::condition_variable jobs_cv_;
-  std::unordered_map<std::uint64_t, JobEntry> jobs_;
-  bool jobs_closing_ = false;  ///< wakes result-waiters during stop()
-
   std::atomic<bool> draining_{false};
   std::atomic<bool> stop_flag_{false};
   std::mutex stop_mutex_;
-  std::condition_variable stop_cv_;
   std::string stop_reason_;
   bool stopped_ = false;
   std::vector<engine::JobRecord> records_;
-  std::size_t replayed_ = 0;
 };
 
 }  // namespace mthfx::serve

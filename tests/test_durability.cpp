@@ -20,6 +20,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -571,6 +572,93 @@ TEST(Scheduler, DegradesXcGridUnderSaturation) {
       scheduler.registry().counter_total("engine.jobs_degraded"), 1u);
 }
 
+TEST(Scheduler, ResumeOverFullBacklogKeepsEveryJournaledJob) {
+  // A campaign journal left by a crash: job 1 committed, jobs 2-5
+  // accepted but unfinished — more than the resumed backlog cap of 2.
+  const std::string dir = make_temp_dir();
+  const std::string journal = dir + "/run.wal";
+  {
+    engine::Journal writer;
+    writer.open(journal);
+    for (std::uint64_t id = 1; id <= 5; ++id) {
+      engine::Job job = h2_job("j" + std::to_string(id));
+      job.id = id;
+      writer.record_submitted(job);
+    }
+    engine::JobRecord committed;
+    committed.id = 1;
+    committed.name = "j1";
+    committed.state = engine::JobState::kDone;
+    committed.attempts = 1;
+    committed.input = h2_job("j1").input;
+    committed.result = fake_result(-1.25);
+    writer.record_committed(committed);
+  }
+  engine::EngineOptions options;
+  options.concurrency = 1;
+  options.cache = false;  // every resubmitted job runs its SCF
+  options.journal_path = journal;
+  options.tenant_defaults.max_queued = 2;
+  engine::JobScheduler scheduler(options);  // not started: all 4 pend
+
+  const engine::ResumeSummary summary = scheduler.resume();
+  EXPECT_EQ(summary.adopted, 1u);
+  EXPECT_EQ(scheduler.queue().depth(), 4u);  // past the cap of 2
+
+  scheduler.start();
+  scheduler.queue().wait_idle();
+  const engine::Admission fresh = scheduler.submit(h2_job("fresh"));
+  ASSERT_TRUE(fresh.accepted) << fresh.reason;
+  EXPECT_EQ(fresh.id, 6u);
+
+  const auto records = scheduler.drain();
+  ASSERT_EQ(records.size(), 6u);
+  EXPECT_TRUE(records[0].replayed);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(records[0].result.energy),
+            std::bit_cast<std::uint64_t>(-1.25));
+  for (std::uint64_t id = 1; id <= 6; ++id) {
+    const engine::JobRecord& record = records[id - 1];
+    EXPECT_EQ(record.id, id);
+    EXPECT_EQ(record.state, engine::JobState::kDone) << record.name;
+    EXPECT_EQ(record.replayed, id == 1) << record.name;
+  }
+
+  // Resubmission reused the journaled `submitted` records.
+  std::map<std::uint64_t, int> submitted;
+  std::istringstream lines(read_file(journal));
+  std::string line;
+  while (std::getline(lines, line)) {
+    const obs::Json payload = obs::Json::parse(line.substr(line.find('{')));
+    if (payload.find("type")->as_string() == "submitted")
+      ++submitted[static_cast<std::uint64_t>(payload.find("id")->as_int())];
+  }
+  for (std::uint64_t id = 1; id <= 6; ++id)
+    EXPECT_EQ(submitted[id], 1) << "job " << id;
+}
+
+TEST(Scheduler, StatusAndWaitFollowEveryTrackedId) {
+  engine::EngineOptions options;
+  options.concurrency = 1;
+  engine::JobScheduler scheduler(options);  // not started: the job pends
+  const engine::Admission admission = scheduler.submit(h2_job("tracked"));
+  ASSERT_TRUE(admission.accepted);
+  EXPECT_EQ(scheduler.status(admission.id), engine::JobState::kQueued);
+  EXPECT_FALSE(scheduler.status(admission.id + 1).has_value());
+  EXPECT_FALSE(scheduler.wait(admission.id + 1, 0.01).has_value());
+  EXPECT_FALSE(scheduler.wait(admission.id, 0.01).has_value());  // timeout
+  EXPECT_EQ(scheduler.job_counts().tracked, 1u);
+  EXPECT_EQ(scheduler.job_counts().terminal, 0u);
+
+  scheduler.start();
+  const std::optional<engine::JobRecord> record =
+      scheduler.wait(admission.id, 0.0);
+  ASSERT_TRUE(record.has_value());
+  EXPECT_EQ(record->state, engine::JobState::kDone);
+  EXPECT_EQ(scheduler.status(admission.id), engine::JobState::kDone);
+  EXPECT_EQ(scheduler.job_counts().terminal, 1u);
+  scheduler.drain();
+}
+
 // --------------------------------------------------------- crash & resume
 
 namespace {
@@ -665,21 +753,12 @@ TEST(CrashRecovery, SigkillMidCampaignResumesBitIdentical) {
 
   // Resume: committed jobs come from the journal, the rest re-run (from
   // their checkpoint when one exists).
-  const engine::JournalReplay replay =
-      engine::Journal::replay(dir + "/run.wal");
   engine::JobScheduler resumed(crash_options(dir));
   resumed.start();
-  std::size_t adopted = 0;
+  const engine::ResumeSummary summary = resumed.resume();
+  const std::size_t adopted = summary.adopted;
   for (engine::Job& job : crash_campaign_jobs()) {
-    const engine::ReplayedJob* prior = replay.find(job.id);
-    if (prior && prior->committed) {
-      resumed.adopt(prior->record);
-      ++adopted;
-      continue;
-    }
-    const std::string ckpt =
-        dir + "/ckpts/job_" + std::to_string(job.id) + ".ckpt";
-    if (std::ifstream(ckpt).good()) job.input.restore_path = ckpt;
+    if (summary.replay.find(job.id)) continue;  // resume() owns it
     ASSERT_TRUE(resumed.submit(std::move(job)).accepted);
   }
   const auto records = resumed.drain();
@@ -719,14 +798,12 @@ TEST(CrashRecovery, ResumeOfCompletedCampaignRecomputesNothing) {
       first_bits[record.id] =
           std::bit_cast<std::uint64_t>(record.result.energy);
   }
-  const engine::JournalReplay replay =
-      engine::Journal::replay(dir + "/run.wal");
   engine::JobScheduler resumed(crash_options(dir));
-  for (engine::Job& job : crash_campaign_jobs()) {
-    const engine::ReplayedJob* prior = replay.find(job.id);
+  const engine::ResumeSummary summary = resumed.resume();
+  for (const engine::Job& job : crash_campaign_jobs()) {
+    const engine::ReplayedJob* prior = summary.replay.find(job.id);
     ASSERT_NE(prior, nullptr);
     ASSERT_TRUE(prior->committed);
-    resumed.adopt(prior->record);
   }
   const auto records = resumed.drain();
   ASSERT_EQ(records.size(), first_bits.size());
