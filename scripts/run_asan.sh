@@ -17,7 +17,7 @@ BUILD_DIR="${1:-build-asan}"
 cmake -B "$BUILD_DIR" -S . -DMTHFX_SANITIZE=address
 cmake --build "$BUILD_DIR" -j --target test_fault test_parallel test_obs \
   test_hfx test_property_hfx test_durability test_property_grad test_serve \
-  test_scaling test_property_scaling
+  test_scaling test_property_scaling test_dft test_chem
 
 export ASAN_OPTIONS="halt_on_error=1:detect_leaks=1:strict_string_checks=1"
 
@@ -46,12 +46,18 @@ MTHFX_PROPERTY_ITERS=2 "$BUILD_DIR"/tests/test_property_grad \
 # surface an untrusted client feeds directly.
 "$BUILD_DIR"/tests/test_serve --gtest_filter='Protocol.*'
 # Sparsity pipeline: the cell-list build (bin indexing, candidate
-# gathers over raw offset arrays) and blocked J/K builds at 1-8 threads
+# gathers over raw offset arrays), blocked J/K builds at 1-8 threads
 # whose per-thread stamp-dedupe/link-walk buffers and CSR block scatters
-# are the newest raw-index territory.
+# are the newest raw-index territory, and the screened XC table against
+# its dense oracle.
 "$BUILD_DIR"/tests/test_scaling \
-  --gtest_filter='PairCulling.*:BlockedBuild.*:SparsityOptions.*'
+  --gtest_filter='PairCulling.*:BlockedBuild.*:SparsityOptions.*:XcScreening.*'
 MTHFX_PROPERTY_ITERS=3 "$BUILD_DIR"/tests/test_property_scaling \
   --gtest_filter='PropertyScaling.CellListCandidatesCoverSurvivingPairs:PropertyScaling.CulledPairListMatchesDenseSweep'
+# XC grid path: the integrator's CSR AO rows (raw offsets into the value
+# arrays and the per-row shell list) and the per-shell AO Hessian
+# scratch the gradient writes through raw pointers.
+"$BUILD_DIR"/tests/test_dft --gtest_filter='XcIntegrator.*'
+"$BUILD_DIR"/tests/test_chem --gtest_filter='Basis.*'
 
 echo "ASan pass clean."

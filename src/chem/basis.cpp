@@ -1,5 +1,6 @@
 #include "chem/basis.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
 #include <stdexcept>
@@ -97,27 +98,6 @@ BasisSet BasisSet::build(const Molecule& mol, std::string_view name) {
   return basis;
 }
 
-void BasisSet::evaluate(const Vec3& point, std::vector<double>& out) const {
-  out.assign(nao_, 0.0);
-  for (std::size_t s = 0; s < shells_.size(); ++s) {
-    const Shell& sh = shells_[s];
-    const Vec3 r = point - sh.center();
-    const double r2 = dot(r, r);
-    const auto powers = cartesian_powers(sh.l());
-    const std::size_t base = offsets_[s];
-    for (std::size_t p = 0; p < sh.num_primitives(); ++p) {
-      const double e = std::exp(-sh.exponents()[p] * r2);
-      if (e < 1e-16) continue;
-      for (std::size_t c = 0; c < powers.size(); ++c) {
-        const double ang = std::pow(r[0], powers[c].x) *
-                           std::pow(r[1], powers[c].y) *
-                           std::pow(r[2], powers[c].z);
-        out[base + c] += sh.norm_coef(p, c) * ang * e;
-      }
-    }
-  }
-}
-
 void BasisSet::evaluate_shell_with_gradient(std::size_t s, const Vec3& point,
                                             double* val, double* dx,
                                             double* dy, double* dz) const {
@@ -178,23 +158,10 @@ void BasisSet::evaluate_with_gradient(const Vec3& point,
   }
 }
 
-void BasisSet::evaluate_with_hessian(
-    const Vec3& point, std::vector<double>& val, std::vector<double>& dx,
-    std::vector<double>& dy, std::vector<double>& dz, std::vector<double>& dxx,
-    std::vector<double>& dxy, std::vector<double>& dxz,
-    std::vector<double>& dyy, std::vector<double>& dyz,
-    std::vector<double>& dzz) const {
-  val.assign(nao_, 0.0);
-  dx.assign(nao_, 0.0);
-  dy.assign(nao_, 0.0);
-  dz.assign(nao_, 0.0);
-  dxx.assign(nao_, 0.0);
-  dxy.assign(nao_, 0.0);
-  dxz.assign(nao_, 0.0);
-  dyy.assign(nao_, 0.0);
-  dyz.assign(nao_, 0.0);
-  dzz.assign(nao_, 0.0);
-
+void BasisSet::evaluate_shell_with_hessian(std::size_t s, const Vec3& point,
+                                           double* dxx, double* dxy,
+                                           double* dxz, double* dyy,
+                                           double* dyz, double* dzz) const {
   auto powi = [](double x, int n) {
     double r = 1.0;
     for (int k = 0; k < n; ++k) r *= x;
@@ -214,33 +181,29 @@ void BasisSet::evaluate_with_hessian(
     return v;
   };
 
-  for (std::size_t s = 0; s < shells_.size(); ++s) {
-    const Shell& sh = shells_[s];
-    const Vec3 r = point - sh.center();
-    const double r2 = dot(r, r);
-    const auto powers = cartesian_powers(sh.l());
-    const std::size_t base = offsets_[s];
-    for (std::size_t p = 0; p < sh.num_primitives(); ++p) {
-      const double a = sh.exponents()[p];
-      const double e = std::exp(-a * r2);
-      if (e < 1e-16) continue;
-      for (std::size_t c = 0; c < powers.size(); ++c) {
-        const int i = powers[c].x, j = powers[c].y, k = powers[c].z;
-        const double fx = powi(r[0], i), fy = powi(r[1], j), fz = powi(r[2], k);
-        const double gx = d1(r[0], i, a), gy = d1(r[1], j, a),
-                     gz = d1(r[2], k, a);
-        const double nc = sh.norm_coef(p, c) * e;
-        val[base + c] += nc * fx * fy * fz;
-        dx[base + c] += nc * gx * fy * fz;
-        dy[base + c] += nc * fx * gy * fz;
-        dz[base + c] += nc * fx * fy * gz;
-        dxx[base + c] += nc * d2(r[0], i, a) * fy * fz;
-        dyy[base + c] += nc * fx * d2(r[1], j, a) * fz;
-        dzz[base + c] += nc * fx * fy * d2(r[2], k, a);
-        dxy[base + c] += nc * gx * gy * fz;
-        dxz[base + c] += nc * gx * fy * gz;
-        dyz[base + c] += nc * fx * gy * gz;
-      }
+  const Shell& sh = shells_[s];
+  const std::size_t nf = sh.num_functions();
+  for (double* h : {dxx, dxy, dxz, dyy, dyz, dzz}) std::fill(h, h + nf, 0.0);
+
+  const Vec3 r = point - sh.center();
+  const double r2 = dot(r, r);
+  const auto powers = cartesian_powers(sh.l());
+  for (std::size_t p = 0; p < sh.num_primitives(); ++p) {
+    const double a = sh.exponents()[p];
+    const double e = std::exp(-a * r2);
+    if (e < 1e-16) continue;
+    for (std::size_t c = 0; c < powers.size(); ++c) {
+      const int i = powers[c].x, j = powers[c].y, k = powers[c].z;
+      const double fx = powi(r[0], i), fy = powi(r[1], j), fz = powi(r[2], k);
+      const double gx = d1(r[0], i, a), gy = d1(r[1], j, a),
+                   gz = d1(r[2], k, a);
+      const double nc = sh.norm_coef(p, c) * e;
+      dxx[c] += nc * d2(r[0], i, a) * fy * fz;
+      dyy[c] += nc * fx * d2(r[1], j, a) * fz;
+      dzz[c] += nc * fx * fy * d2(r[2], k, a);
+      dxy[c] += nc * gx * gy * fz;
+      dxz[c] += nc * gx * fy * gz;
+      dyz[c] += nc * fx * gy * gz;
     }
   }
 }

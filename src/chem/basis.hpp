@@ -99,35 +99,29 @@ class BasisSet {
   /// First AO index of shell s.
   std::size_t first_function(std::size_t s) const { return offsets_.at(s); }
 
-  /// Evaluate all AOs at a point (used by the DFT grid integrator).
-  /// `out` must have size num_functions().
-  void evaluate(const Vec3& point, std::vector<double>& out) const;
-
-  /// Evaluate AOs and their Cartesian gradients at a point.
-  /// Each vector must have size num_functions().
+  /// Evaluate every AO and its Cartesian gradient at a point. Each
+  /// vector is resized to num_functions().
   void evaluate_with_gradient(const Vec3& point, std::vector<double>& val,
                               std::vector<double>& dx, std::vector<double>& dy,
                               std::vector<double>& dz) const;
 
   /// Evaluate one shell's AOs and gradients at a point, writing
-  /// shell(s).num_functions() entries starting at each pointer. The
-  /// screened XC integrator (dft/xc_integrator.hpp) uses this to touch
-  /// only the shells whose extent covers a grid point; the full
+  /// shell(s).num_functions() entries starting at each pointer. The XC
+  /// integrator (dft/xc_integrator.hpp) uses this to cache only the
+  /// shells whose extent covers a grid point; the full
   /// evaluate_with_gradient above is this call looped over every shell.
   void evaluate_shell_with_gradient(std::size_t s, const Vec3& point,
                                     double* val, double* dx, double* dy,
                                     double* dz) const;
 
-  /// Evaluate AOs with first and second Cartesian derivatives at a point
-  /// (needed by the GGA gradient: d(sigma)/dR pulls in AO Hessians). The
-  /// six second-derivative vectors follow the xx, xy, xz, yy, yz, zz
-  /// order. All vectors are resized to num_functions().
-  void evaluate_with_hessian(const Vec3& point, std::vector<double>& val,
-                             std::vector<double>& dx, std::vector<double>& dy,
-                             std::vector<double>& dz, std::vector<double>& dxx,
-                             std::vector<double>& dxy, std::vector<double>& dxz,
-                             std::vector<double>& dyy, std::vector<double>& dyz,
-                             std::vector<double>& dzz) const;
+  /// Second Cartesian derivatives of one shell's AOs at a point (the GGA
+  /// XC gradient: d(sigma)/dR pulls in AO Hessians), writing
+  /// shell(s).num_functions() entries starting at each of the six
+  /// pointers, in xx, xy, xz, yy, yz, zz order.
+  void evaluate_shell_with_hessian(std::size_t s, const Vec3& point,
+                                   double* dxx, double* dxy, double* dxz,
+                                   double* dyy, double* dyz,
+                                   double* dzz) const;
 
  private:
   std::vector<Shell> shells_;

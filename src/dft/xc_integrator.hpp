@@ -4,6 +4,10 @@
 // E_xc = ∫ e_xc(rho, sigma) and the matching Kohn–Sham potential matrix
 // V_xc[mu][nu] = ∫ [v_rho phi_mu phi_nu + 2 v_sigma (grad rho)·grad(phi_mu
 // phi_nu)] with (v_rho, v_sigma) from central differences of e_xc.
+//
+// Every entry point runs on one shell-screened AO table built by the
+// constructor. integrate and integrate_spin open a `dft.xc` span, and
+// gradient a `dft.xc_grad` span, on obs::global_trace().
 
 #include <cstddef>
 #include <cstdint>
@@ -32,19 +36,15 @@ struct XcSpinResult {
 
 class XcIntegrator {
  public:
-  /// With screen_basis = false every AO is cached and evaluated at every
-  /// grid point (the historical dense behavior, bit-for-bit). With
-  /// screen_basis = true only shells whose extent radius
-  /// (hfx/cell_list.hpp) covers a point are cached, so the per-point
-  /// density/potential loops run over the O(1) local AO set instead of
-  /// all nao — the XC-side analogue of the distance-culled pair list.
-  /// Dropped AO values sit below the shell-extent tail (~1e-14), well
-  /// under the quadrature error.
-  XcIntegrator(const chem::BasisSet& basis, const MolecularGrid& grid,
-               bool screen_basis = false);
+  /// Caches, per grid point, the values and gradients of the AOs of
+  /// every shell whose extent radius (hfx/cell_list.hpp) covers the
+  /// point, so the per-point loops below run over the O(1) local AO set
+  /// instead of all nao — the XC-side analogue of the distance-culled
+  /// pair list. Dropped AO values sit below the shell-extent tail
+  /// (~1e-14), well under the quadrature error.
+  XcIntegrator(const chem::BasisSet& basis, const MolecularGrid& grid);
 
-  /// Fraction of the dense np x nao AO table actually cached (1.0 in
-  /// dense mode); observability for the screened path.
+  /// Fraction of the dense np x nao AO table actually cached.
   double cached_fraction() const;
 
   /// Evaluate E_xc and V_xc for the closed-shell density matrix P.
@@ -60,27 +60,53 @@ class XcIntegrator {
   double integrate_density(const linalg::Matrix& density) const;
 
   /// dE_xc/dR per atom at fixed density matrix P. Covers the
-  /// basis-center (orbital) terms — with AO Hessians feeding the
-  /// d(sigma)/dR part for GGAs — and the Becke partition-weight
-  /// derivatives. Grid points ride on their parent atoms; the moving-
-  /// point terms are folded in through translational invariance, so the
-  /// total gradient sums to zero over atoms up to quadrature error.
+  /// basis-center (orbital) terms — with the cached shells' AO Hessians
+  /// feeding the d(sigma)/dR part for GGAs — and the Becke
+  /// partition-weight derivatives. Grid points ride on their parent
+  /// atoms; the moving-point terms are folded in through translational
+  /// invariance, so the total gradient sums to zero over atoms up to
+  /// quadrature error.
   std::vector<chem::Vec3> gradient(const Functional& functional,
                                    const linalg::Matrix& density,
                                    const chem::Molecule& mol) const;
 
  private:
+  /// rho, grad rho and sigma = |grad rho|^2 of P at one grid point.
+  struct PointDensity {
+    double rho = 0.0;
+    double dx = 0.0, dy = 0.0, dz = 0.0;
+    double sigma = 0.0;
+  };
+
+  /// Grid point g's cached AOs: n values, gradients and AO indices.
+  struct Row {
+    std::size_t n = 0;
+    const double *phi = nullptr, *gx = nullptr, *gy = nullptr,
+                 *gz = nullptr;
+    const std::uint32_t* idx = nullptr;
+  };
+  Row row(std::size_t g) const;
+
+  /// Contract P over row r: writes (P phi) for the row's AOs to `pphi`
+  /// and, when `with_gradient`, forms grad rho = 2 (P phi) . grad phi
+  /// (left zero otherwise).
+  static PointDensity point_density(const Row& r,
+                                    const linalg::Matrix& density,
+                                    bool with_gradient, double* pphi);
+
   const chem::BasisSet& basis_;
   const MolecularGrid& grid_;
-  bool screened_ = false;
   // Cached AO values and gradients per grid point, CSR-compressed:
   // point g owns entries [row_off_[g], row_off_[g+1]) of cols_ (AO
-  // indices, ascending) and of the four value arrays. In dense mode
-  // cols_ lists every AO at every point, which makes the loops below
-  // walk in exactly the historical order.
+  // indices, ascending) and of the four value arrays. The shells those
+  // AOs belong to are entries [shell_off_[g], shell_off_[g+1]) of
+  // shells_, ascending, so a row's AOs are its shells' components in
+  // order.
   std::vector<std::size_t> row_off_;
   std::vector<std::uint32_t> cols_;
   std::vector<double> ao_, ax_, ay_, az_;
+  std::vector<std::size_t> shell_off_;
+  std::vector<std::uint32_t> shells_;
 };
 
 }  // namespace mthfx::dft

@@ -88,14 +88,12 @@ KsResult rks(const chem::Molecule& mol, const chem::BasisSet& basis,
   const auto step = detail::diagonalize_step(
       mol, basis, options.scf.hfx, options.scf.shared_builder, "rks");
 
-  // The grid is only needed for functionals with a semilocal part. Basis
-  // screening rides the same sparsity switch as the culled pair list.
+  // The grid is only needed for functionals with a semilocal part.
   std::optional<dft::MolecularGrid> grid;
   std::optional<dft::XcIntegrator> xc;
   if (options.functional != "hf") {
     grid.emplace(mol, options.grid);
-    xc.emplace(basis, *grid,
-               options.scf.hfx.sparsity.blocked(basis.num_functions()));
+    xc.emplace(basis, *grid);
     spec.xc = [&](const std::vector<detail::Channel>& ch) {
       dft::XcResult r = xc->integrate(functional, ch[0].p);
       return detail::XcTerm{r.energy, r.integrated_density, {std::move(r.v)}};

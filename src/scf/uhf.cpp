@@ -115,8 +115,7 @@ UksResult uks(const chem::Molecule& mol, const chem::BasisSet& basis,
   std::optional<dft::XcIntegrator> xc;
   if (options.functional != "hf") {
     grid.emplace(mol, options.grid);
-    xc.emplace(basis, *grid,
-               options.scf.hfx.sparsity.blocked(basis.num_functions()));
+    xc.emplace(basis, *grid);
     spec.xc = [&](const std::vector<detail::Channel>& ch) {
       dft::XcSpinResult r = xc->integrate_spin(functional, ch[0].p, ch[1].p);
       return detail::XcTerm{r.energy, r.integrated_density,

@@ -1,5 +1,6 @@
 #include "testing/oracles.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <numbers>
@@ -355,6 +356,55 @@ double exchange_energy_from_tensor(const BasisSet& basis,
           e += density(mu, nu) * density(lam, sig) *
                tensor[((mu * n + lam) * n + nu) * n + sig];
   return 0.5 * e;
+}
+
+dft::XcResult dense_xc_reference(const BasisSet& basis,
+                                 const dft::MolecularGrid& grid,
+                                 const dft::Functional& functional,
+                                 const Matrix& density) {
+  const std::size_t n = basis.num_functions();
+  const auto& e = functional.energy_density;
+  dft::XcResult result;
+  result.v = Matrix(n, n);
+  std::vector<double> phi, dx, dy, dz, pphi(n);
+  for (const dft::GridPoint& gp : grid.points()) {
+    basis.evaluate_with_gradient(gp.pos, phi, dx, dy, dz);
+    double rho = 0.0, gr[3] = {0.0, 0.0, 0.0};
+    for (std::size_t mu = 0; mu < n; ++mu) {
+      pphi[mu] = 0.0;
+      for (std::size_t nu = 0; nu < n; ++nu)
+        pphi[mu] += density(mu, nu) * phi[nu];
+      rho += pphi[mu] * phi[mu];
+      if (functional.needs_gradient) {
+        gr[0] += 2.0 * pphi[mu] * dx[mu];
+        gr[1] += 2.0 * pphi[mu] * dy[mu];
+        gr[2] += 2.0 * pphi[mu] * dz[mu];
+      }
+    }
+    if (rho < 1e-12) continue;
+    const double sigma = gr[0] * gr[0] + gr[1] * gr[1] + gr[2] * gr[2];
+    const double w = gp.weight;
+    result.integrated_density += w * rho;
+    result.energy += w * e(rho, sigma);
+
+    const double hr = std::max(1e-9, 1e-6 * rho);
+    const double vrho = (e(rho + hr, sigma) - e(rho - hr, sigma)) / (2 * hr);
+    double vsigma = 0.0;
+    if (functional.needs_gradient && sigma > 1e-24) {
+      const double hs = std::max(1e-12, 1e-6 * sigma);
+      vsigma = (e(rho, sigma + hs) - e(rho, sigma - hs)) / (2 * hs);
+    }
+    // V_mn += w [vrho phi_m phi_n + 2 vsigma grad rho . grad(phi_m phi_n)]
+    for (std::size_t mu = 0; mu < n; ++mu)
+      for (std::size_t nu = 0; nu < n; ++nu) {
+        const double gm = gr[0] * dx[mu] + gr[1] * dy[mu] + gr[2] * dz[mu];
+        const double gn = gr[0] * dx[nu] + gr[1] * dy[nu] + gr[2] * dz[nu];
+        result.v(mu, nu) +=
+            w * (vrho * phi[mu] * phi[nu] +
+                 2.0 * vsigma * (gm * phi[nu] + phi[mu] * gn));
+      }
+  }
+  return result;
 }
 
 }  // namespace mthfx::testing

@@ -10,6 +10,9 @@
 #include <vector>
 
 #include "chem/basis.hpp"
+#include "dft/functionals.hpp"
+#include "dft/grid.hpp"
+#include "dft/xc_integrator.hpp"
 #include "ints/deriv.hpp"
 #include "ints/eri.hpp"
 #include "linalg/matrix.hpp"
@@ -104,5 +107,17 @@ double coulomb_energy_from_tensor(const chem::BasisSet& basis,
 double exchange_energy_from_tensor(const chem::BasisSet& basis,
                                    const std::vector<double>& tensor,
                                    const linalg::Matrix& density);
+
+/// Unscreened closed-shell XC integration: at every grid point every AO
+/// and its gradient come from BasisSet::evaluate_with_gradient, rho and
+/// grad rho are full nao x nao contractions, the potentials are central
+/// differences of the functional with dft::XcIntegrator's steps, and V
+/// gets the symmetric rank-2 update over all AOs. Nothing of the
+/// integrator's shell-screened AO table is used, so its screening error
+/// shows up as a disagreement.
+dft::XcResult dense_xc_reference(const chem::BasisSet& basis,
+                                 const dft::MolecularGrid& grid,
+                                 const dft::Functional& functional,
+                                 const linalg::Matrix& density);
 
 }  // namespace mthfx::testing

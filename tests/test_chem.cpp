@@ -144,8 +144,8 @@ TEST(Basis, EvaluateSFunctionAtCenter) {
   chem::Molecule m;
   m.add_atom(1, {0, 0, 0});
   const auto basis = chem::BasisSet::build(m, "sto-3g");
-  std::vector<double> v;
-  basis.evaluate({0, 0, 0}, v);
+  std::vector<double> v, dx, dy, dz;
+  basis.evaluate_with_gradient({0, 0, 0}, v, dx, dy, dz);
   ASSERT_EQ(v.size(), 1u);
   // Contracted STO-3G 1s at its center: approaches the STO value
   // sqrt(zeta^3/pi) ~ 0.78 from below (Gaussians have no cusp).
@@ -162,16 +162,60 @@ TEST(Basis, GradientMatchesFiniteDifference) {
   basis.evaluate_with_gradient(pt, val, dx, dy, dz);
 
   const double h = 1e-6;
-  std::vector<double> plus, minus;
+  std::vector<double> plus, minus, sx, sy, sz;
   for (int dim = 0; dim < 3; ++dim) {
     chem::Vec3 p = pt, q = pt;
     p[static_cast<std::size_t>(dim)] += h;
     q[static_cast<std::size_t>(dim)] -= h;
-    basis.evaluate(p, plus);
-    basis.evaluate(q, minus);
+    basis.evaluate_with_gradient(p, plus, sx, sy, sz);
+    basis.evaluate_with_gradient(q, minus, sx, sy, sz);
     const auto& grad = dim == 0 ? dx : (dim == 1 ? dy : dz);
     for (std::size_t i = 0; i < val.size(); ++i)
       EXPECT_NEAR(grad[i], (plus[i] - minus[i]) / (2 * h), 1e-6);
+  }
+}
+
+TEST(Basis, HessianMatchesFiniteDifference) {
+  // Per-shell second derivatives against central differences of the
+  // per-shell gradients, on a basis with d shells, at a point off the
+  // nucleus so every Cartesian factor is live.
+  chem::Molecule m;
+  m.add_atom(8, {0.1, -0.2, 0.3});
+  const auto basis = chem::BasisSet::build(m, "6-31g*");
+  ASSERT_EQ(basis.shells().back().l(), 2);
+  const chem::Vec3 pt{0.7, 0.4, -0.5};
+  const double h = 1e-5;
+  for (std::size_t s = 0; s < basis.num_shells(); ++s) {
+    const std::size_t nf = basis.shell(s).num_functions();
+    // hess[k * nf + c] in xx, xy, xz, yy, yz, zz order.
+    std::vector<double> hess(6 * nf);
+    basis.evaluate_shell_with_hessian(s, pt, &hess[0], &hess[nf],
+                                      &hess[2 * nf], &hess[3 * nf],
+                                      &hess[4 * nf], &hess[5 * nf]);
+    // fd[dim][k][c]: d/d(dim) of the k-th gradient component.
+    std::vector<double> fd(9 * nf);
+    for (std::size_t dim = 0; dim < 3; ++dim) {
+      chem::Vec3 p = pt, q = pt;
+      p[dim] += h;
+      q[dim] -= h;
+      std::vector<double> vp(nf), vq(nf), gp(3 * nf), gq(3 * nf);
+      basis.evaluate_shell_with_gradient(s, p, vp.data(), &gp[0], &gp[nf],
+                                         &gp[2 * nf]);
+      basis.evaluate_shell_with_gradient(s, q, vq.data(), &gq[0], &gq[nf],
+                                         &gq[2 * nf]);
+      for (std::size_t i = 0; i < 3 * nf; ++i)
+        fd[dim * 3 * nf + i] = (gp[i] - gq[i]) / (2 * h);
+    }
+    // (row, col) of each Hessian block in the gradient difference table.
+    const std::size_t rc[6][2] = {{0, 0}, {0, 1}, {0, 2},
+                                  {1, 1}, {1, 2}, {2, 2}};
+    for (std::size_t k = 0; k < 6; ++k)
+      for (std::size_t c = 0; c < nf; ++c) {
+        const double d_ab = fd[rc[k][0] * 3 * nf + rc[k][1] * nf + c];
+        const double d_ba = fd[rc[k][1] * 3 * nf + rc[k][0] * nf + c];
+        EXPECT_NEAR(hess[k * nf + c], d_ab, 1e-8) << "shell " << s;
+        EXPECT_NEAR(hess[k * nf + c], d_ba, 1e-8) << "shell " << s;
+      }
   }
 }
 

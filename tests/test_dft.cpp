@@ -12,6 +12,7 @@
 #include "scf/guess.hpp"
 #include "ints/one_electron.hpp"
 #include "linalg/eigen.hpp"
+#include "obs/trace.hpp"
 
 namespace chem = mthfx::chem;
 namespace dft = mthfx::dft;
@@ -214,6 +215,76 @@ TEST(XcIntegrator, LdaExchangeOfGaussianDensityClosedForm) {
                       std::pow(std::numbers::pi / (8.0 * a / 3.0), 1.5);
   EXPECT_NEAR(res.energy, eref, 1e-6);
   EXPECT_NEAR(res.integrated_density, 2.0, 1e-6);
+}
+
+TEST(XcIntegrator, GradientMatchesFiniteDifferenceAtFixedDensity) {
+  // dE_xc/dR at fixed P against central differences of integrate().energy,
+  // with the basis, grid and AO table rebuilt at each displaced geometry:
+  // covers the orbital, AO-Hessian (GGA) and Becke-weight terms of
+  // gradient() on their own, outside the full KS gradient.
+  const auto m = chem::Molecule::from_xyz(
+      "3\nwater\nO 0.0 0.0 0.1173\nH 0.0 0.7572 -0.4692\nH 0.0 -0.7572 "
+      "-0.4692\n");
+  const auto basis = chem::BasisSet::build(m, "sto-3g");
+  const la::Matrix s = mthfx::ints::overlap(basis);
+  const la::Matrix p =
+      mthfx::scf::core_guess_density(basis, m, la::inverse_sqrt(s));
+
+  dft::GridOptions gopts;
+  gopts.radial_points = 30;
+  gopts.angular_points = 26;
+  const auto energy_at = [&](const chem::Molecule& mol,
+                             const dft::Functional& f) {
+    const auto b = chem::BasisSet::build(mol, "sto-3g");
+    const dft::MolecularGrid grid(mol, gopts);
+    return dft::XcIntegrator(b, grid).integrate(f, p).energy;
+  };
+
+  const double h = 1e-4;
+  for (const char* name : {"lda", "pbe"}) {
+    const auto f = dft::make_functional(name);
+    const dft::MolecularGrid grid(m, gopts);
+    const auto g = dft::XcIntegrator(basis, grid).gradient(f, p, m);
+    ASSERT_EQ(g.size(), m.size());
+    for (std::size_t atom = 0; atom < m.size(); ++atom)
+      for (std::size_t dim = 0; dim < 3; ++dim) {
+        chem::Molecule mp = m, mm = m;
+        chem::Vec3 pos = m.atom(atom).pos;
+        pos[dim] += h;
+        mp.set_position(atom, pos);
+        pos[dim] -= 2 * h;
+        mm.set_position(atom, pos);
+        const double fd = (energy_at(mp, f) - energy_at(mm, f)) / (2 * h);
+        EXPECT_NEAR(g[atom][dim], fd, 1e-7)
+            << name << " atom " << atom << " dim " << dim;
+      }
+  }
+}
+
+TEST(XcIntegrator, EmitsXcSpansOnGlobalTrace) {
+  const auto m = chem::Molecule::from_xyz(
+      "3\nwater\nO 0.0 0.0 0.1173\nH 0.0 0.7572 -0.4692\nH 0.0 -0.7572 "
+      "-0.4692\n");
+  const auto basis = chem::BasisSet::build(m, "sto-3g");
+  const la::Matrix p = mthfx::scf::core_guess_density(
+      basis, m, la::inverse_sqrt(mthfx::ints::overlap(basis)));
+  dft::GridOptions gopts;
+  gopts.radial_points = 10;
+  gopts.angular_points = 6;
+  const dft::MolecularGrid grid(m, gopts);
+  const dft::XcIntegrator xc(basis, grid);
+  const auto f = dft::make_functional("pbe");
+
+  mthfx::obs::Trace& trace = mthfx::obs::global_trace();
+  trace.clear();
+  trace.set_enabled(true);
+  xc.integrate(f, p);
+  xc.integrate_spin(dft::make_spin_functional("pbe"), 0.5 * p, 0.5 * p);
+  xc.gradient(f, p, m);
+  trace.set_enabled(false);
+  EXPECT_EQ(trace.count("dft.xc"), 2u);
+  EXPECT_EQ(trace.count("dft.xc_grad"), 1u);
+  trace.clear();
 }
 
 TEST(XcIntegrator, PotentialMatchesEnergyDerivative) {
