@@ -3,7 +3,7 @@
 #
 # Covers the concurrency-sensitive surface: the thread pool, the
 # work-stealing scheduler (both steal paths and their stats counters),
-# the row-blocked tree reduction (TreeReduce.* rides inside the full
+# the sibling merge of chunk partials (TreeReduce.* rides inside the full
 # test_parallel run), the obs registry's lock-free per-thread slots, the
 # HFX scheduler exactness tests, and the screening engine's one job
 # queue (per-tenant backlogs, fair-share dispatch) + multi-job scheduler. A data race anywhere in that stack fails this
@@ -26,13 +26,15 @@ export TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1"
 "$BUILD_DIR"/tests/test_parallel
 "$BUILD_DIR"/tests/test_obs
 # Scheduler-facing subset of test_hfx: exactly-once execution under
-# contention plus steal-stat consistency, without the integral-heavy
-# numerics (slow under TSan and thread-free anyway).
-"$BUILD_DIR"/tests/test_hfx --gtest_filter='SchedulerExactness*:Schedulers.*:AllSchedules/*'
+# contention plus steal-stat consistency, and one small J/K build per
+# schedule at 1 to 8 threads, whose chunk partials merge as siblings
+# finish on different threads. The rest of the integral-heavy numerics
+# is slow under TSan and thread-free anyway.
+"$BUILD_DIR"/tests/test_hfx --gtest_filter='SchedulerExactness*:Schedulers.*:AllSchedules/*:FockBuilder.AllSchedulesAndThreadCountsAgreeTightly'
 # Retry/exactly-once-commit paths of the fault suite: concurrent task
-# failure, requeue, and attempt accounting across every schedule, plus
-# retried and poisoned tasks of a dense builder and of a culled builder's
-# density-linked walk.
+# failure, in-place retry, and attempt accounting across every schedule,
+# plus retried and poisoned tasks of a dense builder and of a culled
+# builder's density-linked walk.
 "$BUILD_DIR"/tests/test_fault \
   --gtest_filter='AllSchedules/*:Schedulers.*:FockBuilder.FaultInjectedExchangeMatchesCleanRun:FockBuilder.CorruptionWithoutValidationPoisonsOutput'
 # Screening-engine concurrency surface: blocking queue handoff, worker
@@ -60,13 +62,12 @@ export TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1"
   --gtest_filter='Serve.WeightedFairShareRatioUnderSaturation:Serve.ConcurrentClientsRaceCleanly:Serve.SubmitResultBitIdenticalToDirectRun:Serve.QuotaRejectReasonFormatIsPinned:Serve.ResumeOverFullBacklogKeepsEveryJobAndFreshIdsAbove:Serve.MidJobDisconnectDoesNotLoseTheJob:Serve.UnknownJobIdsAreErrors'
 # Small-iteration differential subset: randomized schedule x thread-count
 # builds race the bag/steal protocols on fresh task shapes each case,
-# and every build ends in the shared-pool tree reduction of the
-# thread-private K accumulators.
+# and every build merges its chunk partials across the pool's threads.
 MTHFX_PROPERTY_ITERS=3 "$BUILD_DIR"/tests/test_differential \
   --gtest_filter='Differential.ThreadCountIsInvisibleAcrossSchedules:Differential.ScreenedBuildMatchesBruteForceAcrossSchedules'
 # Sparsity pipeline: cell-list candidate enumeration, and the blocked
 # J/K replay, which runs the density-linked walk at a drawn thread count
-# with per-thread walk scratch, counter slots and K/J buffers.
+# with per-thread walk scratch, counter slots and open K/J partials.
 MTHFX_PROPERTY_ITERS=3 "$BUILD_DIR"/tests/test_property_scaling \
   --gtest_filter='PropertyScaling.CellListCandidatesCoverSurvivingPairs:PropertyScaling.BlockedJkReplaysDenseBuilder'
 

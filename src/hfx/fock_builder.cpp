@@ -4,9 +4,10 @@
 #include <array>
 #include <cmath>
 #include <limits>
-#include <memory>
-#include <unordered_map>
 #include <stdexcept>
+#include <tuple>
+#include <unordered_map>
+#include <utility>
 
 #include "hfx/schedulers.hpp"
 #include "ints/eri.hpp"
@@ -97,6 +98,48 @@ bool all_finite(const Matrix& m) {
   for (const double v : m.flat())
     if (!std::isfinite(v)) return false;
   return true;
+}
+
+// One chunk's J/K contribution (j stays empty in exchange-only builds).
+struct JkPartial {
+  Matrix k, j;
+  JkPartial& operator+=(const JkPartial& other) {
+    k += other.k;
+    j += other.j;
+    return *this;
+  }
+};
+
+// Most chunks per build: enough to balance a pool of a few threads over
+// rows of uneven cost. Each chunk costs one zeroed J/K partial and one
+// merge, and the merge tree is ceil(log2(chunks)) levels deep.
+constexpr std::size_t kMaxChunks = 64;
+
+// Chunk ends (task indices) over a builder's task list: runs of whole bra
+// rows of near-equal estimated cost, at most kMaxChunks of them. Rows are
+// costed as one-task rows whatever the task grain, so the cut depends on
+// the pair list alone, and splitting rows into finer tasks moves no chunk
+// boundary and no quartet between chunks.
+std::vector<std::size_t> chunk_ends(const BasisSet& basis,
+                                    const ShellPairList& pairs,
+                                    double eps_schwarz,
+                                    const std::vector<QuartetTask>& tasks) {
+  const std::vector<QuartetTask> rows =
+      tasks.size() == pairs.size() ? tasks
+                                   : make_tasks(basis, pairs, 0.0, eps_schwarz);
+  const double total = total_cost(rows);
+  const double whole = total > 0.0 ? total : static_cast<double>(rows.size());
+  std::vector<std::size_t> end;
+  double seen = 0.0;
+  std::size_t t = 0;
+  for (std::size_t b = 0; b < rows.size(); ++b) {
+    seen += total > 0.0 ? rows[b].est_cost : 1.0;
+    while (t < tasks.size() && tasks[t].bra == b) ++t;
+    const bool full = end.size() + 1 < kMaxChunks &&
+                      seen * kMaxChunks >= (end.size() + 1) * whole;
+    if (full || b + 1 == rows.size()) end.push_back(t);
+  }
+  return end;
 }
 
 // Pair formation for the constructor's member-init list: the culled
@@ -312,7 +355,8 @@ FockBuilder::FockBuilder(const BasisSet& basis, HfxOptions options)
     : basis_(&basis),
       options_(options),
       pairs_(make_pairs(basis, options_, &schwarz_, &culled_, &cull_stats_)),
-      tasks_(builder_tasks(basis, pairs_, options_, culled_)) {
+      tasks_(builder_tasks(basis, pairs_, options_, culled_)),
+      chunk_end_(chunk_ends(basis, pairs_, options_.eps_schwarz, tasks_)) {
   index_pairs_by_shell();
   pair_hermites_.reserve(pairs_.size());
   for (const ShellPair& pr : pairs_.pairs())
@@ -395,6 +439,7 @@ void FockBuilder::rebind(const BasisSet& basis) {
   pairs_ = std::move(new_pairs);
   pair_hermites_ = std::move(new_hermites);
   tasks_ = builder_tasks(basis, pairs_, options_, culled_);
+  chunk_end_ = chunk_ends(basis, pairs_, options_.eps_schwarz, tasks_);
   basis_ = &basis;
   index_pairs_by_shell();
   rebind_reused_ = reused;
@@ -448,30 +493,12 @@ JkResult FockBuilder::build(const Matrix& density, bool want_coulomb) const {
     walk_scratch.resize(nthreads);
   }
 
-  std::vector<Matrix> k_private(nthreads, Matrix(nao, nao));
-  std::vector<Matrix> j_private;
-  if (want_coulomb) j_private.assign(nthreads, Matrix(nao, nao));
-
-  // Transactional commit: tasks digest into a scratch matrix that is
-  // validated and added to the per-thread accumulator only on success, so
-  // a retried (thrown or poisoned) task never double-commits or leaks a
-  // partial/corrupt contribution.
-  const bool transactional = options_.validate_tasks;
-  std::vector<Matrix> k_scratch, j_scratch;
-  if (transactional) {
-    k_scratch.assign(nthreads, Matrix(nao, nao));
-    if (want_coulomb) j_scratch.assign(nthreads, Matrix(nao, nao));
-  }
-
   // Per-task attempt counters give each retry a fresh, independent fault
   // draw; the epoch salts sites so every build in an SCF sequence sees a
   // different (seed-reproducible) fault pattern.
   const std::uint64_t epoch =
       build_epoch_.fetch_add(1, std::memory_order_relaxed);
-  std::unique_ptr<std::atomic<std::uint32_t>[]> attempt_counts;
-  if (injector_)
-    attempt_counts =
-        std::make_unique<std::atomic<std::uint32_t>[]>(tasks_.size());
+  std::vector<std::uint32_t> attempt_counts(injector_ ? tasks_.size() : 0);
 
   JkResult result;
   result.stats.num_pairs = pairs_.size();
@@ -480,28 +507,47 @@ JkResult FockBuilder::build(const Matrix& density, bool want_coulomb) const {
   if (options_.record_task_costs)
     result.stats.task_costs.assign(tasks_.size(), TaskCostRecord{});
 
-  auto run_task = [&](std::size_t task_index, std::size_t tid) {
-    bool poison = false;
-    if (injector_) {
-      const std::uint32_t attempt =
-          attempt_counts[task_index].fetch_add(1, std::memory_order_relaxed);
-      const std::uint64_t site =
-          (epoch << 40) | static_cast<std::uint64_t>(task_index);
-      // Throws InjectedFault on kFail, sleeps on kStall, returns true on
-      // kCorrupt (poison applied to the digested output below).
-      poison = injector_->apply(site, attempt);
+  // Each chunk of tasks digests, in task order, into its own zeroed J/K
+  // partial (open[tid] while its thread runs it), and the partials merge
+  // along the fixed tree over chunk indices as they finish. Only the
+  // order of the chunk list and of the tasks in it reaches the sum, so J
+  // and K are bitwise independent of thread count and schedule.
+  const auto zero_partial = [&] {
+    return JkPartial{Matrix(nao, nao),
+                     want_coulomb ? Matrix(nao, nao) : Matrix()};
+  };
+  std::vector<JkPartial> open(nthreads);
+  TaskChunks chunks;
+  chunks.end = chunk_end_;
+  parallel::TreeMerge<JkPartial> merge(chunks.end.size());
+  const obs::Timer reduce_timer = registry.timer("hfx.reduce_seconds");
+  chunks.begin = [&](std::size_t, std::size_t tid) {
+    if (auto part = merge.recycle()) {
+      open[tid] = std::move(*part);
+      open[tid].k.fill(0.0);
+      open[tid].j.fill(0.0);
+    } else {
+      open[tid] = zero_partial();
     }
-    const QuartetTask& task = tasks_[task_index];
-    const ShellPair& bra = pairs_[task.bra];
-    Matrix& k_acc = transactional ? k_scratch[tid] : k_private[tid];
-    Matrix* j_acc =
-        want_coulomb ? (transactional ? &j_scratch[tid] : &j_private[tid])
-                     : nullptr;
-    if (transactional) {
-      k_acc.fill(0.0);
-      if (j_acc) j_acc->fill(0.0);
-    }
+  };
+  chunks.finish = [&](std::size_t chunk, std::size_t tid) {
+    obs::ScopedTimer reduce(reduce_timer, tid);
+    merge.finish(chunk, std::move(open[tid]));
+  };
 
+  // Transactional commit: a task's partial is saved before it digests
+  // and restored if the task throws or leaves a non-finite value, so a
+  // retried (thrown or poisoned) task never double-commits or leaks a
+  // partial/corrupt contribution, and commits exactly what a clean run
+  // would have.
+  const bool transactional = options_.validate_tasks;
+  std::vector<JkPartial> saved(transactional ? nthreads : 0);
+
+  // Screens, evaluates and digests one task into `acc`. Returns the end
+  // of the task's Schwarz-live ket range and the quartets computed.
+  const auto digest_task = [&](const QuartetTask& task, std::size_t tid,
+                               JkPartial& acc) {
+    const ShellPair& bra = pairs_[task.bra];
     // Kets in [ket_begin, live) pass the Schwarz bound; the rest of the
     // task's range fails it (pairs are sorted by descending q) and is
     // counted as screened without a visit. Survivors of the density test
@@ -514,7 +560,6 @@ JkResult FockBuilder::build(const Matrix& density, bool want_coulomb) const {
     thread_local std::vector<ints::QuartetRef> stream;
     thread_local std::vector<ints::EriBlock> blocks;
     survivors.clear();
-    const obs::Stopwatch watch;
     const auto screen = [&](std::uint32_t kk) {
       if (density_screening) {
         const ShellPair& ket = pairs_[kk];
@@ -545,27 +590,46 @@ JkResult FockBuilder::build(const Matrix& density, bool want_coulomb) const {
     for (std::size_t i = 0; i < survivors.size(); ++i) {
       const ShellPair& ket = pairs_[survivors[i]];
       digest_quartet(*basis_, bra.sa, bra.sb, ket.sa, ket.sb, blocks[i],
-                     density, j_acc, k_acc,
+                     density, want_coulomb ? &acc.j : nullptr, acc.k,
                      /*braket_same=*/survivors[i] == task.bra,
                      eps_contribution);
     }
-    // A kCorrupt fault models silent data corruption in the task's
-    // output. With validation on, the isfinite sweep catches it and the
-    // retry path heals it; with validation off it lands in K, which is
-    // exactly the hazard validate_tasks exists to close.
-    if (poison) k_acc(0, 0) = std::numeric_limits<double>::quiet_NaN();
-    if (transactional) {
-      if (!all_finite(k_acc) || (j_acc && !all_finite(*j_acc)))
+    return std::pair{live, survivors.size()};
+  };
+
+  auto run_task = [&](std::size_t task_index, std::size_t tid) {
+    bool poison = false;
+    if (injector_) {
+      const std::uint32_t attempt = attempt_counts[task_index]++;
+      const std::uint64_t site =
+          (epoch << 40) | static_cast<std::uint64_t>(task_index);
+      // Throws InjectedFault on kFail, sleeps on kStall, returns true on
+      // kCorrupt (poison applied to the digested output below).
+      poison = injector_->apply(site, attempt);
+    }
+    const QuartetTask& task = tasks_[task_index];
+    JkPartial& acc = open[tid];
+    if (transactional) saved[tid] = acc;
+    const obs::Stopwatch watch;
+    std::size_t live = 0, computed = 0;
+    try {
+      std::tie(live, computed) = digest_task(task, tid, acc);
+      // A kCorrupt fault models silent data corruption in the task's
+      // output. With validation on, the isfinite sweep catches it and the
+      // retry path heals it; with validation off it lands in K, which is
+      // exactly the hazard validate_tasks exists to close.
+      if (poison) acc.k(0, 0) = std::numeric_limits<double>::quiet_NaN();
+      if (transactional && !(all_finite(acc.k) && all_finite(acc.j)))
         throw std::runtime_error("hfx: non-finite task output (task " +
                                  std::to_string(task_index) + ")");
-      k_private[tid] += k_acc;
-      if (j_acc) j_private[tid] += *j_acc;
+    } catch (...) {
+      if (transactional) std::swap(acc, saved[tid]);
+      throw;
     }
     // Tallies, timing, and cost records flush only on this success path;
     // a throw above leaves them untouched so retries never double-count.
     const double secs = watch.seconds();
     busy_timer.add_seconds(tid, secs);
-    const std::uint64_t computed = survivors.size();
     c_considered.add(tid, task.ket_end - task.ket_begin);
     c_schwarz.add(tid, task.ket_end - live);
     c_density.add(tid, live - task.ket_begin - computed);
@@ -579,36 +643,20 @@ JkResult FockBuilder::build(const Matrix& density, bool want_coulomb) const {
   const std::uint64_t pre_stalls = injector_ ? injector_->stalls() : 0;
   const std::uint64_t pre_corruptions =
       injector_ ? injector_->corruptions() : 0;
-  // One pool serves both parallel phases of the build (task loop, then
-  // accumulator reduction) so threads are spawned once per build.
   parallel::ThreadPool pool(nthreads);
   {
     obs::Trace::Scope task_span(obs::global_trace(), "jk.tasks");
     obs::ScopedTimer wall(registry.timer("hfx.wall_seconds"), 0);
-    execute_tasks(pool, tasks_.size(), options_.schedule, run_task,
-                  &registry,
+    execute_tasks(pool, chunks, options_.schedule, run_task, &registry,
                   RetryOptions{.max_retries = options_.fault.max_retries});
   }
-
-  // Reduce the thread-private accumulators with a row-blocked pairwise
-  // tree across the pool — the host analogue of the torus tree reduction
-  // the bgq simulator models at scale. Serial summation here would be
-  // O(nthreads * nao^2) on one thread, growing with exactly the thread
-  // count that is supposed to shrink the build.
-  {
-    obs::Trace::Scope reduce_span(obs::global_trace(), "jk.reduce");
-    obs::ScopedTimer reduce(registry.timer("hfx.reduce_seconds"), 0);
-    std::vector<double*> parts(nthreads);
-    for (std::size_t t = 0; t < nthreads; ++t) parts[t] = k_private[t].data();
-    parallel::tree_reduce(pool, parts, nao * nao);
-    result.k = std::move(k_private.front());
-    linalg::symmetrize(result.k);
-    if (want_coulomb) {
-      for (std::size_t t = 0; t < nthreads; ++t) parts[t] = j_private[t].data();
-      parallel::tree_reduce(pool, parts, nao * nao);
-      result.j = std::move(j_private.front());
-      linalg::symmetrize(result.j);
-    }
+  std::optional<JkPartial> total = merge.take();
+  if (!total) total = zero_partial();
+  result.k = std::move(total->k);
+  linalg::symmetrize(result.k);
+  if (want_coulomb) {
+    result.j = std::move(total->j);
+    linalg::symmetrize(result.j);
   }
 
   result.stats.screening.quartets_considered =

@@ -3,9 +3,13 @@
 // Parallel Hartree–Fock exact-exchange (HFX) builder — the paper's core
 // contribution. The quartet list is flattened into cost-estimated tasks
 // (tasks.hpp), screened by Schwarz and density bounds (screening.hpp) and
-// executed over threads with a pluggable scheduler. Thread-private K
-// accumulators are reduced at the end ("replication-free" on the real
-// machine; the BG/Q simulator models that reduction at scale).
+// executed over threads with a pluggable scheduler. The tasks are cut into
+// fixed chunks of whole bra rows; each chunk digests its tasks, in order,
+// into its own J/K partial, and the partials merge along a fixed binary
+// tree over chunk indices as siblings finish (the paper's thread-private
+// partial blocks reduced along a tree; the BG/Q simulator models that
+// reduction at scale). The schedule only decides which thread runs which
+// chunk, so J and K are bit-identical for any thread count and schedule.
 
 #include <atomic>
 #include <cstddef>
@@ -83,11 +87,12 @@ struct HfxOptions {
   /// also bounds retries of *genuine* task failures, with or without
   /// injection.
   fault::FaultOptions fault;
-  /// Transactional task commit: digest into a per-thread scratch matrix,
-  /// sweep it with std::isfinite, and add it to the accumulator only when
-  /// clean — a poisoned (NaN/Inf) task throws and is retried instead of
-  /// corrupting K. Costs one extra nao^2 zero+add per task, so one per
-  /// bra row at the default granularity.
+  /// Transactional task commit: save the chunk's J/K partial, digest into
+  /// it, sweep it with std::isfinite, and restore the saved copy when the
+  /// task threw or left a non-finite value — a poisoned (NaN/Inf) task is
+  /// retried instead of corrupting K, and commits what a clean run would.
+  /// Costs one extra nao^2 copy per task and matrix, so one per bra row
+  /// at the default granularity.
   bool validate_tasks = false;
 
   /// Pair-formation / blocked-build regime (see SparsityOptions). The
@@ -128,7 +133,7 @@ struct HfxStats {
   std::size_t num_pairs_unscreened = 0;
   std::size_t num_tasks = 0;
   double wall_seconds = 0.0;
-  double reduce_seconds = 0.0;               ///< thread-private K/J reduction
+  double reduce_seconds = 0.0;               ///< chunk-partial merges, summed
   std::vector<double> thread_busy_seconds;   ///< per-thread kernel time
   std::vector<TaskCostRecord> task_costs;    ///< filled if record_task_costs
   obs::Json metrics;  ///< full registry snapshot (counters + timers)
@@ -224,6 +229,8 @@ class FockBuilder {
   ShellPairList pairs_;
   std::vector<std::vector<std::uint32_t>> pairs_by_shell_;
   std::vector<QuartetTask> tasks_;
+  /// Chunk ends over tasks_: the fixed units whose J/K partials merge.
+  std::vector<std::size_t> chunk_end_;
   std::size_t rebind_reused_ = 0;
   /// Precomputed Hermite expansions, aligned with pairs_ — computed once
   /// and amortized over every quartet the pair participates in.

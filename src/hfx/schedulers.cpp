@@ -1,9 +1,8 @@
 #include "hfx/schedulers.hpp"
 
-#include <atomic>
 #include <chrono>
-#include <memory>
 #include <mutex>
+#include <numeric>
 #include <thread>
 
 #include "parallel/thread_pool.hpp"
@@ -51,10 +50,13 @@ void execute_tasks(std::size_t num_tasks, std::size_t num_threads,
                    const std::function<void(std::size_t, std::size_t)>& body,
                    obs::Registry* registry, const RetryOptions& retry) {
   parallel::ThreadPool pool(num_threads);
-  execute_tasks(pool, num_tasks, schedule, body, registry, retry);
+  TaskChunks chunks;
+  chunks.end.resize(num_tasks);
+  std::iota(chunks.end.begin(), chunks.end.end(), std::size_t{1});
+  execute_tasks(pool, chunks, schedule, body, registry, retry);
 }
 
-void execute_tasks(parallel::ThreadPool& pool, std::size_t num_tasks,
+void execute_tasks(parallel::ThreadPool& pool, const TaskChunks& chunks,
                    HfxSchedule schedule,
                    const std::function<void(std::size_t, std::size_t)>& body,
                    obs::Registry* registry, const RetryOptions& retry) {
@@ -68,82 +70,62 @@ void execute_tasks(parallel::ThreadPool& pool, std::size_t num_tasks,
     retries = registry->counter("fault.retries");
     permanent_failures = registry->counter("fault.permanent_failures");
   }
-  // Commit accounting happens *after* the body returns, so a throwing
-  // attempt is never counted: one increment == one successful task.
-  const auto run = [&](std::size_t i, std::size_t tid) {
-    body(i, tid);
-    tasks_executed.add(tid);
-  };
 
   FailureLog failure_log;
 
+  // Retry in place: the task keeps its thread and its place in the
+  // chunk, so a retried task commits where a clean run would have. Commit
+  // accounting happens *after* the body returns, so a throwing attempt is
+  // never counted: one increment == one successful task.
+  const auto run_task = [&](std::size_t i, std::size_t tid) {
+    for (std::size_t attempt = 1;; ++attempt) {
+      std::string error;
+      try {
+        body(i, tid);
+        tasks_executed.add(tid);
+        return;
+      } catch (const std::exception& e) {
+        error = e.what();
+      } catch (...) {
+        error = "unknown error";
+      }
+      if (attempt > retry.max_retries) {
+        permanent_failures.add(tid);
+        failure_log.add(i, attempt, std::move(error));
+        return;
+      }
+      retries.add(tid);
+      backoff_sleep(retry.backoff_seconds, attempt);
+    }
+  };
+  const auto run_chunk = [&](std::size_t c, std::size_t tid) {
+    if (chunks.begin) chunks.begin(c, tid);
+    for (std::size_t i = c == 0 ? 0 : chunks.end[c - 1]; i < chunks.end[c];
+         ++i)
+      run_task(i, tid);
+    if (chunks.finish) chunks.finish(c, tid);
+  };
+
+  const std::size_t num_chunks = chunks.end.size();
   switch (schedule) {
     case HfxSchedule::kDynamicBag:
     case HfxSchedule::kStaticBlock:
     case HfxSchedule::kStaticCyclic: {
-      // parallel_for policies retry in place: the iteration owns its
-      // index, so the failed task cannot migrate anyway.
-      const auto with_retry = [&](std::size_t i, std::size_t tid) {
-        for (std::size_t attempt = 1;; ++attempt) {
-          try {
-            run(i, tid);
-            return;
-          } catch (const std::exception& e) {
-            if (attempt > retry.max_retries) {
-              permanent_failures.add(tid);
-              failure_log.add(i, attempt, e.what());
-              return;
-            }
-          } catch (...) {
-            if (attempt > retry.max_retries) {
-              permanent_failures.add(tid);
-              failure_log.add(i, attempt, "unknown error");
-              return;
-            }
-          }
-          retries.add(tid);
-          backoff_sleep(retry.backoff_seconds, attempt);
-        }
-      };
       const parallel::Schedule policy =
           schedule == HfxSchedule::kDynamicBag
               ? parallel::Schedule::kDynamic
               : (schedule == HfxSchedule::kStaticBlock
                      ? parallel::Schedule::kStatic
                      : parallel::Schedule::kStaticCyclic);
-      pool.parallel_for(0, num_tasks, with_retry, policy);
+      pool.parallel_for(0, num_chunks, run_chunk, policy);
       break;
     }
     case HfxSchedule::kWorkStealing: {
       parallel::WorkStealingScheduler ws(pool.num_threads());
-      ws.seed(num_tasks);
-      // Shared per-task attempt counts: a re-queued task may be stolen
-      // and retried by a different thread than the one it failed on.
-      auto attempts = std::make_unique<std::atomic<std::uint32_t>[]>(
-          num_tasks);
+      ws.seed(num_chunks);
       pool.parallel_region([&](std::size_t tid) {
-        while (auto task = ws.next(tid)) {
-          const std::size_t i = static_cast<std::size_t>(*task);
-          std::string error;
-          try {
-            run(i, tid);
-            continue;
-          } catch (const std::exception& e) {
-            error = e.what();
-          } catch (...) {
-            error = "unknown error";
-          }
-          const std::size_t attempt =
-              attempts[i].fetch_add(1, std::memory_order_relaxed) + 1;
-          if (attempt > retry.max_retries) {
-            permanent_failures.add(tid);
-            failure_log.add(i, attempt, std::move(error));
-          } else {
-            retries.add(tid);
-            backoff_sleep(retry.backoff_seconds, attempt);
-            ws.requeue(tid, *task);
-          }
-        }
+        while (auto c = ws.next(tid))
+          run_chunk(static_cast<std::size_t>(*c), tid);
       });
       if (registry) ws.record(*registry);
       break;

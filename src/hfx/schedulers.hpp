@@ -20,10 +20,10 @@ class ThreadPool;
 namespace mthfx::hfx {
 
 /// Failure policy for execute_tasks. A task whose body throws is caught
-/// (never a std::terminate in a pool worker), retried up to max_retries
-/// additional attempts, and only counted in "sched.tasks_executed" once
-/// it succeeds — so a body that commits results as its last action gets
-/// exactly-once commit for free.
+/// (never a std::terminate in a pool worker), retried in place up to
+/// max_retries additional attempts, and only counted in
+/// "sched.tasks_executed" once it succeeds — so a body that commits
+/// results as its last action gets exactly-once commit for free.
 struct RetryOptions {
   std::size_t max_retries = 0;    ///< extra attempts after the first
   double backoff_seconds = 0.0;   ///< sleep backoff_seconds * attempt
@@ -42,28 +42,36 @@ struct TaskFailure : std::runtime_error {
   std::vector<Failed> failures;
 };
 
+/// Runs of consecutive tasks, the unit the schedule hands to threads:
+/// chunk c is tasks [c == 0 ? 0 : end[c - 1], end[c]), run by one thread
+/// in index order, each task retried in place before the next starts.
+struct TaskChunks {
+  std::vector<std::size_t> end;
+  /// Optional hooks, called on the chunk's thread before its first task
+  /// and after its last one (also when a task exhausted its retries).
+  std::function<void(std::size_t chunk, std::size_t thread_id)> begin;
+  std::function<void(std::size_t chunk, std::size_t thread_id)> finish;
+};
+
 /// Run body(task_index, thread_id) for every task under the policy.
 /// Blocks until all tasks are complete. With a registry, records
 /// "sched.tasks_executed" per thread (successful commits only), pool
 /// occupancy timers, "fault.retries" / "fault.permanent_failures" on the
 /// failure path, and (for work stealing) the ws.* steal counters; the
 /// registry must have slots for parallel::resolve_thread_count(num_threads)
-/// threads. A throwing task is retried per `retry`; under kWorkStealing
-/// the failed task is re-queued through the scheduler, under the
-/// parallel_for policies it is retried in place. Exhausted budgets
-/// surface as TaskFailure.
+/// threads. A throwing task is retried in place per `retry`; exhausted
+/// budgets surface as TaskFailure. Every task is its own chunk.
 void execute_tasks(std::size_t num_tasks, std::size_t num_threads,
                    HfxSchedule schedule,
                    const std::function<void(std::size_t, std::size_t)>& body,
                    obs::Registry* registry = nullptr,
                    const RetryOptions& retry = {});
 
-/// Same contract, but runs on a caller-owned pool instead of spawning a
-/// fresh one — callers with more parallel phases than the task loop (the
-/// Fock builder also tree-reduces the accumulators) pay the thread spawn
-/// once per build instead of once per phase. The pool's registry
-/// attachment is replaced by `registry` for the duration of the call.
-void execute_tasks(parallel::ThreadPool& pool, std::size_t num_tasks,
+/// Same contract over caller-cut chunks on a caller-owned pool: the
+/// schedule decides only which thread runs which chunk. The pool's
+/// registry attachment is replaced by `registry` for the duration of the
+/// call.
+void execute_tasks(parallel::ThreadPool& pool, const TaskChunks& chunks,
                    HfxSchedule schedule,
                    const std::function<void(std::size_t, std::size_t)>& body,
                    obs::Registry* registry = nullptr,

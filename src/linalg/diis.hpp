@@ -8,6 +8,7 @@
 
 #include <cstddef>
 #include <deque>
+#include <span>
 
 #include "linalg/matrix.hpp"
 
@@ -22,6 +23,16 @@ class Diis {
   /// matrix. Falls back to returning `fock` unchanged while the history
   /// holds fewer than two pairs or when the B-system is singular.
   Matrix extrapolate(const Matrix& fock, const Matrix& error);
+
+  /// The same step for several Fock matrices that share one set of
+  /// coefficients, as the spin channels of an unrestricted SCF must:
+  /// B_ij sums <e_i, e_j> over the channels, so the step minimizes their
+  /// combined error. Each channel records its pair in its own history;
+  /// histories of unequal length keep their newest common pairs. Replaces
+  /// each focks[c] by its extrapolation.
+  static void extrapolate_jointly(std::span<Diis* const> channels,
+                                  std::span<Matrix> focks,
+                                  std::span<const Matrix> errors);
 
   std::size_t history_size() const { return focks_.size(); }
   void reset();

@@ -448,10 +448,14 @@ LoopResult run_scf(const LoopSpec& spec, const ScfOptions& options,
     }
 
     // DIIS (a non-finite pair never gets here to poison the history); the
-    // extrapolated Fock replaces the plain one.
-    if (options.use_diis)
-      for (std::size_t c = 0; c < nch; ++c)
-        f[c] = ch[c].diis.extrapolate(f[c], err[c]);
+    // extrapolated Fock replaces the plain one. Spin channels share one
+    // set of coefficients: extrapolated apart, they amplify noise and can
+    // settle on a higher stationary point or none.
+    if (options.use_diis) {
+      std::vector<linalg::Diis*> diis(nch);
+      for (std::size_t c = 0; c < nch; ++c) diis[c] = &ch[c].diis;
+      linalg::Diis::extrapolate_jointly(diis, f, err);
+    }
     out.log.back().seconds = iter_watch.seconds();
 
     // Mitigations shape the step to the next density: a level shift

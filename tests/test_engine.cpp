@@ -258,6 +258,10 @@ TEST(JobScheduler, ConcurrentCampaignBitIdenticalToSequential) {
   engine::Job water = h2_job("water");
   water.input.molecule = wl::water();
   jobs.push_back(water);
+  // Explicit thread counts, so the comparison crosses them on any host:
+  // the sequential runs use 4 threads, the scheduler caps each job at
+  // total_threads / concurrency = 2.
+  for (auto& job : jobs) job.input.num_threads = 4;
 
   std::vector<double> sequential;
   for (const auto& job : jobs)
@@ -265,6 +269,7 @@ TEST(JobScheduler, ConcurrentCampaignBitIdenticalToSequential) {
 
   engine::EngineOptions opts;
   opts.concurrency = 4;
+  opts.total_threads = 8;
   opts.cache = false;
   engine::JobScheduler scheduler(opts);
   scheduler.start();

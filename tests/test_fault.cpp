@@ -280,8 +280,8 @@ hfx::ExchangeResult exchange_in_mode(hfx::SparsityMode mode,
 }  // namespace
 
 // The acceptance invariant: with seeded fail + corrupt faults and the
-// transactional/validating build, the exchange matrix matches a clean
-// run and the stats record the injections and retries.
+// transactional/validating build, the exchange matrix equals a clean
+// run's and the stats record the injections and retries.
 TEST(FockBuilder, FaultInjectedExchangeMatchesCleanRun) {
   const auto m = water();
   const auto basis = chem::BasisSet::build(m, "sto-3g");
@@ -305,10 +305,12 @@ TEST(FockBuilder, FaultInjectedExchangeMatchesCleanRun) {
     EXPECT_GT(r.stats.fault.injected, 0u);
     EXPECT_GT(r.stats.fault.retries, 0u);
     EXPECT_EQ(r.stats.fault.permanent_failures, 0u);
+    // Bit for bit: a retried task commits into its own chunk at its own
+    // place, exactly as in the clean run.
     const auto n = basis.num_functions();
     for (std::size_t i = 0; i < n; ++i)
       for (std::size_t j = 0; j < n; ++j)
-        ASSERT_NEAR(r.k(i, j), ref.k(i, j), 1e-10);
+        ASSERT_EQ(r.k(i, j), ref.k(i, j));
   }
 }
 

@@ -237,7 +237,7 @@ TEST_P(FockSchedules, AllSchedulesGiveIdenticalExchange) {
   opts.schedule = GetParam();
   opts.num_threads = 4;
   const auto kpar = hfx::FockBuilder(basis, opts).exchange(p).k;
-  EXPECT_LT(la::max_abs(kpar - kserial), 1e-11);
+  EXPECT_EQ(la::max_abs(kpar - kserial), 0.0);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSchedules, FockSchedules,
@@ -360,9 +360,9 @@ INSTANTIATE_TEST_SUITE_P(
                       hfx::HfxSchedule::kWorkStealing));
 
 // Differential regression: every schedule at 1, 2, 4 and 8 threads must
-// reproduce the single-threaded K matrix to 1e-12 on a fixed seeded
-// molecule. Guards the task partitioners, the bag/steal protocols and
-// the thread-private reduction in one sweep.
+// reproduce the single-threaded J and K matrices bit for bit on a fixed
+// seeded molecule. Guards the task partitioners, the bag/steal protocols
+// and the chunk-partial merge in one sweep.
 TEST(FockBuilder, AllSchedulesAndThreadCountsAgreeTightly) {
   const auto m = water();
   const auto basis = chem::BasisSet::build(m, "sto-3g");
@@ -372,19 +372,24 @@ TEST(FockBuilder, AllSchedulesAndThreadCountsAgreeTightly) {
   base.eps_schwarz = 1e-12;
   base.num_threads = 1;
   base.schedule = hfx::HfxSchedule::kStaticBlock;
-  const auto kref = hfx::FockBuilder(basis, base).exchange(p).k;
+  const hfx::FockBuilder serial(basis, base);
+  const auto kref = serial.exchange(p).k;
+  const auto jkref = serial.coulomb_exchange(p);
 
   for (auto schedule :
        {hfx::HfxSchedule::kDynamicBag, hfx::HfxSchedule::kStaticBlock,
         hfx::HfxSchedule::kStaticCyclic, hfx::HfxSchedule::kWorkStealing}) {
     for (std::size_t threads : {1u, 2u, 4u, 8u}) {
+      SCOPED_TRACE("schedule " + std::to_string(static_cast<int>(schedule)) +
+                   " threads " + std::to_string(threads));
       hfx::HfxOptions opts = base;
       opts.schedule = schedule;
       opts.num_threads = threads;
-      const auto k = hfx::FockBuilder(basis, opts).exchange(p).k;
-      EXPECT_LT(la::max_abs(k - kref), 1e-12)
-          << "schedule " << static_cast<int>(schedule) << " threads "
-          << threads;
+      const hfx::FockBuilder builder(basis, opts);
+      EXPECT_EQ(la::max_abs(builder.exchange(p).k - kref), 0.0);
+      const auto jk = builder.coulomb_exchange(p);
+      EXPECT_EQ(la::max_abs(jk.j - jkref.j), 0.0);
+      EXPECT_EQ(la::max_abs(jk.k - jkref.k), 0.0);
     }
   }
 }

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <random>
 #include <vector>
@@ -219,6 +220,28 @@ TEST(Diis, HistoryIsBounded) {
     diis.extrapolate(f, e);
   }
   EXPECT_LE(diis.history_size(), 3u);
+}
+
+TEST(Diis, JointExtrapolationSharesCoefficients) {
+  // Alone, channel a (errors +1, -1) would mix c = (1/2, 1/2) and channel
+  // b (errors 1, 0) c = (0, 1). Jointly, c minimizes (c1 - c2)^2 + c1^2
+  // with c1 + c2 = 1, so both channels take c = (0.4, 0.6).
+  la::Diis a, b;
+  const std::array<la::Diis*, 2> both{&a, &b};
+  std::array<la::Matrix, 2> f{la::Matrix(1, 1, {1.0}),
+                              la::Matrix(1, 1, {10.0})};
+  const std::array<la::Matrix, 2> e1{la::Matrix(1, 1, {1.0}),
+                                     la::Matrix(1, 1, {1.0})};
+  la::Diis::extrapolate_jointly(both, f, e1);
+  EXPECT_EQ(f[0](0, 0), 1.0);  // one pair: passed through
+  f = {la::Matrix(1, 1, {3.0}), la::Matrix(1, 1, {20.0})};
+  const std::array<la::Matrix, 2> e2{la::Matrix(1, 1, {-1.0}),
+                                     la::Matrix(1, 1, {0.0})};
+  la::Diis::extrapolate_jointly(both, f, e2);
+  EXPECT_NEAR(f[0](0, 0), 0.4 * 1.0 + 0.6 * 3.0, 1e-12);
+  EXPECT_NEAR(f[1](0, 0), 0.4 * 10.0 + 0.6 * 20.0, 1e-12);
+  EXPECT_EQ(a.history_size(), 2u);
+  EXPECT_EQ(b.history_size(), 2u);
 }
 
 class SymmetrizeParam : public ::testing::TestWithParam<std::size_t> {};

@@ -320,35 +320,60 @@ TEST(Team, ZeroRanksRejected) {
 
 namespace {
 
+struct Part {
+  std::vector<double> v;
+  Part& operator+=(const Part& other) {
+    for (std::size_t i = 0; i < v.size(); ++i) v[i] += other.v[i];
+    return *this;
+  }
+};
+
 // Integer-valued buffers: every partial sum is exactly representable, so
 // any tree shape must reproduce the serial sum bit for bit.
-std::vector<std::vector<double>> integer_parts(std::size_t nparts,
-                                               std::size_t len) {
-  std::vector<std::vector<double>> parts(nparts, std::vector<double>(len));
+std::vector<Part> integer_parts(std::size_t nparts, std::size_t len) {
+  std::vector<Part> parts(nparts, Part{std::vector<double>(len)});
   for (std::size_t t = 0; t < nparts; ++t)
     for (std::size_t i = 0; i < len; ++i)
-      parts[t][i] = static_cast<double>((t + 1) * 31 + i * 7 % 113);
+      parts[t].v[i] = static_cast<double>((t + 1) * 31 + i * 7 % 113);
   return parts;
 }
 
-std::vector<double> serial_sum(const std::vector<std::vector<double>>& parts) {
-  std::vector<double> total(parts.front().size(), 0.0);
+// Fractional values whose sums round, so the tree shape shows in the bits.
+std::vector<Part> fractional_parts(std::size_t nparts, std::size_t len) {
+  std::vector<Part> parts(nparts, Part{std::vector<double>(len)});
+  for (std::size_t t = 0; t < nparts; ++t)
+    for (std::size_t i = 0; i < len; ++i)
+      parts[t].v[i] = 0.1 * static_cast<double>(t + 1) +
+                      1e-3 * static_cast<double>(i) / 3.0;
+  return parts;
+}
+
+std::vector<double> serial_sum(const std::vector<Part>& parts) {
+  std::vector<double> total(parts.front().v.size(), 0.0);
   for (const auto& p : parts)
-    for (std::size_t i = 0; i < total.size(); ++i) total[i] += p[i];
+    for (std::size_t i = 0; i < total.size(); ++i) total[i] += p.v[i];
   return total;
+}
+
+// Every part finished from a pool of `threads` that claims them
+// dynamically, so the finish order and the merging threads vary.
+std::vector<double> merge_on_pool(std::vector<Part> parts,
+                                  std::size_t threads) {
+  par::TreeMerge<Part> merge(parts.size());
+  par::ThreadPool pool(threads);
+  pool.parallel_for(0, parts.size(), [&](std::size_t i, std::size_t) {
+    merge.finish(i, std::move(parts[i]));
+  });
+  return merge.take().value().v;
 }
 
 }  // namespace
 
 TEST(TreeReduce, MatchesSerialSumForAllPartCounts) {
-  par::ThreadPool pool(4);
   for (std::size_t nparts : {1u, 2u, 3u, 5u, 8u, 13u}) {
-    auto parts = integer_parts(nparts, 257);
-    const auto expected = serial_sum(parts);
-    std::vector<double*> ptrs;
-    for (auto& p : parts) ptrs.push_back(p.data());
-    par::tree_reduce(pool, ptrs, 257);
-    EXPECT_EQ(parts.front(), expected) << "nparts=" << nparts;
+    const auto parts = integer_parts(nparts, 257);
+    EXPECT_EQ(merge_on_pool(parts, 4), serial_sum(parts))
+        << "nparts=" << nparts;
   }
 }
 
@@ -356,42 +381,58 @@ TEST(TreeReduce, DeterministicAcrossPoolSizes) {
   // The combination tree is fixed by the number of partials, so the
   // pool's thread count must be invisible — bit for bit — even for
   // non-representable fractional values.
-  std::vector<std::vector<double>> reference;
-  for (std::size_t threads : {1u, 2u, 4u, 8u}) {
-    par::ThreadPool pool(threads);
-    std::vector<std::vector<double>> parts(
-        6, std::vector<double>(101));
-    for (std::size_t t = 0; t < parts.size(); ++t)
-      for (std::size_t i = 0; i < parts[t].size(); ++i)
-        parts[t][i] = 0.1 * static_cast<double>(t + 1) +
-                      1e-3 * static_cast<double>(i) / 3.0;
-    std::vector<double*> ptrs;
-    for (auto& p : parts) ptrs.push_back(p.data());
-    par::tree_reduce(pool, ptrs, 101);
-    if (reference.empty())
-      reference.push_back(parts.front());
-    else
-      EXPECT_EQ(parts.front(), reference.front()) << "threads=" << threads;
-  }
+  const auto reference = merge_on_pool(fractional_parts(6, 101), 1);
+  for (std::size_t threads : {2u, 4u, 8u})
+    EXPECT_EQ(merge_on_pool(fractional_parts(6, 101), threads), reference)
+        << "threads=" << threads;
+}
+
+TEST(TreeReduce, SumFollowsTheFixedIndexTree) {
+  // Six parts finished last to first: the total is still
+  // ((p0 + p1) + (p2 + p3)) + (p4 + p5), element by element.
+  auto parts = fractional_parts(6, 101);
+  std::vector<double> expected(101);
+  for (std::size_t i = 0; i < expected.size(); ++i)
+    expected[i] = ((parts[0].v[i] + parts[1].v[i]) +
+                   (parts[2].v[i] + parts[3].v[i])) +
+                  (parts[4].v[i] + parts[5].v[i]);
+  par::TreeMerge<Part> merge(parts.size());
+  for (std::size_t i = parts.size(); i-- > 0;)
+    merge.finish(i, std::move(parts[i]));
+  EXPECT_EQ(merge.take().value().v, expected);
 }
 
 TEST(TreeReduce, EmptyAndSinglePartAreNoops) {
-  par::ThreadPool pool(2);
-  std::vector<double> only{1.0, 2.0, 3.0};
-  std::vector<double*> one{only.data()};
-  par::tree_reduce(pool, one, only.size());
-  EXPECT_EQ(only, (std::vector<double>{1.0, 2.0, 3.0}));
-  std::vector<double*> none;
-  par::tree_reduce(pool, none, 0);  // must not touch anything
+  par::TreeMerge<Part> none(0);
+  EXPECT_FALSE(none.take().has_value());
+  par::TreeMerge<Part> one(1);
+  one.finish(0, Part{{1.0, 2.0, 3.0}});
+  EXPECT_EQ(one.take().value().v, (std::vector<double>{1.0, 2.0, 3.0}));
 }
 
-TEST(TreeReduce, LengthShorterThanBlockCount) {
-  // len < nthreads: trailing blocks are empty ranges and must be safe.
-  par::ThreadPool pool(8);
-  auto parts = integer_parts(4, 3);
-  const auto expected = serial_sum(parts);
-  std::vector<double*> ptrs;
-  for (auto& p : parts) ptrs.push_back(p.data());
-  par::tree_reduce(pool, ptrs, 3);
-  EXPECT_EQ(parts.front(), expected);
+TEST(TreeReduce, MoreThreadsThanParts) {
+  const auto parts = integer_parts(4, 3);
+  EXPECT_EQ(merge_on_pool(parts, 8), serial_sum(parts));
+}
+
+TEST(TreeReduce, InOrderFinishKeepsFewPartsAlive) {
+  // Finishing 64 parts in index order, taking each buffer from recycle()
+  // when one is free, never holds more than log2(64) + 1 buffers: the
+  // finished prefix is at most one subtree root per level.
+  constexpr std::size_t nparts = 64;
+  par::TreeMerge<Part> merge(nparts);
+  std::size_t allocated = 0;
+  for (std::size_t c = 0; c < nparts; ++c) {
+    Part part;
+    if (auto reused = merge.recycle()) {
+      part = std::move(*reused);
+    } else {
+      part.v.resize(1);
+      ++allocated;
+    }
+    part.v[0] = 1.0;
+    merge.finish(c, std::move(part));
+  }
+  EXPECT_EQ(merge.take().value().v[0], 64.0);
+  EXPECT_EQ(allocated, 7u);
 }
