@@ -17,7 +17,7 @@ BUILD_DIR="${1:-build-asan}"
 cmake -B "$BUILD_DIR" -S . -DMTHFX_SANITIZE=address
 cmake --build "$BUILD_DIR" -j --target test_fault test_parallel test_obs \
   test_hfx test_property_hfx test_durability test_property_grad test_serve \
-  test_scaling test_property_scaling test_dft test_chem
+  test_scaling test_property_scaling test_dft test_spin_dft test_chem
 
 export ASAN_OPTIONS="halt_on_error=1:detect_leaks=1:strict_string_checks=1"
 
@@ -55,9 +55,12 @@ MTHFX_PROPERTY_ITERS=2 "$BUILD_DIR"/tests/test_property_grad \
 MTHFX_PROPERTY_ITERS=3 "$BUILD_DIR"/tests/test_property_scaling \
   --gtest_filter='PropertyScaling.CellListCandidatesCoverSurvivingPairs:PropertyScaling.CulledPairListMatchesDenseSweep'
 # XC grid path: the integrator's CSR AO rows (raw offsets into the value
-# arrays and the per-row shell list) and the per-shell AO Hessian
-# scratch the gradient writes through raw pointers.
-"$BUILD_DIR"/tests/test_dft --gtest_filter='XcIntegrator.*'
+# arrays and the per-row shell list), the dense per-run P and V blocks,
+# the per-shell AO Hessian scratch the gradient writes through raw
+# pointers, and the per-chunk partials recycled across threads.
+"$BUILD_DIR"/tests/test_dft --gtest_filter='XcIntegrator.*:XcThreads.*'
+"$BUILD_DIR"/tests/test_spin_dft \
+  --gtest_filter='Uks.Pbe0EnergyBitIdenticalAcrossThreadCounts'
 "$BUILD_DIR"/tests/test_chem --gtest_filter='Basis.*'
 
 echo "ASan pass clean."

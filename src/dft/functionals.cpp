@@ -1,108 +1,86 @@
 #include "dft/functionals.hpp"
 
-#include <cmath>
-#include <numbers>
 #include <stdexcept>
+
+#include "dft/xc_forms.hpp"
 
 namespace mthfx::dft {
 
 namespace {
 
-constexpr double kPi = std::numbers::pi;
+// Each formula takes (rho, sigma).
+constexpr auto kSlaterX = [](const auto& rho, const auto&) {
+  return forms::slater_exchange(rho);
+};
+constexpr auto kPw92C = [](const auto& rho, const auto&) {
+  return forms::pw92_correlation(rho);
+};
+constexpr auto kPbeX = [](const auto& rho, const auto& sigma) {
+  return forms::pbe_exchange(rho, sigma);
+};
+constexpr auto kPbeC = [](const auto& rho, const auto& sigma) {
+  return forms::pbe_correlation(rho, sigma);
+};
+constexpr auto kLda = [](const auto&... v) {
+  return kSlaterX(v...) + kPw92C(v...);
+};
+constexpr auto kPbe = [](const auto&... v) {
+  return kPbeX(v...) + kPbeC(v...);
+};
+constexpr auto kPbe0 = [](const auto&... v) {
+  return 0.75 * kPbeX(v...) + kPbeC(v...);
+};
 
-// PW92 e_c per particle at Wigner-Seitz radius rs (zeta = 0 channel).
-double pw92_eps_c(double rs) {
-  constexpr double a = 0.031091;
-  constexpr double alpha1 = 0.21370;
-  constexpr double beta1 = 7.5957;
-  constexpr double beta2 = 3.5876;
-  constexpr double beta3 = 1.6382;
-  constexpr double beta4 = 0.49294;
-  const double srs = std::sqrt(rs);
-  const double q = 2.0 * a *
-                   (beta1 * srs + beta2 * rs + beta3 * rs * srs +
-                    beta4 * rs * rs);
-  return -2.0 * a * (1.0 + alpha1 * rs) * std::log(1.0 + 1.0 / q);
+// e and (d e/d rho, d e/d sigma) from one dual evaluation of f.
+template <class F>
+XcPoint point(F f, double rho, double sigma) {
+  using D = Dual<2>;
+  const D e = f(D::variable(rho, 0), D::variable(sigma, 1));
+  return {e.v, e.d[0], e.d[1]};
 }
 
 }  // namespace
 
-double lda_exchange_energy_density(double rho, double /*sigma*/) {
-  if (rho <= 0.0) return 0.0;
-  const double cx = 0.75 * std::cbrt(3.0 / kPi);
-  return -cx * std::pow(rho, 4.0 / 3.0);
+double lda_exchange_energy_density(double rho, double sigma) {
+  return kSlaterX(rho, sigma);
+}
+XcPoint lda_exchange_point(double rho, double sigma) {
+  return point(kSlaterX, rho, sigma);
 }
 
-double pw92_correlation_energy_density(double rho, double /*sigma*/) {
-  if (rho <= 0.0) return 0.0;
-  const double rs = std::cbrt(3.0 / (4.0 * kPi * rho));
-  return rho * pw92_eps_c(rs);
+double pw92_correlation_energy_density(double rho, double sigma) {
+  return kPw92C(rho, sigma);
+}
+XcPoint pw92_correlation_point(double rho, double sigma) {
+  return point(kPw92C, rho, sigma);
 }
 
 double pbe_exchange_energy_density(double rho, double sigma) {
-  if (rho <= 0.0) return 0.0;
-  constexpr double kappa = 0.804;
-  constexpr double mu = 0.2195149727645171;
-  const double kf = std::cbrt(3.0 * kPi * kPi * rho);
-  const double grad = std::sqrt(std::max(0.0, sigma));
-  const double s = grad / (2.0 * kf * rho);
-  const double fx = 1.0 + kappa - kappa / (1.0 + mu * s * s / kappa);
-  return lda_exchange_energy_density(rho, 0.0) * fx;
+  return kPbeX(rho, sigma);
+}
+XcPoint pbe_exchange_point(double rho, double sigma) {
+  return point(kPbeX, rho, sigma);
 }
 
 double pbe_correlation_energy_density(double rho, double sigma) {
-  if (rho <= 0.0) return 0.0;
-  constexpr double gamma = 0.031090690869654895;  // (1 - ln 2) / pi^2
-  constexpr double beta = 0.06672455060314922;
-
-  const double rs = std::cbrt(3.0 / (4.0 * kPi * rho));
-  const double eps_c = pw92_eps_c(rs);
-
-  const double kf = std::cbrt(3.0 * kPi * kPi * rho);
-  const double ks = std::sqrt(4.0 * kf / kPi);
-  const double grad = std::sqrt(std::max(0.0, sigma));
-  const double t = grad / (2.0 * ks * rho);  // phi = 1 for zeta = 0
-
-  const double expo = std::exp(-eps_c / gamma);
-  double h = 0.0;
-  if (expo != 1.0) {
-    const double a_coef = beta / gamma / (expo - 1.0);
-    const double t2 = t * t;
-    const double num = 1.0 + a_coef * t2;
-    const double den = 1.0 + a_coef * t2 + a_coef * a_coef * t2 * t2;
-    h = gamma * std::log(1.0 + beta / gamma * t2 * num / den);
-  }
-  return rho * (eps_c + h);
+  return kPbeC(rho, sigma);
+}
+XcPoint pbe_correlation_point(double rho, double sigma) {
+  return point(kPbeC, rho, sigma);
 }
 
 Functional make_functional(const std::string& name) {
-  if (name == "lda") {
-    return {"lda",
-            [](double rho, double sigma) {
-              return lda_exchange_energy_density(rho, sigma) +
-                     pw92_correlation_energy_density(rho, sigma);
-            },
-            0.0, false};
-  }
-  if (name == "pbe") {
-    return {"pbe",
-            [](double rho, double sigma) {
-              return pbe_exchange_energy_density(rho, sigma) +
-                     pbe_correlation_energy_density(rho, sigma);
-            },
-            0.0, true};
-  }
-  if (name == "pbe0") {
-    return {"pbe0",
-            [](double rho, double sigma) {
-              return 0.75 * pbe_exchange_energy_density(rho, sigma) +
-                     pbe_correlation_energy_density(rho, sigma);
-            },
+  if (name == "lda")
+    return {"lda", [](double r, double s) { return point(kLda, r, s); }, 0.0,
+            false};
+  if (name == "pbe")
+    return {"pbe", [](double r, double s) { return point(kPbe, r, s); }, 0.0,
+            true};
+  if (name == "pbe0")
+    return {"pbe0", [](double r, double s) { return point(kPbe0, r, s); },
             0.25, true};
-  }
-  if (name == "hf") {
-    return {"hf", [](double, double) { return 0.0; }, 1.0, false};
-  }
+  if (name == "hf")
+    return {"hf", [](double, double) { return XcPoint{}; }, 1.0, false};
   throw std::invalid_argument("make_functional: unknown functional " + name);
 }
 

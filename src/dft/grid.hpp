@@ -23,6 +23,8 @@ struct GridOptions {
   int radial_points = 40;
   int angular_points = 38;  ///< a supported Lebedev count (or next larger)
   double radial_scale = 1.0;
+
+  friend bool operator==(const GridOptions&, const GridOptions&) = default;
 };
 
 class MolecularGrid {

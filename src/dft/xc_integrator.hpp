@@ -3,11 +3,20 @@
 // Numerical exchange–correlation integration over the Becke grid:
 // E_xc = ∫ e_xc(rho, sigma) and the matching Kohn–Sham potential matrix
 // V_xc[mu][nu] = ∫ [v_rho phi_mu phi_nu + 2 v_sigma (grad rho)·grad(phi_mu
-// phi_nu)] with (v_rho, v_sigma) from central differences of e_xc.
+// phi_nu)] with e_xc and its exact potentials (v_rho, v_sigma) from one
+// functional evaluation per grid point (dft/functionals.hpp).
 //
 // Every entry point runs on one shell-screened AO table built by the
-// constructor. integrate and integrate_spin open a `dft.xc` span, and
-// gradient a `dft.xc_grad` span, on obs::global_trace().
+// constructor. The constructor also cuts the grid into at most
+// kMaxChunks runs of consecutive points of near-equal AO cost; the cut
+// depends on the grid and basis alone. integrate, integrate_spin and
+// gradient give each chunk its own zeroed partial (V, or V_alpha/V_beta,
+// with the energy and density sums; or the per-atom gradient), run the
+// chunks on the pool passed in (or on the calling thread), and merge the
+// partials along parallel::TreeMerge's fixed tree. Their results are
+// therefore bit-identical for any thread count. The integrator holds no
+// threads of its own. integrate and integrate_spin open a `dft.xc` span,
+// and gradient a `dft.xc_grad` span, on obs::global_trace().
 
 #include <cstddef>
 #include <cstdint>
@@ -18,6 +27,10 @@
 #include "dft/grid.hpp"
 #include "dft/spin_functionals.hpp"
 #include "linalg/matrix.hpp"
+
+namespace mthfx::parallel {
+class ThreadPool;
+}
 
 namespace mthfx::dft {
 
@@ -44,17 +57,27 @@ class XcIntegrator {
   /// (~1e-14), well under the quadrature error.
   XcIntegrator(const chem::BasisSet& basis, const MolecularGrid& grid);
 
+  /// Most point chunks per grid: enough to balance a pool of a few
+  /// threads; each chunk costs one zeroed partial and one merge.
+  static constexpr std::size_t kMaxChunks = 64;
+
   /// Fraction of the dense np x nao AO table actually cached.
   double cached_fraction() const;
 
-  /// Evaluate E_xc and V_xc for the closed-shell density matrix P.
+  /// Number of point chunks the grid was cut into.
+  std::size_t num_chunks() const { return chunk_end_.size(); }
+
+  /// Evaluate E_xc and V_xc for the closed-shell density matrix P. The
+  /// chunks run on `pool` when one is given, else on the calling thread.
   XcResult integrate(const Functional& functional,
-                     const linalg::Matrix& density) const;
+                     const linalg::Matrix& density,
+                     parallel::ThreadPool* pool = nullptr) const;
 
   /// Spin-polarized evaluation from alpha/beta densities (no factor 2).
   XcSpinResult integrate_spin(const SpinFunctional& functional,
                               const linalg::Matrix& density_alpha,
-                              const linalg::Matrix& density_beta) const;
+                              const linalg::Matrix& density_beta,
+                              parallel::ThreadPool* pool = nullptr) const;
 
   /// ∫ rho for a density matrix (electron-count check).
   double integrate_density(const linalg::Matrix& density) const;
@@ -68,7 +91,8 @@ class XcIntegrator {
   /// quadrature error.
   std::vector<chem::Vec3> gradient(const Functional& functional,
                                    const linalg::Matrix& density,
-                                   const chem::Molecule& mol) const;
+                                   const chem::Molecule& mol,
+                                   parallel::ThreadPool* pool = nullptr) const;
 
  private:
   /// rho, grad rho and sigma = |grad rho|^2 of P at one grid point.
@@ -87,11 +111,16 @@ class XcIntegrator {
   };
   Row row(std::size_t g) const;
 
-  /// Contract P over row r: writes (P phi) for the row's AOs to `pphi`
-  /// and, when `with_gradient`, forms grad rho = 2 (P phi) . grad phi
-  /// (left zero otherwise).
-  static PointDensity point_density(const Row& r,
-                                    const linalg::Matrix& density,
+  /// End of the run of points from g on (before `end`) whose rows cache
+  /// the same AOs as g's. The loops below gather P over a run's AOs once
+  /// into a dense n x n block and accumulate V into another, so the
+  /// per-point work runs on contiguous memory.
+  std::size_t run_end(std::size_t g, std::size_t end) const;
+
+  /// Contract the row's dense P block (n x n, row-major) with its AO
+  /// values: writes (P phi) to `pphi` and, when `with_gradient`, forms
+  /// grad rho = 2 (P phi) . grad phi (left zero otherwise).
+  static PointDensity point_density(const Row& r, const double* pblock,
                                     bool with_gradient, double* pphi);
 
   const chem::BasisSet& basis_;
@@ -107,6 +136,8 @@ class XcIntegrator {
   std::vector<double> ao_, ax_, ay_, az_;
   std::vector<std::size_t> shell_off_;
   std::vector<std::uint32_t> shells_;
+  // Chunk c holds points [c ? chunk_end_[c-1] : 0, chunk_end_[c]).
+  std::vector<std::size_t> chunk_end_;
 };
 
 }  // namespace mthfx::dft

@@ -41,6 +41,7 @@ ScfPotential::ScfPotential(std::string basis_name, scf::KsOptions options,
 scf::KsOptions ScfPotential::solve_options() const {
   scf::KsOptions opt = options_;
   if (accel_.reuse_builder && builder_) opt.scf.shared_builder = builder_.get();
+  if (grid_) opt.shared_grid = &*grid_;
   return opt;
 }
 
@@ -67,7 +68,10 @@ const scf::KsResult& ScfPotential::solve(const chem::Molecule& mol) const {
       builder_ = std::make_unique<hfx::FockBuilder>(*next, options_.scf.hfx);
     }
   }
+  grid_.reset();
   basis_ = std::move(next);
+  if (options_.functional != "hf")
+    scf::grid_for(mol, *basis_, options_, grid_);
 
   scf::KsOptions opt = solve_options();
   bool warm = false;

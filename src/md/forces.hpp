@@ -17,6 +17,7 @@
 // so shell-pair Hermite tables on unmoved atoms are reused.
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "chem/basis.hpp"
@@ -57,6 +58,8 @@ class PotentialSurface {
 ///  - builder reuse: one FockBuilder serves the whole trajectory,
 ///    rebound per geometry so Schwarz bounds and Hermite tables on
 ///    unmoved atoms carry over.
+/// Each new geometry builds one XC grid and AO table, which the solve and
+/// the gradient at that geometry share (KsOptions::shared_grid).
 /// Counters (metrics(): md.scf_solves, md.surface_cache_hits,
 /// md.warm_starts, md.scf_iterations, md.rebind_reused_pairs) expose the
 /// machinery to tests and the A8 bench.
@@ -101,6 +104,7 @@ class ScfPotential : public PotentialSurface {
   // beyond SCF-convergence noise).
   mutable std::unique_ptr<chem::BasisSet> basis_;
   mutable std::unique_ptr<hfx::FockBuilder> builder_;
+  mutable std::optional<scf::KsGrid> grid_;  ///< empty for "hf"
   mutable bool have_cache_ = false;
   mutable chem::Molecule cached_mol_;
   mutable scf::KsResult cached_;

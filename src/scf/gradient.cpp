@@ -2,12 +2,14 @@
 
 #include <cmath>
 #include <memory>
+#include <optional>
 
 #include "dft/functionals.hpp"
 #include "dft/grid.hpp"
 #include "dft/xc_integrator.hpp"
 #include "hfx/grad_contraction.hpp"
 #include "ints/deriv.hpp"
+#include "parallel/thread_pool.hpp"
 
 namespace mthfx::scf {
 
@@ -128,9 +130,11 @@ std::vector<Vec3> ks_gradient(const chem::Molecule& mol,
   for (std::size_t a = 0; a < grad.size(); ++a) grad[a] = grad[a] + g2[a];
 
   if (semilocal) {
-    const dft::MolecularGrid grid(mol, options.grid);
-    const dft::XcIntegrator xc(basis, grid);
-    const std::vector<Vec3> gxc = xc.gradient(functional, p, mol);
+    std::optional<KsGrid> own_grid;
+    const KsGrid& grid = grid_for(mol, basis, options, own_grid);
+    parallel::ThreadPool pool(options.scf.hfx.num_threads);
+    const std::vector<Vec3> gxc =
+        grid.xc().gradient(functional, p, mol, &pool);
     for (std::size_t a = 0; a < grad.size(); ++a) grad[a] = grad[a] + gxc[a];
   }
   return grad;

@@ -34,7 +34,9 @@ std::vector<chem::Vec3> rhf_gradient(const chem::Molecule& mol,
 /// the solve ran with (functional, grid resolution and HFX screening
 /// thresholds are read from it); `result` must come from scf::rks on the
 /// same molecule/basis. When options.scf.shared_builder targets this
-/// basis its shell-pair list is reused for the derivative-ERI stream.
+/// basis its shell-pair list is reused for the derivative-ERI stream, and
+/// when options.shared_grid matches, its grid and AO table are reused for
+/// the XC term. The XC term runs on options.scf.hfx.num_threads threads.
 std::vector<chem::Vec3> ks_gradient(const chem::Molecule& mol,
                                     const chem::BasisSet& basis,
                                     const KsOptions& options,

@@ -9,6 +9,7 @@
 
 #include "dft/xc_integrator.hpp"
 #include "obs/trace.hpp"
+#include "parallel/thread_pool.hpp"
 #include "scf/rks.hpp"
 #include "scf/scf_loop.hpp"
 #include "scf/sparse_scf.hpp"
@@ -88,14 +89,15 @@ KsResult rks(const chem::Molecule& mol, const chem::BasisSet& basis,
   const auto step = detail::diagonalize_step(
       mol, basis, options.scf.hfx, options.scf.shared_builder, "rks");
 
-  // The grid is only needed for functionals with a semilocal part.
-  std::optional<dft::MolecularGrid> grid;
-  std::optional<dft::XcIntegrator> xc;
+  // The grid and the XC pool are only needed for functionals with a
+  // semilocal part.
+  std::optional<KsGrid> own_grid;
+  std::optional<parallel::ThreadPool> pool;
   if (options.functional != "hf") {
-    grid.emplace(mol, options.grid);
-    xc.emplace(basis, *grid);
+    const dft::XcIntegrator& xc = grid_for(mol, basis, options, own_grid).xc();
+    pool.emplace(options.scf.hfx.num_threads);
     spec.xc = [&](const std::vector<detail::Channel>& ch) {
-      dft::XcResult r = xc->integrate(functional, ch[0].p);
+      dft::XcResult r = xc.integrate(functional, ch[0].p, &*pool);
       return detail::XcTerm{r.energy, r.integrated_density, {std::move(r.v)}};
     };
   }
@@ -107,6 +109,27 @@ KsResult rks(const chem::Molecule& mol, const chem::BasisSet& basis,
   out.integrated_density = r.integrated_density;
   out.scf = std::move(r.scf);
   return out;
+}
+
+KsGrid::KsGrid(const chem::Molecule& mol, const chem::BasisSet& basis,
+               const dft::GridOptions& options)
+    : mol_(mol),
+      basis_(&basis),
+      options_(options),
+      grid_(mol, options),
+      xc_(basis, grid_) {}
+
+bool KsGrid::matches(const chem::Molecule& mol, const chem::BasisSet& basis,
+                     const dft::GridOptions& options) const {
+  return &basis == basis_ && options == options_ && mol == mol_;
+}
+
+const KsGrid& grid_for(const chem::Molecule& mol, const chem::BasisSet& basis,
+                       const KsOptions& options, std::optional<KsGrid>& own) {
+  const KsGrid* shared = options.shared_grid;
+  if (shared && shared->matches(mol, basis, options.grid)) return *shared;
+  const obs::Trace::Scope span(obs::global_trace(), "dft.grid");
+  return own.emplace(mol, basis, options.grid);
 }
 
 double homo_lumo_gap(const ScfResult& result, const chem::Molecule& mol) {

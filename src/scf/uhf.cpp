@@ -11,6 +11,7 @@
 #include "dft/spin_functionals.hpp"
 #include "dft/xc_integrator.hpp"
 #include "obs/trace.hpp"
+#include "parallel/thread_pool.hpp"
 #include "scf/scf_loop.hpp"
 #include "scf/uks.hpp"
 
@@ -113,11 +114,14 @@ UksResult uks(const chem::Molecule& mol, const chem::BasisSet& basis,
 
   std::optional<dft::MolecularGrid> grid;
   std::optional<dft::XcIntegrator> xc;
+  std::optional<parallel::ThreadPool> pool;  // one per solve, as in rks
   if (options.functional != "hf") {
     grid.emplace(mol, options.grid);
     xc.emplace(basis, *grid);
+    pool.emplace(options.scf.hfx.num_threads);
     spec.xc = [&](const std::vector<detail::Channel>& ch) {
-      dft::XcSpinResult r = xc->integrate_spin(functional, ch[0].p, ch[1].p);
+      dft::XcSpinResult r =
+          xc->integrate_spin(functional, ch[0].p, ch[1].p, &*pool);
       return detail::XcTerm{r.energy, r.integrated_density,
                             {std::move(r.v_alpha), std::move(r.v_beta)}};
     };

@@ -358,12 +358,54 @@ double exchange_energy_from_tensor(const BasisSet& basis,
   return 0.5 * e;
 }
 
+namespace {
+
+// [f(x + h) - f(x - h)] / 2h at h = 1e-6 |x|, with f(x) the energy at
+// variable value x; 0 at x = 0.
+template <class F>
+double central_difference(double x, F f) {
+  const double h = 1e-6 * std::abs(x);
+  return h > 0.0 ? (f(x + h) - f(x - h)) / (2.0 * h) : 0.0;
+}
+
+}  // namespace
+
+dft::XcPoint central_difference_xc(
+    const std::function<double(double, double)>& energy, double rho,
+    double sigma) {
+  dft::XcPoint p;
+  p.e = energy(rho, sigma);
+  p.vrho = central_difference(rho, [&](double x) { return energy(x, sigma); });
+  p.vsigma =
+      central_difference(sigma, [&](double x) { return energy(rho, x); });
+  return p;
+}
+
+dft::SpinXcPoint central_difference_spin_xc(
+    const std::function<double(const dft::SpinDensity&)>& energy,
+    const dft::SpinDensity& d) {
+  const auto partial = [&](double dft::SpinDensity::*var) {
+    return central_difference(d.*var, [&](double x) {
+      dft::SpinDensity moved = d;
+      moved.*var = x;
+      return energy(moved);
+    });
+  };
+  dft::SpinXcPoint p;
+  p.e = energy(d);
+  p.vrho_a = partial(&dft::SpinDensity::rho_a);
+  p.vrho_b = partial(&dft::SpinDensity::rho_b);
+  p.vsigma_aa = partial(&dft::SpinDensity::sigma_aa);
+  p.vsigma_ab = partial(&dft::SpinDensity::sigma_ab);
+  p.vsigma_bb = partial(&dft::SpinDensity::sigma_bb);
+  return p;
+}
+
 dft::XcResult dense_xc_reference(const BasisSet& basis,
                                  const dft::MolecularGrid& grid,
                                  const dft::Functional& functional,
                                  const Matrix& density) {
   const std::size_t n = basis.num_functions();
-  const auto& e = functional.energy_density;
   dft::XcResult result;
   result.v = Matrix(n, n);
   std::vector<double> phi, dx, dy, dz, pphi(n);
@@ -385,23 +427,16 @@ dft::XcResult dense_xc_reference(const BasisSet& basis,
     const double sigma = gr[0] * gr[0] + gr[1] * gr[1] + gr[2] * gr[2];
     const double w = gp.weight;
     result.integrated_density += w * rho;
-    result.energy += w * e(rho, sigma);
-
-    const double hr = std::max(1e-9, 1e-6 * rho);
-    const double vrho = (e(rho + hr, sigma) - e(rho - hr, sigma)) / (2 * hr);
-    double vsigma = 0.0;
-    if (functional.needs_gradient && sigma > 1e-24) {
-      const double hs = std::max(1e-12, 1e-6 * sigma);
-      vsigma = (e(rho, sigma + hs) - e(rho, sigma - hs)) / (2 * hs);
-    }
+    const dft::XcPoint x = functional.evaluate(rho, sigma);
+    result.energy += w * x.e;
     // V_mn += w [vrho phi_m phi_n + 2 vsigma grad rho . grad(phi_m phi_n)]
     for (std::size_t mu = 0; mu < n; ++mu)
       for (std::size_t nu = 0; nu < n; ++nu) {
         const double gm = gr[0] * dx[mu] + gr[1] * dy[mu] + gr[2] * dz[mu];
         const double gn = gr[0] * dx[nu] + gr[1] * dy[nu] + gr[2] * dz[nu];
         result.v(mu, nu) +=
-            w * (vrho * phi[mu] * phi[nu] +
-                 2.0 * vsigma * (gm * phi[nu] + phi[mu] * gn));
+            w * (x.vrho * phi[mu] * phi[nu] +
+                 2.0 * x.vsigma * (gm * phi[nu] + phi[mu] * gn));
       }
   }
   return result;

@@ -7,11 +7,13 @@
 // is exactly what makes disagreement with the fast path meaningful.
 
 #include <cstddef>
+#include <functional>
 #include <vector>
 
 #include "chem/basis.hpp"
 #include "dft/functionals.hpp"
 #include "dft/grid.hpp"
+#include "dft/spin_functionals.hpp"
 #include "dft/xc_integrator.hpp"
 #include "ints/deriv.hpp"
 #include "ints/eri.hpp"
@@ -108,13 +110,29 @@ double exchange_energy_from_tensor(const chem::BasisSet& basis,
                                    const std::vector<double>& tensor,
                                    const linalg::Matrix& density);
 
+/// Central-difference potentials of a closed-shell energy density e(rho,
+/// sigma): v_x = [e(x + h) - e(x - h)] / 2h with h = 1e-6 |x| for x =
+/// rho, sigma (a variable at zero keeps potential 0, since its step would
+/// leave the domain). About 1e-10 relative precision away from zeros of
+/// the potential. This is how dft::XcIntegrator once formed its
+/// potentials, five functional calls per point; it is kept as the oracle
+/// of the exact ones (dft::XcPoint).
+dft::XcPoint central_difference_xc(
+    const std::function<double(double rho, double sigma)>& energy, double rho,
+    double sigma);
+
+/// The same for a spin energy density, over (rho_a, rho_b, sigma_aa,
+/// sigma_ab, sigma_bb), each with its own relative step 1e-6 |x|.
+dft::SpinXcPoint central_difference_spin_xc(
+    const std::function<double(const dft::SpinDensity&)>& energy,
+    const dft::SpinDensity& d);
+
 /// Unscreened closed-shell XC integration: at every grid point every AO
 /// and its gradient come from BasisSet::evaluate_with_gradient, rho and
-/// grad rho are full nao x nao contractions, the potentials are central
-/// differences of the functional with dft::XcIntegrator's steps, and V
-/// gets the symmetric rank-2 update over all AOs. Nothing of the
-/// integrator's shell-screened AO table is used, so its screening error
-/// shows up as a disagreement.
+/// grad rho are full nao x nao contractions, the functional gives e and
+/// its potentials, and V gets the symmetric rank-2 update over all AOs.
+/// Nothing of the integrator's shell-screened AO table or its point
+/// chunks is used, so its screening error shows up as a disagreement.
 dft::XcResult dense_xc_reference(const chem::BasisSet& basis,
                                  const dft::MolecularGrid& grid,
                                  const dft::Functional& functional,

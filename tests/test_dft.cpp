@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <numbers>
+#include <string>
+#include <vector>
 
 #include "chem/basis.hpp"
 #include "chem/molecule.hpp"
@@ -13,6 +15,9 @@
 #include "ints/one_electron.hpp"
 #include "linalg/eigen.hpp"
 #include "obs/trace.hpp"
+#include "parallel/thread_pool.hpp"
+#include "scf/rks.hpp"
+#include "testing/oracles.hpp"
 
 namespace chem = mthfx::chem;
 namespace dft = mthfx::dft;
@@ -206,7 +211,7 @@ TEST(XcIntegrator, LdaExchangeOfGaussianDensityClosedForm) {
   dft::MolecularGrid grid(m, gopts);
   dft::XcIntegrator xc(basis, grid);
 
-  dft::Functional slater{"x", dft::lda_exchange_energy_density, 0.0, false};
+  dft::Functional slater{"x", dft::lda_exchange_point, 0.0, false};
   const auto res = xc.integrate(slater, p);
 
   const double n2 = std::pow(chem::primitive_norm(a, 0, 0, 0), 2);
@@ -322,5 +327,155 @@ TEST(XcIntegrator, PotentialMatchesEnergyDerivative) {
     const double analytic =
         mu == nu ? base.v(mu, mu) : base.v(mu, nu) + base.v(nu, mu);
     EXPECT_NEAR(fd, analytic, 5e-6) << mu << "," << nu;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Exact potentials against the central-difference oracle.
+
+namespace {
+
+/// |exact - fd| over the scale of the potential: fd itself, floored by
+/// the size e/x that a potential d e/d x of this point has when it does
+/// not nearly vanish.
+double relative_error(double exact, double fd, double e, double x) {
+  const double scale = std::max(std::abs(fd), 1e-3 * std::abs(e / x));
+  return std::abs(exact - fd) / scale;
+}
+
+/// rho from 1e-10 to 1e3, log-spaced from near the integrator's 1e-12
+/// cutoff, and reduced gradients s from 0.01 to 10, as sigma =
+/// s^2 (2 kf rho)^2.
+std::vector<std::pair<double, double>> closed_shell_points() {
+  std::vector<std::pair<double, double>> points;
+  for (double lg = -10.0; lg <= 3.0; lg += 0.5) {
+    const double rho = std::pow(10.0, lg);
+    constexpr double pi = std::numbers::pi;
+    const double kf = std::cbrt(3.0 * pi * pi * rho);
+    for (double s : {0.01, 0.3, 1.0, 3.0, 10.0})
+      points.emplace_back(rho, s * s * 4.0 * kf * kf * rho * rho);
+  }
+  return points;
+}
+
+}  // namespace
+
+TEST(Functionals, ExactPotentialsMatchCentralDifferences) {
+  // Exchange and correlation separately: each has a v_sigma of one sign,
+  // so no point sits where two nearly cancel.
+  // The bounds are about 1e-10 where the oracle is sharp. The PBE forms
+  // reach ~1e-6 where the oracle's own rounding dominates: at small s a
+  // 1e-6 step in sigma barely moves e, and at large t eps_c and H nearly
+  // cancel in e.
+  struct Component {
+    const char* name;
+    dft::XcEvaluator point;
+    double (*energy)(double, double);
+    double bound;
+  };
+  const Component components[] = {
+      {"slater_x", dft::lda_exchange_point, dft::lda_exchange_energy_density,
+       1e-9},
+      {"pw92_c", dft::pw92_correlation_point,
+       dft::pw92_correlation_energy_density, 1e-9},
+      {"pbe_x", dft::pbe_exchange_point, dft::pbe_exchange_energy_density,
+       1e-6},
+      {"pbe_c", dft::pbe_correlation_point,
+       dft::pbe_correlation_energy_density, 2e-6}};
+  for (const Component& c : components) {
+    double worst = 0.0;
+    for (const auto& [rho, sigma] : closed_shell_points()) {
+      const dft::XcPoint exact = c.point(rho, sigma);
+      const dft::XcPoint fd =
+          mthfx::testing::central_difference_xc(c.energy, rho, sigma);
+      // One formula: the dual evaluation's value is the energy.
+      EXPECT_DOUBLE_EQ(exact.e, fd.e) << c.name << " rho " << rho;
+      worst = std::max({worst, relative_error(exact.vrho, fd.vrho, fd.e, rho),
+                        relative_error(exact.vsigma, fd.vsigma, fd.e, sigma)});
+      EXPECT_TRUE(std::isfinite(exact.vrho) && std::isfinite(exact.vsigma))
+          << c.name << " rho " << rho << " sigma " << sigma;
+    }
+    EXPECT_LT(worst, c.bound) << c.name;
+  }
+}
+
+TEST(Functionals, RegistryPotentialsAreTheSumOfComponents) {
+  for (const auto& [rho, sigma] : closed_shell_points()) {
+    const dft::XcPoint x = dft::pbe_exchange_point(rho, sigma);
+    const dft::XcPoint c = dft::pbe_correlation_point(rho, sigma);
+    const dft::XcPoint pbe0 = dft::make_functional("pbe0").evaluate(rho, sigma);
+    EXPECT_DOUBLE_EQ(pbe0.vrho, 0.75 * x.vrho + c.vrho);
+    EXPECT_NEAR(pbe0.vsigma, 0.75 * x.vsigma + c.vsigma,
+                1e-14 * std::abs(x.vsigma));
+    const dft::XcPoint lda = dft::make_functional("lda").evaluate(rho, sigma);
+    EXPECT_EQ(lda.vsigma, 0.0);
+    EXPECT_DOUBLE_EQ(lda.vrho,
+                     dft::lda_exchange_point(rho, sigma).vrho +
+                         dft::pw92_correlation_point(rho, sigma).vrho);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Thread count is invisible: the point chunks and their merge tree depend
+// on the grid alone.
+
+TEST(XcThreads, IntegratorBitIdenticalAcrossThreadCounts) {
+  const auto m = chem::Molecule::from_xyz(
+      "3\nwater\nO 0.0 0.0 0.1173\nH 0.0 0.7572 -0.4692\nH 0.0 -0.7572 "
+      "-0.4692\n");
+  const auto basis = chem::BasisSet::build(m, "6-31g");
+  const la::Matrix p = mthfx::scf::core_guess_density(
+      basis, m, la::inverse_sqrt(mthfx::ints::overlap(basis)));
+  la::Matrix pb = 0.4 * p;
+  pb(0, 1) += 0.01;
+  pb(1, 0) += 0.01;
+  dft::GridOptions gopts;
+  gopts.radial_points = 20;
+  gopts.angular_points = 26;
+  const dft::MolecularGrid grid(m, gopts);
+  const dft::XcIntegrator xc(basis, grid);
+  EXPECT_GT(xc.num_chunks(), 1u);
+  EXPECT_LE(xc.num_chunks(), dft::XcIntegrator::kMaxChunks);
+  const auto f = dft::make_functional("pbe0");
+  const auto fs = dft::make_spin_functional("pbe0");
+
+  const auto ref = xc.integrate(f, p);
+  const auto ref_spin = xc.integrate_spin(fs, 0.6 * p, pb);
+  const auto ref_grad = xc.gradient(f, p, m);
+  for (std::size_t threads : {1, 2, 4, 8}) {
+    mthfx::parallel::ThreadPool pool(threads);
+    const auto r = xc.integrate(f, p, &pool);
+    EXPECT_EQ(r.energy, ref.energy) << threads;
+    EXPECT_EQ(r.integrated_density, ref.integrated_density) << threads;
+    EXPECT_EQ(r.v, ref.v) << threads;
+    const auto s = xc.integrate_spin(fs, 0.6 * p, pb, &pool);
+    EXPECT_EQ(s.energy, ref_spin.energy) << threads;
+    EXPECT_EQ(s.v_alpha, ref_spin.v_alpha) << threads;
+    EXPECT_EQ(s.v_beta, ref_spin.v_beta) << threads;
+    const auto g = xc.gradient(f, p, m, &pool);
+    ASSERT_EQ(g.size(), ref_grad.size());
+    for (std::size_t a = 0; a < g.size(); ++a)
+      EXPECT_EQ(g[a], ref_grad[a]) << threads << " atom " << a;
+  }
+}
+
+TEST(XcThreads, KsEnergiesBitIdenticalAcrossThreadCounts) {
+  const auto m = chem::Molecule::from_xyz(
+      "3\nwater\nO 0.0 0.0 0.1173\nH 0.0 0.7572 -0.4692\nH 0.0 -0.7572 "
+      "-0.4692\n");
+  const auto basis = chem::BasisSet::build(m, "sto-3g");
+  mthfx::scf::KsOptions opts;
+  opts.functional = "pbe0";
+  opts.grid.radial_points = 25;
+  opts.grid.angular_points = 26;
+  opts.scf.hfx.num_threads = 1;
+  const auto ref = mthfx::scf::rks(m, basis, opts);
+  ASSERT_TRUE(ref.scf.converged);
+  for (std::size_t threads : {2, 4, 8}) {
+    opts.scf.hfx.num_threads = threads;
+    const auto r = mthfx::scf::rks(m, basis, opts);
+    EXPECT_EQ(r.scf.energy, ref.scf.energy) << threads;
+    EXPECT_EQ(r.xc_energy, ref.xc_energy) << threads;
+    EXPECT_EQ(r.scf.density, ref.scf.density) << threads;
   }
 }

@@ -25,13 +25,17 @@
 #include "engine/report.hpp"
 #include "engine/result_store.hpp"
 #include "engine/scheduler.hpp"
+#include "md/forces.hpp"
 #include "obs/json.hpp"
 #include "workload/geometries.hpp"
 #include "workload/replicate.hpp"
 
 namespace app = mthfx::app;
+namespace chem = mthfx::chem;
 namespace engine = mthfx::engine;
+namespace md = mthfx::md;
 namespace obs = mthfx::obs;
+namespace scf = mthfx::scf;
 namespace wl = mthfx::workload;
 
 namespace {
@@ -766,15 +770,16 @@ std::set<std::string> documented_metric_names() {
   return names;
 }
 
-/// Registered engine.* names of `registry` that the doc table lacks;
+/// Registered `prefix`* names of `registry` that the doc tables lack;
 /// per-tenant names match the `engine.tenant.<id>.*` rows.
-std::vector<std::string> undocumented_engine_metrics(
-    const obs::Registry& registry, const std::set<std::string>& documented) {
+std::vector<std::string> undocumented_metrics(
+    const obs::Registry& registry, const std::set<std::string>& documented,
+    const std::string& prefix) {
   std::vector<std::string> missing;
   const obs::Json dump = registry.to_json();
   for (const char* kind : {"counters", "timers"}) {
     for (const auto& [name, value] : member(dump, kind).members()) {
-      if (name.rfind("engine.", 0) != 0) continue;
+      if (name.rfind(prefix, 0) != 0) continue;
       std::string row = name;
       const std::string tenant_prefix = "engine.tenant.";
       if (row.rfind(tenant_prefix, 0) == 0)
@@ -806,7 +811,7 @@ TEST(Observability, EngineMetricNamesAreDocumented) {
 
   for (const engine::JobScheduler* scheduler : {&campaign, &service}) {
     const auto missing =
-        undocumented_engine_metrics(scheduler->registry(), documented);
+        undocumented_metrics(scheduler->registry(), documented, "engine.");
     EXPECT_TRUE(missing.empty())
         << "registered but not in docs/observability.md: "
         << ::testing::PrintToString(missing);
@@ -814,4 +819,29 @@ TEST(Observability, EngineMetricNamesAreDocumented) {
   // The campaign's one tenant ("") registers no per-tenant names.
   EXPECT_EQ(campaign.registry().to_json().dump().find("engine.tenant."),
             std::string::npos);
+
+  // The BOMD surface's acceleration counters: a solve, a cache hit, and a
+  // warm-started solve on a rebound builder at a moved geometry.
+  scf::KsOptions ks;
+  ks.functional = "hf";
+  ks.scf.hfx.num_threads = 1;
+  const md::ScfPotential surface("sto-3g", ks);
+  chem::Molecule mol = wl::h2();
+  surface.energy(mol);
+  surface.forces(mol);
+  chem::Vec3 moved = mol.atom(1).pos;
+  moved[2] += 0.01;
+  mol.set_position(1, moved);
+  surface.forces(mol);
+  const obs::Registry& md_registry = surface.metrics();
+  EXPECT_EQ(md_registry.counter_total("md.surface_cache_hits"), 1u);
+  EXPECT_EQ(md_registry.counter_total("md.warm_starts"), 1u);
+  const auto missing = undocumented_metrics(md_registry, documented, "md.");
+  EXPECT_TRUE(missing.empty())
+      << "registered but not in docs/observability.md: "
+      << ::testing::PrintToString(missing);
+  for (const char* name : {"md.scf_solves", "md.surface_cache_hits",
+                           "md.warm_starts", "md.scf_iterations",
+                           "md.rebind_reused_pairs"})
+    EXPECT_TRUE(documented.count(name)) << name;
 }

@@ -6,6 +6,7 @@
 #include <random>
 
 #include "chem/basis.hpp"
+#include "chem/elements.hpp"
 #include "chem/molecule.hpp"
 #include "hfx/fock_builder.hpp"
 #include "hfx/schedulers.hpp"
@@ -249,22 +250,29 @@ INSTANTIATE_TEST_SUITE_P(AllSchedules, FockSchedules,
 TEST(FockBuilder, ScreeningErrorIsControlledByEps) {
   // The abstract's "highly controllable accuracy": tightening eps must
   // reduce the exchange error monotonically (within noise) and reach
-  // near-exactness at tight settings.
-  const auto m = water();
+  // near-exactness at tight settings. Two waters 10 Angstrom apart, so
+  // the loose setting really drops quartets (water/6-31G alone keeps all
+  // of them at every eps).
+  chem::Molecule m = water();
+  const chem::Molecule second = water();
+  for (const chem::Atom& a : second.atoms())
+    m.add_atom(a.z, a.pos + chem::Vec3{10.0 * chem::kBohrPerAngstrom, 0, 0});
   const auto basis = chem::BasisSet::build(m, "6-31g");
   const la::Matrix p = random_density(basis.num_functions(), 23);
 
   hfx::HfxOptions exact_opts;
   exact_opts.eps_schwarz = 1e-16;
   exact_opts.density_screening = false;
-  const auto kexact = hfx::FockBuilder(basis, exact_opts).exchange(p).k;
+  const auto exact = hfx::FockBuilder(basis, exact_opts).exchange(p);
+  const std::uint64_t all = exact.stats.screening.quartets_computed;
 
   double last_err = 1e9;
   for (double eps : {1e-4, 1e-8, 1e-12}) {
     hfx::HfxOptions opts;
     opts.eps_schwarz = eps;
-    const auto k = hfx::FockBuilder(basis, opts).exchange(p).k;
-    const double err = la::max_abs(k - kexact);
+    const auto r = hfx::FockBuilder(basis, opts).exchange(p);
+    if (eps == 1e-4) EXPECT_GT(all - r.stats.screening.quartets_computed, 0u);
+    const double err = la::max_abs(r.k - exact.k);
     EXPECT_LE(err, last_err * 1.5 + 1e-15);
     last_err = err;
   }

@@ -9,6 +9,7 @@
 #include "md/optimize.hpp"
 #include "md/trajectory.hpp"
 #include "md/thermostat.hpp"
+#include "obs/trace.hpp"
 #include "workload/geometries.hpp"
 
 namespace chem = mthfx::chem;
@@ -215,6 +216,36 @@ TEST(Forces, WavefunctionCacheMakesEnergyPlusForcesOneScf) {
   // ...and the original geometry re-solves too (history, not a map).
   pot.energy(m);
   EXPECT_EQ(pot.metrics().counter_total("md.scf_solves"), 3u);
+}
+
+TEST(Forces, SolveAndGradientShareOneGridPerGeometry) {
+  // The surface builds one XC grid and AO table per geometry; the solve
+  // and ks_gradient both integrate on it, so a step's energy() +
+  // forces() opens one dft.grid span, not one per consumer.
+  mthfx::scf::KsOptions ks;
+  ks.functional = "pbe";
+  ks.grid.radial_points = 15;
+  ks.grid.angular_points = 14;
+  md::ScfPotential pot("sto-3g", ks);
+  chem::Molecule m;
+  m.add_atom(1, {0, 0, 0});
+  m.add_atom(1, {0, 0, 1.5});
+
+  mthfx::obs::Trace& trace = mthfx::obs::global_trace();
+  trace.clear();
+  trace.set_enabled(true);
+  pot.energy(m);
+  pot.forces(m);
+  const std::uint64_t one_step = trace.count("dft.grid");
+  chem::Molecule moved = m;
+  moved.set_position(1, {0, 0, 1.6});
+  pot.forces(moved);
+  const std::uint64_t two_steps = trace.count("dft.grid");
+  trace.set_enabled(false);
+  trace.clear();
+  EXPECT_EQ(one_step, 1u);
+  EXPECT_EQ(two_steps, 2u);
+  EXPECT_EQ(pot.metrics().counter_total("md.scf_solves"), 2u);
 }
 
 TEST(Integrator, BomdRunsOneScfPerStep) {

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <numbers>
+#include <vector>
 
 #include "chem/basis.hpp"
 #include "dft/functionals.hpp"
@@ -8,6 +11,7 @@
 #include "scf/rks.hpp"
 #include "scf/uhf.hpp"
 #include "scf/uks.hpp"
+#include "testing/oracles.hpp"
 #include "workload/geometries.hpp"
 
 namespace chem = mthfx::chem;
@@ -94,6 +98,96 @@ TEST(SpinFunctionals, RegistryMatchesClosedShellRegistry) {
   EXPECT_THROW(dft::make_spin_functional("scan"), std::invalid_argument);
 }
 
+TEST(SpinFunctionals, ExactPotentialsMatchCentralDifferences) {
+  // All five partials of each spin component, exchange and correlation
+  // separately, against the central-difference oracle over rho from 1e-10
+  // to 1e3, zeta up to 1 -+ 1e-4 and reduced gradients s from 0.1 to 3.
+  // The oracle's steps are relative to each variable, so near zeta = +-1
+  // the minority spin's step barely moves e and the oracle's rounding
+  // sets the bounds: ~1e-7 for the exchange forms and PW92, and up to
+  // ~4e-5 for PBE correlation at s = 3, where eps_c and H also nearly
+  // cancel. A wrong derivative shows up at O(1).
+  struct Component {
+    const char* name;
+    dft::SpinXcEvaluator point;
+    double (*energy)(const dft::SpinDensity&);
+    double bound;
+  };
+  const Component components[] = {
+      {"lsda_x", dft::lsda_exchange_point, dft::lsda_exchange_energy_density,
+       1e-6},
+      {"pw92_c", dft::pw92_correlation_point_spin,
+       dft::pw92_correlation_energy_density_spin, 2e-6},
+      {"pbe_x", dft::pbe_exchange_point_spin,
+       dft::pbe_exchange_energy_density_spin, 1e-6},
+      {"pbe_c", dft::pbe_correlation_point_spin,
+       dft::pbe_correlation_energy_density_spin, 1e-4}};
+
+  // |exact - fd| over fd, floored by the size e/x of a potential d e/d x
+  // that does not nearly vanish.
+  const auto rel = [](double exact, double fd, double e, double x) {
+    const double scale = std::max(std::abs(fd), 1e-3 * std::abs(e / x));
+    return std::abs(exact - fd) / scale;
+  };
+  const double edge = 1.0 - 1e-4;
+  for (const Component& c : components) {
+    double worst = 0.0;
+    for (double lg = -10.0; lg <= 3.0; lg += 1.0) {
+      const double rho = std::pow(10.0, lg);
+      for (double zeta : {-edge, -0.5, 0.0, 0.3, 0.9, edge}) {
+        for (double s : {0.1, 1.0, 3.0}) {
+          dft::SpinDensity d;
+          d.rho_a = 0.5 * rho * (1.0 + zeta);
+          d.rho_b = 0.5 * rho * (1.0 - zeta);
+          // |grad rho_x| = s 2 kf(2 rho_x) rho_x along two fixed directions.
+          const auto grad = [&](double r) {
+            return s * 2.0 * r *
+                   std::cbrt(3.0 * std::numbers::pi * std::numbers::pi * 2 * r);
+          };
+          const double ga = grad(d.rho_a), gb = grad(d.rho_b);
+          const double cos_ab = 0.6;  // angle between the two gradients
+          d.sigma_aa = ga * ga;
+          d.sigma_bb = gb * gb;
+          d.sigma_ab = cos_ab * ga * gb;
+
+          const dft::SpinXcPoint x = c.point(d);
+          const dft::SpinXcPoint fd =
+              mthfx::testing::central_difference_spin_xc(c.energy, d);
+          EXPECT_DOUBLE_EQ(x.e, fd.e) << c.name;
+          const double v[5][2] = {{x.vrho_a, fd.vrho_a},
+                                  {x.vrho_b, fd.vrho_b},
+                                  {x.vsigma_aa, fd.vsigma_aa},
+                                  {x.vsigma_ab, fd.vsigma_ab},
+                                  {x.vsigma_bb, fd.vsigma_bb}};
+          const double var[5] = {d.rho_a, d.rho_b, d.sigma_aa, d.sigma_ab,
+                                 d.sigma_bb};
+          for (int k = 0; k < 5; ++k) {
+            ASSERT_TRUE(std::isfinite(v[k][0]))
+                << c.name << " partial " << k << " rho " << rho << " zeta "
+                << zeta;
+            worst = std::max(worst, rel(v[k][0], v[k][1], fd.e, var[k]));
+          }
+        }
+      }
+    }
+    EXPECT_LT(worst, c.bound) << c.name;
+  }
+}
+
+TEST(SpinFunctionals, FullyPolarizedPotentialsAreFinite) {
+  // rho_b = 0 exactly (a one-electron atom): the beta potentials are the
+  // derivatives at the zeta = 1 edge, finite for every registry entry.
+  dft::SpinDensity d;
+  d.rho_a = 0.3;
+  d.sigma_aa = 0.05;
+  for (const char* name : {"lda", "pbe", "pbe0"}) {
+    const dft::SpinXcPoint x = dft::make_spin_functional(name).evaluate(d);
+    for (double v : {x.e, x.vrho_a, x.vrho_b, x.vsigma_aa, x.vsigma_ab,
+                     x.vsigma_bb})
+      EXPECT_TRUE(std::isfinite(v)) << name;
+  }
+}
+
 TEST(Uks, ClosedShellSingletMatchesRks) {
   const auto m = wl::h2();
   const auto basis = chem::BasisSet::build(m, "sto-3g");
@@ -130,6 +224,25 @@ TEST(Uks, HfFunctionalMatchesUhf) {
   EXPECT_EQ(u2.scf.energy, u1.energy);
   EXPECT_EQ(u2.scf.density_alpha, u1.density_alpha);
   EXPECT_EQ(u2.scf.density_beta, u1.density_beta);
+}
+
+TEST(Uks, Pbe0EnergyBitIdenticalAcrossThreadCounts) {
+  // XC (point chunks) and J/K (task chunks) both merge along fixed trees.
+  chem::Molecule m;
+  m.add_atom(3, {0, 0, 0});
+  const auto basis = chem::BasisSet::build(m, "sto-3g");
+  scf::UksOptions opts;
+  opts.functional = "pbe0";
+  opts.grid.radial_points = 35;
+  opts.scf.hfx.num_threads = 1;
+  const auto ref = scf::uks(m, basis, 2, opts);
+  ASSERT_TRUE(ref.scf.converged);
+  for (std::size_t threads : {2, 4, 8}) {
+    opts.scf.hfx.num_threads = threads;
+    const auto r = scf::uks(m, basis, 2, opts);
+    EXPECT_EQ(r.scf.energy, ref.scf.energy) << threads;
+    EXPECT_EQ(r.xc_energy, ref.xc_energy) << threads;
+  }
 }
 
 TEST(Uks, HydrogenAtomLsdaEnergyReasonable) {
