@@ -1,12 +1,14 @@
 #!/usr/bin/env bash
 # Build the threading/scheduler tests under ThreadSanitizer and run them.
 #
-# Covers the concurrency-sensitive surface: the thread pool, the
-# work-stealing scheduler (both steal paths and their stats counters),
-# the sibling merge of chunk partials (TreeReduce.* rides inside the full
-# test_parallel run), the obs registry's lock-free per-thread slots, the
-# HFX scheduler exactness tests, the XC integrator's point chunks, and
-# the screening engine's one job
+# Covers the concurrency-sensitive surface: the thread pool (including two
+# callers overlapping their regions on one pool), the work-stealing
+# scheduler (both steal paths and their stats counters), the sibling
+# merge of chunk partials (TreeReduce.*, CutChunks.* and RunChunks.* ride
+# inside the full test_parallel run), the obs registry's lock-free
+# per-thread slots, the HFX scheduler exactness tests, the XC
+# integrator's point chunks, the two-electron and KS gradients' row
+# chunks, and the screening engine's one job
 # queue (per-tenant backlogs, fair-share dispatch) + multi-job scheduler. A data race anywhere in that stack fails this
 # script.
 #
@@ -20,7 +22,7 @@ BUILD_DIR="${1:-build-tsan}"
 cmake -B "$BUILD_DIR" -S . -DMTHFX_SANITIZE=thread
 cmake --build "$BUILD_DIR" -j --target test_parallel test_obs test_hfx \
   test_fault test_engine test_durability test_serve test_differential \
-  test_property_scaling test_dft test_spin_dft
+  test_property_scaling test_dft test_spin_dft test_gradient
 
 export TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1"
 
@@ -34,10 +36,14 @@ export TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1"
 "$BUILD_DIR"/tests/test_hfx --gtest_filter='SchedulerExactness*:Schedulers.*:AllSchedules/*:FockBuilder.AllSchedulesAndThreadCountsAgreeTightly'
 # XC point chunks: integrate, integrate_spin and gradient at 1 to 8
 # threads, each chunk's partial merged as siblings finish, and RKS/UKS
-# PBE0 solves whose J/K and XC pools run side by side.
+# PBE0 solves whose J/K builds and XC share the builder's one pool.
 "$BUILD_DIR"/tests/test_dft --gtest_filter='XcThreads.*'
 "$BUILD_DIR"/tests/test_spin_dft \
   --gtest_filter='Uks.Pbe0EnergyBitIdenticalAcrossThreadCounts'
+# Gradient row chunks at 1 to 8 threads: the two-electron term on its own
+# pool, and a PBE0 solve + KS gradient on one bound builder whose pool
+# runs J/K, XC and the XC gradient.
+"$BUILD_DIR"/tests/test_gradient --gtest_filter='Gradient.*BitIdenticalAcrossThreadCounts'
 # Retry/exactly-once-commit paths of the fault suite: concurrent task
 # failure, in-place retry, and attempt accounting across every schedule,
 # plus retried and poisoned tasks of a dense builder and of a culled

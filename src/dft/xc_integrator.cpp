@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
 
 #include "hfx/cell_list.hpp"
 #include "obs/trace.hpp"
@@ -20,9 +19,8 @@ namespace {
 // much as 32 AO products.
 double point_cost(std::size_t n) { return static_cast<double>(n * n + 32); }
 
-// Per-chunk partial sums. clear() zeroes a partial recycled by the merge.
-// VPart holds one t phi^T sum per spin channel (V = w + w^T) with the
-// chunk's energy and density.
+// Per-chunk partial of integrate/integrate_spin: one t phi^T sum per
+// spin channel (V = w + w^T) with the chunk's energy and density.
 struct VPart {
   std::vector<Matrix> w;
   double energy = 0.0, density = 0.0;
@@ -37,43 +35,6 @@ struct VPart {
     return *this;
   }
 };
-
-struct GradPart {
-  std::vector<chem::Vec3> g;
-  void clear() { g.assign(g.size(), chem::Vec3{0, 0, 0}); }
-  GradPart& operator+=(const GradPart& o) {
-    for (std::size_t a = 0; a < g.size(); ++a) g[a] = g[a] + o.g[a];
-    return *this;
-  }
-};
-
-// Runs body(begin, end, part) for every chunk of points, each into its
-// own zeroed partial (a copy of `zero`, or a cleared recycled one), on
-// `pool` or on the calling thread, and merges the partials along the
-// fixed tree over chunk indices. Only the chunk cut and the point order
-// inside a chunk reach the sum, so the total is bitwise independent of
-// thread count and completion order.
-template <class Part, class Body>
-Part run_chunks(const std::vector<std::size_t>& chunk_end,
-                parallel::ThreadPool* pool, const Part& zero, Body body) {
-  parallel::TreeMerge<Part> merge(chunk_end.size());
-  const auto run = [&](std::size_t c, std::size_t) {
-    std::optional<Part> part = merge.recycle();
-    if (part)
-      part->clear();
-    else
-      part.emplace(zero);
-    body(c ? chunk_end[c - 1] : 0, chunk_end[c], *part);
-    merge.finish(c, std::move(*part));
-  };
-  if (pool) {
-    pool->parallel_for(0, chunk_end.size(), run);
-  } else {
-    for (std::size_t c = 0; c < chunk_end.size(); ++c) run(c, 0);
-  }
-  std::optional<Part> total = merge.take();
-  return total ? std::move(*total) : zero;
-}
 
 // P over the AOs idx[0..n) as a dense n x n block.
 void gather(const Matrix& density, const std::uint32_t* idx, std::size_t n,
@@ -146,18 +107,10 @@ XcIntegrator::XcIntegrator(const chem::BasisSet& basis,
     shell_off_.push_back(shells_.size());
   }
 
-  // Chunk ends: runs of consecutive points of near-equal cost.
-  double total = 0.0;
+  std::vector<double> costs(np);
   for (std::size_t g = 0; g < np; ++g)
-    total += point_cost(row_off_[g + 1] - row_off_[g]);
-  double seen = 0.0;
-  for (std::size_t g = 0; g < np; ++g) {
-    seen += point_cost(row_off_[g + 1] - row_off_[g]);
-    const bool full = chunk_end_.size() + 1 < kMaxChunks &&
-                      seen * kMaxChunks >=
-                          static_cast<double>(chunk_end_.size() + 1) * total;
-    if (full || g + 1 == np) chunk_end_.push_back(g + 1);
-  }
+    costs[g] = point_cost(row_off_[g + 1] - row_off_[g]);
+  chunk_end_ = parallel::cut_chunks(costs);
 }
 
 double XcIntegrator::cached_fraction() const {
@@ -225,7 +178,7 @@ XcResult XcIntegrator::integrate(const Functional& functional,
                                  parallel::ThreadPool* pool) const {
   const obs::Trace::Scope span(obs::global_trace(), "dft.xc");
   const std::size_t nao = basis_.num_functions();
-  const VPart zero{{Matrix(nao, nao)}};
+  const auto zero = [nao] { return VPart{{Matrix(nao, nao)}}; };
 
   const auto chunk = [&](std::size_t begin, std::size_t end, VPart& part) {
     std::vector<double> pphi(nao);  // (P phi) at the current point
@@ -261,7 +214,7 @@ XcResult XcIntegrator::integrate(const Functional& functional,
       scatter_add(wblock, r0.idx, r0.n, part.w[0]);
     }
   };
-  const VPart total = run_chunks(chunk_end_, pool, zero, chunk);
+  const VPart total = parallel::run_chunks(chunk_end_, pool, zero, chunk);
 
   XcResult result;
   result.energy = total.energy;
@@ -279,10 +232,13 @@ std::vector<chem::Vec3> XcIntegrator::gradient(
   std::size_t max_nf = 0;
   for (const chem::Shell& sh : basis_.shells())
     max_nf = std::max(max_nf, sh.num_functions());
-  const GradPart zero{std::vector<chem::Vec3>(mol.size(), {0, 0, 0})};
+  const auto zero = [n = mol.size()] {
+    return parallel::VectorPart<chem::Vec3>{std::vector<chem::Vec3>(n)};
+  };
 
-  const auto chunk = [&](std::size_t begin, std::size_t end, GradPart& part) {
-    std::vector<chem::Vec3>& grad = part.g;
+  const auto chunk = [&](std::size_t begin, std::size_t end,
+                         parallel::VectorPart<chem::Vec3>& part) {
+    std::vector<chem::Vec3>& grad = part.v;
     std::vector<double> pphi(nao), pgx(nao), pgy(nao), pgz(nao);
     // One shell's AO Hessians, xx, xy, xz, yy, yz, zz blocks of max_nf.
     std::vector<double> hess(6 * max_nf), pblock;
@@ -367,7 +323,7 @@ std::vector<chem::Vec3> XcIntegrator::gradient(
       }
     }
   };
-  return run_chunks(chunk_end_, pool, zero, chunk).g;
+  return parallel::run_chunks(chunk_end_, pool, zero, chunk).v;
 }
 
 XcSpinResult XcIntegrator::integrate_spin(const SpinFunctional& functional,
@@ -377,7 +333,9 @@ XcSpinResult XcIntegrator::integrate_spin(const SpinFunctional& functional,
   const obs::Trace::Scope span(obs::global_trace(), "dft.xc");
   const std::size_t nao = basis_.num_functions();
   const bool gga = functional.needs_gradient;
-  const VPart zero{{Matrix(nao, nao), Matrix(nao, nao)}};
+  const auto zero = [nao] {
+    return VPart{{Matrix(nao, nao), Matrix(nao, nao)}};
+  };
 
   const auto chunk = [&](std::size_t begin, std::size_t end, VPart& part) {
     std::vector<double> pa_phi(nao), pb_phi(nao);
@@ -432,7 +390,7 @@ XcSpinResult XcIntegrator::integrate_spin(const SpinFunctional& functional,
       scatter_add(wb_block, r0.idx, r0.n, part.w[1]);
     }
   };
-  const VPart total = run_chunks(chunk_end_, pool, zero, chunk);
+  const VPart total = parallel::run_chunks(chunk_end_, pool, zero, chunk);
 
   XcSpinResult result;
   result.energy = total.energy;

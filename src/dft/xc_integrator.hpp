@@ -7,16 +7,18 @@
 // functional evaluation per grid point (dft/functionals.hpp).
 //
 // Every entry point runs on one shell-screened AO table built by the
-// constructor. The constructor also cuts the grid into at most
-// kMaxChunks runs of consecutive points of near-equal AO cost; the cut
-// depends on the grid and basis alone. integrate, integrate_spin and
-// gradient give each chunk its own zeroed partial (V, or V_alpha/V_beta,
-// with the energy and density sums; or the per-atom gradient), run the
-// chunks on the pool passed in (or on the calling thread), and merge the
-// partials along parallel::TreeMerge's fixed tree. Their results are
-// therefore bit-identical for any thread count. The integrator holds no
-// threads of its own. integrate and integrate_spin open a `dft.xc` span,
-// and gradient a `dft.xc_grad` span, on obs::global_trace().
+// constructor. The constructor also cuts the grid with
+// parallel::cut_chunks into runs of consecutive points of near-equal AO
+// cost; the cut depends on the grid and basis alone. integrate,
+// integrate_spin and gradient run the chunks through parallel::run_chunks:
+// each chunk fills its own zeroed partial (V, or V_alpha/V_beta, with the
+// energy and density sums; or the per-atom gradient), on the pool passed
+// in or on the calling thread, and the partials merge along
+// parallel::TreeMerge's fixed tree. Their results are therefore
+// bit-identical for any thread count. The integrator holds no threads of
+// its own; rks and uks pass the FockBuilder's pool. integrate and
+// integrate_spin open a `dft.xc` span, and gradient a `dft.xc_grad` span,
+// on obs::global_trace().
 
 #include <cstddef>
 #include <cstdint>
@@ -57,14 +59,10 @@ class XcIntegrator {
   /// (~1e-14), well under the quadrature error.
   XcIntegrator(const chem::BasisSet& basis, const MolecularGrid& grid);
 
-  /// Most point chunks per grid: enough to balance a pool of a few
-  /// threads; each chunk costs one zeroed partial and one merge.
-  static constexpr std::size_t kMaxChunks = 64;
-
   /// Fraction of the dense np x nao AO table actually cached.
   double cached_fraction() const;
 
-  /// Number of point chunks the grid was cut into.
+  /// Number of point chunks the grid was cut into (<= parallel::kMaxChunks).
   std::size_t num_chunks() const { return chunk_end_.size(); }
 
   /// Evaluate E_xc and V_xc for the closed-shell density matrix P. The

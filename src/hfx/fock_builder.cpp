@@ -103,6 +103,10 @@ bool all_finite(const Matrix& m) {
 // One chunk's J/K contribution (j stays empty in exchange-only builds).
 struct JkPartial {
   Matrix k, j;
+  void clear() {
+    k.fill(0.0);
+    j.fill(0.0);
+  }
   JkPartial& operator+=(const JkPartial& other) {
     k += other.k;
     j += other.j;
@@ -110,16 +114,11 @@ struct JkPartial {
   }
 };
 
-// Most chunks per build: enough to balance a pool of a few threads over
-// rows of uneven cost. Each chunk costs one zeroed J/K partial and one
-// merge, and the merge tree is ceil(log2(chunks)) levels deep.
-constexpr std::size_t kMaxChunks = 64;
-
-// Chunk ends (task indices) over a builder's task list: runs of whole bra
-// rows of near-equal estimated cost, at most kMaxChunks of them. Rows are
-// costed as one-task rows whatever the task grain, so the cut depends on
-// the pair list alone, and splitting rows into finer tasks moves no chunk
-// boundary and no quartet between chunks.
+// Chunk ends (task indices) over a builder's task list: the cut of its
+// bra rows (parallel::cut_chunks), each row costed as a one-task row
+// whatever the task grain. The cut therefore depends on the pair list
+// alone, and splitting rows into finer tasks moves no chunk boundary and
+// no quartet between chunks.
 std::vector<std::size_t> chunk_ends(const BasisSet& basis,
                                     const ShellPairList& pairs,
                                     double eps_schwarz,
@@ -127,17 +126,13 @@ std::vector<std::size_t> chunk_ends(const BasisSet& basis,
   const std::vector<QuartetTask> rows =
       tasks.size() == pairs.size() ? tasks
                                    : make_tasks(basis, pairs, 0.0, eps_schwarz);
-  const double total = total_cost(rows);
-  const double whole = total > 0.0 ? total : static_cast<double>(rows.size());
-  std::vector<std::size_t> end;
-  double seen = 0.0;
-  std::size_t t = 0;
-  for (std::size_t b = 0; b < rows.size(); ++b) {
-    seen += total > 0.0 ? rows[b].est_cost : 1.0;
-    while (t < tasks.size() && tasks[t].bra == b) ++t;
-    const bool full = end.size() + 1 < kMaxChunks &&
-                      seen * kMaxChunks >= (end.size() + 1) * whole;
-    if (full || b + 1 == rows.size()) end.push_back(t);
+  std::vector<double> costs(rows.size());
+  for (std::size_t b = 0; b < rows.size(); ++b) costs[b] = rows[b].est_cost;
+  std::vector<std::size_t> end = parallel::cut_chunks(costs);
+  std::size_t t = 0;  // tasks are sorted by bra row
+  for (std::size_t& e : end) {
+    while (t < tasks.size() && tasks[t].bra < e) ++t;
+    e = t;
   }
   return end;
 }
@@ -354,6 +349,7 @@ obs::Json to_json(const HfxStats& stats) {
 FockBuilder::FockBuilder(const BasisSet& basis, HfxOptions options)
     : basis_(&basis),
       options_(options),
+      pool_(options_.num_threads),
       pairs_(make_pairs(basis, options_, &schwarz_, &culled_, &cull_stats_)),
       tasks_(builder_tasks(basis, pairs_, options_, culled_)),
       chunk_end_(chunk_ends(basis, pairs_, options_.eps_schwarz, tasks_)) {
@@ -467,8 +463,7 @@ JkResult FockBuilder::coulomb_exchange_blocked(
 JkResult FockBuilder::build(const Matrix& density, bool want_coulomb) const {
   obs::Trace::Scope build_span(obs::global_trace(), "jk.build");
   const std::size_t nao = basis_->num_functions();
-  const std::size_t nthreads =
-      parallel::resolve_thread_count(options_.num_threads);
+  const std::size_t nthreads = pool_.num_threads();
   const double eps_contribution = options_.contribution_cutoff();
 
   obs::Registry registry(nthreads);
@@ -522,13 +517,7 @@ JkResult FockBuilder::build(const Matrix& density, bool want_coulomb) const {
   parallel::TreeMerge<JkPartial> merge(chunks.end.size());
   const obs::Timer reduce_timer = registry.timer("hfx.reduce_seconds");
   chunks.begin = [&](std::size_t, std::size_t tid) {
-    if (auto part = merge.recycle()) {
-      open[tid] = std::move(*part);
-      open[tid].k.fill(0.0);
-      open[tid].j.fill(0.0);
-    } else {
-      open[tid] = zero_partial();
-    }
+    open[tid] = merge.open(zero_partial);
   };
   chunks.finish = [&](std::size_t chunk, std::size_t tid) {
     obs::ScopedTimer reduce(reduce_timer, tid);
@@ -643,11 +632,10 @@ JkResult FockBuilder::build(const Matrix& density, bool want_coulomb) const {
   const std::uint64_t pre_stalls = injector_ ? injector_->stalls() : 0;
   const std::uint64_t pre_corruptions =
       injector_ ? injector_->corruptions() : 0;
-  parallel::ThreadPool pool(nthreads);
   {
     obs::Trace::Scope task_span(obs::global_trace(), "jk.tasks");
     obs::ScopedTimer wall(registry.timer("hfx.wall_seconds"), 0);
-    execute_tasks(pool, chunks, options_.schedule, run_task, &registry,
+    execute_tasks(pool_, chunks, options_.schedule, run_task, &registry,
                   RetryOptions{.max_retries = options_.fault.max_retries});
   }
   std::optional<JkPartial> total = merge.take();

@@ -10,6 +10,7 @@
 // partial blocks reduced along a tree; the BG/Q simulator models that
 // reduction at scale). The schedule only decides which thread runs which
 // chunk, so J and K are bit-identical for any thread count and schedule.
+// Each builder owns one thread pool for all its builds.
 
 #include <atomic>
 #include <cstddef>
@@ -25,6 +26,7 @@
 #include "linalg/block_sparse.hpp"
 #include "linalg/matrix.hpp"
 #include "obs/json.hpp"
+#include "parallel/thread_pool.hpp"
 
 namespace mthfx::hfx {
 
@@ -160,7 +162,8 @@ struct JkResult {
 class FockBuilder {
  public:
   /// Precomputes Schwarz bounds, the significant pair list and the task
-  /// list. The basis must outlive the builder.
+  /// list, and starts the pool of options.num_threads threads. The basis
+  /// must outlive the builder.
   FockBuilder(const chem::BasisSet& basis, HfxOptions options = {});
 
   /// Exchange-only build (the paper's benchmarked kernel).
@@ -194,7 +197,7 @@ class FockBuilder {
   /// surfaces and finite-difference sweeps, where most single-geometry
   /// rebuild cost is pair preparation on atoms that did not move.
   /// Throws std::invalid_argument if the shell structure differs. The new
-  /// basis must outlive the builder.
+  /// basis must outlive the builder. The pool is kept.
   void rebind(const chem::BasisSet& basis);
 
   /// Pairs carried over unchanged by the most recent rebind (0 before
@@ -205,6 +208,10 @@ class FockBuilder {
   const ShellPairList& pairs() const { return pairs_; }
   const std::vector<QuartetTask>& tasks() const { return tasks_; }
   const HfxOptions& options() const { return options_; }
+
+  /// The pool every build runs on, alive as long as the builder; the
+  /// SCF's XC runs on it too.
+  parallel::ThreadPool& pool() const { return pool_; }
 
   /// True when the pair list came from the distance-culled cell-list
   /// build (sparsity engaged) rather than the dense O(ns²) sweep.
@@ -223,6 +230,7 @@ class FockBuilder {
 
   const chem::BasisSet* basis_;
   HfxOptions options_;
+  mutable parallel::ThreadPool pool_;
   linalg::Matrix schwarz_;  ///< empty in culled mode (never formed)
   bool culled_ = false;
   PairCullStats cull_stats_;

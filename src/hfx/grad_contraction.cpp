@@ -6,20 +6,13 @@
 #include "hfx/screening.hpp"
 #include "ints/deriv.hpp"
 #include "ints/schwarz.hpp"
+#include "parallel/reduce.hpp"
 #include "parallel/thread_pool.hpp"
 
 namespace mthfx::hfx {
 
 using chem::Vec3;
 using linalg::Matrix;
-
-namespace {
-
-// Most row chunks per call. Enough to balance a pool of a few threads
-// over the triangular row profile; each costs one natoms-long partial.
-constexpr std::size_t kChunks = 64;
-
-}  // namespace
 
 std::vector<Vec3> two_electron_gradient(const chem::BasisSet& basis,
                                         const ShellPairList& pairs,
@@ -47,22 +40,16 @@ std::vector<Vec3> two_electron_gradient(const chem::BasisSet& basis,
   // A NaN density walks every ket, so the NaN reaches the gradient.
   const double eps_live = gamma_cap > 0.0 ? eps_grad / gamma_cap : 0.0;
 
-  // Rows and their live ket counts; chunk boundaries split the total
-  // ket count into kChunks near-equal runs of consecutive rows. They
-  // depend on the pair list and density alone, never on the threads.
+  // Rows and their live ket counts; the chunks are runs of consecutive
+  // rows of near-equal ket count, so they depend on the pair list and
+  // density alone, never on the threads.
   const std::size_t npairs = pairs.size();
   std::vector<std::size_t> live(npairs);
   std::size_t total = 0;
   for (std::size_t ib = 0; ib < npairs; ++ib)
     total += live[ib] = pairs.live_end(ib, eps_live);
   if (total == 0) return grad;
-  std::vector<std::size_t> chunk_end;
-  for (std::size_t ib = 0, seen = 0; ib < npairs; ++ib) {
-    seen += live[ib];
-    if (seen * kChunks >= (chunk_end.size() + 1) * total || ib + 1 == npairs)
-      chunk_end.push_back(ib + 1);
-  }
-  const std::size_t nchunks = chunk_end.size();
+  const std::vector<std::size_t> chunk_end = parallel::cut_chunks(live);
 
   // Derivative expansions once per call: npairs * nprim^2 work against
   // the quartets' nprim^4.
@@ -71,14 +58,12 @@ std::vector<Vec3> two_electron_gradient(const chem::BasisSet& basis,
   for (const ShellPair& pair : pairs.pairs())
     expansions.emplace_back(basis.shell(pair.sa), basis.shell(pair.sb));
 
-  // One natoms-long partial per chunk, summed in chunk order below.
-  std::vector<Vec3> partial(nchunks * natoms, Vec3{0, 0, 0});
-
-  auto run_chunk = [&](std::size_t chunk, std::size_t) {
-    Vec3* acc = partial.data() + chunk * natoms;
+  using GradPart = parallel::VectorPart<Vec3>;
+  const auto run_chunk = [&](std::size_t begin, std::size_t end,
+                             GradPart& part) {
+    std::vector<Vec3>& acc = part.v;
     ints::EriGradBlocks dblk;
-    for (std::size_t ib = chunk == 0 ? 0 : chunk_end[chunk - 1];
-         ib < chunk_end[chunk]; ++ib) {
+    for (std::size_t ib = begin; ib < end; ++ib) {
       const ShellPair& bra = pairs[ib];
       const chem::Shell& a = basis.shell(bra.sa);
       const chem::Shell& b = basis.shell(bra.sb);
@@ -144,20 +129,13 @@ std::vector<Vec3> two_electron_gradient(const chem::BasisSet& basis,
     }
   };
 
-  const std::size_t nthreads =
-      std::min(parallel::resolve_thread_count(options.num_threads), nchunks);
-  if (nthreads == 1) {
-    for (std::size_t chunk = 0; chunk < nchunks; ++chunk) run_chunk(chunk, 0);
-  } else {
-    // Threads claim chunks from the dynamic bag; which thread ran a chunk
-    // does not reach the sum.
-    parallel::ThreadPool pool(nthreads);
-    pool.parallel_for(0, nchunks, run_chunk, parallel::Schedule::kDynamic, 1);
-  }
-  for (std::size_t chunk = 0; chunk < nchunks; ++chunk)
-    for (std::size_t at = 0; at < natoms; ++at)
-      grad[at] = grad[at] + partial[chunk * natoms + at];
-  return grad;
+  parallel::ThreadPool pool(std::min(
+      parallel::resolve_thread_count(options.num_threads), chunk_end.size()));
+  return parallel::run_chunks(
+             chunk_end, &pool,
+             [natoms] { return GradPart{std::vector<Vec3>(natoms)}; },
+             run_chunk)
+      .v;
 }
 
 std::vector<Vec3> two_electron_gradient(const chem::BasisSet& basis,

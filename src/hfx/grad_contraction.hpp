@@ -16,11 +16,12 @@
 // derivative blocks for the three independent centers; the fourth center
 // follows from translational invariance.
 //
-// Threads: the rows are cut into a fixed number of chunks of consecutive
-// rows, with boundaries taken from the pair list's live ket counts. Pool
-// threads claim chunks dynamically, each chunk sums into its own
-// natoms x 3 partial, and the partials are added in chunk order, so the
-// gradient is bit-identical for any num_threads.
+// Threads: parallel::cut_chunks cuts the rows into runs of consecutive
+// rows of near-equal live ket count, and parallel::run_chunks runs them:
+// pool threads claim chunks dynamically, each chunk sums into its own
+// natoms x 3 partial, and the partials merge along parallel::TreeMerge's
+// fixed tree, so the gradient is bit-identical for any num_threads. Each
+// call starts its own pool of num_threads threads.
 
 #include <vector>
 

@@ -60,8 +60,6 @@ void execute_tasks(parallel::ThreadPool& pool, const TaskChunks& chunks,
                    HfxSchedule schedule,
                    const std::function<void(std::size_t, std::size_t)>& body,
                    obs::Registry* registry, const RetryOptions& retry) {
-  pool.set_registry(registry);
-
   obs::Counter tasks_executed;
   obs::Counter retries;
   obs::Counter permanent_failures;
@@ -117,7 +115,7 @@ void execute_tasks(parallel::ThreadPool& pool, const TaskChunks& chunks,
               : (schedule == HfxSchedule::kStaticBlock
                      ? parallel::Schedule::kStatic
                      : parallel::Schedule::kStaticCyclic);
-      pool.parallel_for(0, num_chunks, run_chunk, policy);
+      pool.parallel_for(0, num_chunks, run_chunk, policy, 1, registry);
       break;
     }
     case HfxSchedule::kWorkStealing: {
@@ -126,7 +124,7 @@ void execute_tasks(parallel::ThreadPool& pool, const TaskChunks& chunks,
       pool.parallel_region([&](std::size_t tid) {
         while (auto c = ws.next(tid))
           run_chunk(static_cast<std::size_t>(*c), tid);
-      });
+      }, registry);
       if (registry) ws.record(*registry);
       break;
     }

@@ -69,8 +69,7 @@ void execute_tasks(std::size_t num_tasks, std::size_t num_threads,
 
 /// Same contract over caller-cut chunks on a caller-owned pool: the
 /// schedule decides only which thread runs which chunk. The pool's
-/// registry attachment is replaced by `registry` for the duration of the
-/// call.
+/// region records into `registry` (pool.* occupancy).
 void execute_tasks(parallel::ThreadPool& pool, const TaskChunks& chunks,
                    HfxSchedule schedule,
                    const std::function<void(std::size_t, std::size_t)>& body,

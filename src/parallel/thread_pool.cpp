@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <memory>
 
+#include "obs/registry.hpp"
+
 namespace mthfx::parallel {
 
 std::size_t resolve_thread_count(std::size_t requested) {
@@ -48,32 +50,25 @@ void ThreadPool::worker_loop(std::size_t thread_id) {
   }
 }
 
-void ThreadPool::set_registry(obs::Registry* registry) {
-  registry_ = registry;
-  if (registry) {
-    region_timer_ = registry->timer("pool.thread_seconds");
-    region_counter_ = registry->counter("pool.regions");
-  } else {
-    region_timer_ = obs::Timer();
-    region_counter_ = obs::Counter();
-  }
-}
-
-void ThreadPool::parallel_region(const std::function<void(std::size_t)>& fn) {
+void ThreadPool::parallel_region(const std::function<void(std::size_t)>& fn,
+                                 obs::Registry* registry) {
   const std::size_t n = num_threads();
   std::function<void(std::size_t)> instrumented;
-  if (registry_) {
-    region_counter_.add(0);
-    instrumented = [this, &fn](std::size_t tid) {
-      obs::ScopedTimer timer(region_timer_, tid);
+  if (registry) {
+    registry->counter("pool.regions").add(0);
+    instrumented = [timer = registry->timer("pool.thread_seconds"),
+                    &fn](std::size_t tid) {
+      obs::ScopedTimer scope(timer, tid);
       fn(tid);
     };
   }
-  const auto& run = registry_ ? instrumented : fn;
+  const auto& run = registry ? instrumented : fn;
   if (n == 1) {
     run(0);
     return;
   }
+  // One job slot: a region from another caller waits here for this one.
+  std::lock_guard region(region_mutex_);
   auto job = std::make_shared<Job>();
   job->per_thread = run;
   job->remaining.store(n - 1, std::memory_order_relaxed);
@@ -94,7 +89,7 @@ void ThreadPool::parallel_region(const std::function<void(std::size_t)>& fn) {
 void ThreadPool::parallel_for(
     std::size_t begin, std::size_t end,
     const std::function<void(std::size_t, std::size_t)>& body,
-    Schedule schedule, std::size_t chunk) {
+    Schedule schedule, std::size_t chunk, obs::Registry* registry) {
   if (end <= begin) return;
   const std::size_t n_threads = num_threads();
   const std::size_t count = end - begin;
@@ -111,7 +106,7 @@ void ThreadPool::parallel_for(
           const std::size_t i1 = std::min(i0 + chunk, end);
           for (std::size_t i = i0; i < i1; ++i) body(i, tid);
         }
-      });
+      }, registry);
       break;
     }
     case Schedule::kStatic: {
@@ -120,7 +115,7 @@ void ThreadPool::parallel_for(
         const std::size_t i0 = begin + tid * block;
         const std::size_t i1 = std::min(i0 + block, end);
         for (std::size_t i = i0; i < i1; ++i) body(i, tid);
-      });
+      }, registry);
       break;
     }
     case Schedule::kStaticCyclic: {
@@ -131,15 +126,10 @@ void ThreadPool::parallel_for(
           const std::size_t i1 = std::min(i0 + chunk, end);
           for (std::size_t i = i0; i < i1; ++i) body(i, tid);
         }
-      });
+      }, registry);
       break;
     }
   }
-}
-
-ThreadPool& default_pool() {
-  static ThreadPool pool;
-  return pool;
 }
 
 }  // namespace mthfx::parallel

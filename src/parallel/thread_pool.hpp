@@ -6,6 +6,11 @@
 // (atomic chunk counter — the scheme the paper scales to millions of BG/Q
 // threads) and in a static block-cyclic mode (the baseline the paper
 // compares against).
+//
+// Regions that callers on different threads start on one pool (say, on a
+// shared FockBuilder's) are serialised: the second waits for the first to
+// end. Regions are not re-entrant: a region body must not start another
+// region on the same pool.
 
 #include <atomic>
 #include <condition_variable>
@@ -15,7 +20,9 @@
 #include <thread>
 #include <vector>
 
-#include "obs/registry.hpp"
+namespace mthfx::obs {
+class Registry;
+}
 
 namespace mthfx::parallel {
 
@@ -43,22 +50,20 @@ class ThreadPool {
 
   std::size_t num_threads() const { return workers_.size() + 1; }
 
-  /// Attach a metrics registry (sized for >= num_threads() slots): each
-  /// parallel_region then records per-thread occupancy into the
-  /// "pool.thread_seconds" timer and counts "pool.regions". Pass nullptr
-  /// to detach. The registry must outlive the attachment; swap only
-  /// between regions.
-  void set_registry(obs::Registry* registry);
-
   /// Run body(i, thread_id) for i in [begin, end) across the pool
   /// (the calling thread participates as thread 0). Blocks until done.
+  /// `registry` is passed on to the region (see parallel_region).
   void parallel_for(std::size_t begin, std::size_t end,
                     const std::function<void(std::size_t, std::size_t)>& body,
                     Schedule schedule = Schedule::kDynamic,
-                    std::size_t chunk = 1);
+                    std::size_t chunk = 1, obs::Registry* registry = nullptr);
 
-  /// Run fn(thread_id) once on every thread (SPMD region). Blocks.
-  void parallel_region(const std::function<void(std::size_t)>& fn);
+  /// Run fn(thread_id) once on every thread (SPMD region). Blocks. With a
+  /// registry (sized for >= num_threads() slots) the region counts
+  /// "pool.regions" and records each thread's occupancy into the
+  /// "pool.thread_seconds" timer.
+  void parallel_region(const std::function<void(std::size_t)>& fn,
+                       obs::Registry* registry = nullptr);
 
  private:
   struct Job {
@@ -69,9 +74,7 @@ class ThreadPool {
   void worker_loop(std::size_t thread_id);
 
   std::vector<std::thread> workers_;
-  obs::Registry* registry_ = nullptr;
-  obs::Timer region_timer_;
-  obs::Counter region_counter_;
+  std::mutex region_mutex_;  // held by the caller of a multi-thread region
   std::mutex mutex_;
   std::condition_variable cv_start_;
   std::condition_variable cv_done_;
@@ -79,8 +82,5 @@ class ThreadPool {
   std::uint64_t epoch_ = 0;
   bool stop_ = false;
 };
-
-/// Process-wide pool sized to the hardware (lazily constructed).
-ThreadPool& default_pool();
 
 }  // namespace mthfx::parallel

@@ -1,7 +1,6 @@
 #include "scf/gradient.hpp"
 
 #include <cmath>
-#include <memory>
 #include <optional>
 
 #include "dft/functionals.hpp"
@@ -123,16 +122,18 @@ std::vector<Vec3> ks_gradient(const chem::Molecule& mol,
   gopt.eps_schwarz = options.scf.hfx.eps_schwarz;
   gopt.num_threads = options.scf.hfx.num_threads;
   const hfx::FockBuilder* shared = options.scf.shared_builder;
+  if (shared && &shared->basis() != &basis) shared = nullptr;
   const std::vector<Vec3> g2 =
-      (shared && &shared->basis() == &basis)
-          ? hfx::two_electron_gradient(basis, shared->pairs(), p, gopt)
-          : hfx::two_electron_gradient(basis, p, gopt);
+      shared ? hfx::two_electron_gradient(basis, shared->pairs(), p, gopt)
+             : hfx::two_electron_gradient(basis, p, gopt);
   for (std::size_t a = 0; a < grad.size(); ++a) grad[a] = grad[a] + g2[a];
 
   if (semilocal) {
     std::optional<KsGrid> own_grid;
     const KsGrid& grid = grid_for(mol, basis, options, own_grid);
-    parallel::ThreadPool pool(options.scf.hfx.num_threads);
+    std::optional<parallel::ThreadPool> own_pool;
+    parallel::ThreadPool& pool =
+        shared ? shared->pool() : own_pool.emplace(options.scf.hfx.num_threads);
     const std::vector<Vec3> gxc =
         grid.xc().gradient(functional, p, mol, &pool);
     for (std::size_t a = 0; a < grad.size(); ++a) grad[a] = grad[a] + gxc[a];

@@ -36,7 +36,8 @@ std::vector<chem::Vec3> rhf_gradient(const chem::Molecule& mol,
 /// same molecule/basis. When options.scf.shared_builder targets this
 /// basis its shell-pair list is reused for the derivative-ERI stream, and
 /// when options.shared_grid matches, its grid and AO table are reused for
-/// the XC term. The XC term runs on options.scf.hfx.num_threads threads.
+/// the XC term. The XC term runs on that shared builder's pool, or else
+/// on a pool of options.scf.hfx.num_threads threads made for the call.
 std::vector<chem::Vec3> ks_gradient(const chem::Molecule& mol,
                                     const chem::BasisSet& basis,
                                     const KsOptions& options,

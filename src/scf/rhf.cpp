@@ -9,7 +9,6 @@
 
 #include "dft/xc_integrator.hpp"
 #include "obs/trace.hpp"
-#include "parallel/thread_pool.hpp"
 #include "scf/rks.hpp"
 #include "scf/scf_loop.hpp"
 #include "scf/sparse_scf.hpp"
@@ -89,15 +88,14 @@ KsResult rks(const chem::Molecule& mol, const chem::BasisSet& basis,
   const auto step = detail::diagonalize_step(
       mol, basis, options.scf.hfx, options.scf.shared_builder, "rks");
 
-  // The grid and the XC pool are only needed for functionals with a
-  // semilocal part.
+  // The grid is only needed for functionals with a semilocal part. XC
+  // runs on the J/K builder's pool.
   std::optional<KsGrid> own_grid;
-  std::optional<parallel::ThreadPool> pool;
   if (options.functional != "hf") {
     const dft::XcIntegrator& xc = grid_for(mol, basis, options, own_grid).xc();
-    pool.emplace(options.scf.hfx.num_threads);
     spec.xc = [&](const std::vector<detail::Channel>& ch) {
-      dft::XcResult r = xc.integrate(functional, ch[0].p, &*pool);
+      dft::XcResult r =
+          xc.integrate(functional, ch[0].p, &step->builder().pool());
       return detail::XcTerm{r.energy, r.integrated_density, {std::move(r.v)}};
     };
   }

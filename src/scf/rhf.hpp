@@ -63,8 +63,9 @@ struct ScfOptions {
 
   /// Non-owning: reuse this prebuilt FockBuilder (its basis must be the
   /// exact BasisSet object passed to the solve — rebind it first when the
-  /// geometry changed). Skips Schwarz/pair/Hermite setup per solve; the
-  /// MD surface shares one builder across a whole trajectory.
+  /// geometry changed). Skips Schwarz/pair/Hermite setup per solve, and
+  /// its pool runs the solve's threads; the MD surface shares one builder
+  /// (and so one pool) across a whole trajectory.
   hfx::FockBuilder* shared_builder = nullptr;
 };
 

@@ -60,7 +60,8 @@ struct KsResult {
 };
 
 /// Run closed-shell restricted Kohn–Sham ("hf" functional reduces to RHF).
-/// XC runs on one pool of options.scf.hfx.num_threads threads per solve.
+/// XC runs on the solve's FockBuilder pool (the shared builder's, or the
+/// owned builder's of options.scf.hfx.num_threads threads).
 KsResult rks(const chem::Molecule& mol, const chem::BasisSet& basis,
              const KsOptions& options = {});
 

@@ -64,6 +64,8 @@ class DensityStep {
 
   const linalg::Matrix& overlap() const { return s_; }
   const linalg::Matrix& core_hamiltonian() const { return h_; }
+  /// The J/K builder (shared or owned); its pool is the solve's pool.
+  const hfx::FockBuilder& builder() const { return *builder_; }
   /// False when the step yields densities only (purification).
   virtual bool has_orbitals() const { return true; }
 

@@ -9,9 +9,8 @@
 #include <string>
 
 #include "dft/spin_functionals.hpp"
-#include "dft/xc_integrator.hpp"
 #include "obs/trace.hpp"
-#include "parallel/thread_pool.hpp"
+#include "scf/rks.hpp"
 #include "scf/scf_loop.hpp"
 #include "scf/uks.hpp"
 
@@ -112,16 +111,12 @@ UksResult uks(const chem::Molecule& mol, const chem::BasisSet& basis,
   const auto step =
       detail::diagonalize_step(mol, basis, options.scf.hfx, nullptr, "uks");
 
-  std::optional<dft::MolecularGrid> grid;
-  std::optional<dft::XcIntegrator> xc;
-  std::optional<parallel::ThreadPool> pool;  // one per solve, as in rks
+  std::optional<KsGrid> grid;
   if (options.functional != "hf") {
-    grid.emplace(mol, options.grid);
-    xc.emplace(basis, *grid);
-    pool.emplace(options.scf.hfx.num_threads);
-    spec.xc = [&](const std::vector<detail::Channel>& ch) {
-      dft::XcSpinResult r =
-          xc->integrate_spin(functional, ch[0].p, ch[1].p, &*pool);
+    const dft::XcIntegrator& xc = grid.emplace(mol, basis, options.grid).xc();
+    spec.xc = [&](const std::vector<detail::Channel>& ch) {  // as in rks
+      dft::XcSpinResult r = xc.integrate_spin(functional, ch[0].p, ch[1].p,
+                                              &step->builder().pool());
       return detail::XcTerm{r.energy, r.integrated_density,
                             {std::move(r.v_alpha), std::move(r.v_beta)}};
     };

@@ -15,6 +15,7 @@
 #include "ints/one_electron.hpp"
 #include "linalg/eigen.hpp"
 #include "obs/trace.hpp"
+#include "parallel/reduce.hpp"
 #include "parallel/thread_pool.hpp"
 #include "scf/rks.hpp"
 #include "testing/oracles.hpp"
@@ -435,7 +436,7 @@ TEST(XcThreads, IntegratorBitIdenticalAcrossThreadCounts) {
   const dft::MolecularGrid grid(m, gopts);
   const dft::XcIntegrator xc(basis, grid);
   EXPECT_GT(xc.num_chunks(), 1u);
-  EXPECT_LE(xc.num_chunks(), dft::XcIntegrator::kMaxChunks);
+  EXPECT_LE(xc.num_chunks(), mthfx::parallel::kMaxChunks);
   const auto f = dft::make_functional("pbe0");
   const auto fs = dft::make_spin_functional("pbe0");
 

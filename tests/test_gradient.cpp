@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
 
 #include "chem/basis.hpp"
+#include "hfx/fock_builder.hpp"
 #include "hfx/grad_contraction.hpp"
 #include "ints/deriv.hpp"
 #include "ints/eri.hpp"
@@ -181,8 +183,9 @@ TEST(DerivInts, EriGradientMatchesFd) {
   }
 }
 
-// Row chunks are cut from the pair list and summed in chunk order, so the
-// two-electron gradient must not depend on how many threads ran them.
+// Row chunks are cut from the pair list and their partials merge along a
+// fixed tree, so the two-electron gradient must not depend on how many
+// threads ran them.
 TEST(Gradient, TwoElectronGradientBitIdenticalAcrossThreadCounts) {
   const auto mol = wl::lithium_peroxide();
   const auto basis = chem::BasisSet::build(mol, "sto-3g");
@@ -202,6 +205,39 @@ TEST(Gradient, TwoElectronGradientBitIdenticalAcrossThreadCounts) {
     for (std::size_t atom = 0; atom < g.size(); ++atom)
       for (std::size_t d = 0; d < 3; ++d)
         EXPECT_EQ(g[atom][d], ref[atom][d])
+            << threads << " threads, atom " << atom << " dir " << d;
+  }
+}
+
+// The MD surface's path: a PBE0 solve and its gradient on one bound
+// builder, whose pool also runs the XC term of both. Energy and every
+// gradient term are fixed by the chunk cuts, so the forces are the same
+// bits at any thread count.
+TEST(Gradient, SharedBuilderKsGradientBitIdenticalAcrossThreadCounts) {
+  const auto mol = chem::Molecule::from_xyz(
+      "3\nwater\nO 0.0 0.0 0.1173\nH 0.0 0.7572 -0.4692\nH 0.1 -0.7572 "
+      "-0.4692\n");
+  const auto basis = chem::BasisSet::build(mol, "sto-3g");
+  const auto forces = [&](std::size_t threads) {
+    scf::KsOptions opts;
+    opts.functional = "pbe0";
+    opts.grid.radial_points = 25;
+    opts.grid.angular_points = 26;
+    opts.scf.hfx.num_threads = threads;
+    hfx::FockBuilder builder(basis, opts.scf.hfx);
+    opts.scf.shared_builder = &builder;
+    const scf::KsResult r = scf::rks(mol, basis, opts);
+    EXPECT_TRUE(r.scf.converged) << threads;
+    return std::pair{r.scf.energy, scf::ks_gradient(mol, basis, opts, r)};
+  };
+  const auto [e_ref, g_ref] = forces(1);
+  for (const std::size_t threads : {2, 4, 8}) {
+    const auto [e, g] = forces(threads);
+    EXPECT_EQ(e, e_ref) << threads << " threads";
+    ASSERT_EQ(g.size(), g_ref.size());
+    for (std::size_t atom = 0; atom < g.size(); ++atom)
+      for (std::size_t d = 0; d < 3; ++d)
+        EXPECT_EQ(g[atom][d], g_ref[atom][d])
             << threads << " threads, atom " << atom << " dir " << d;
   }
 }

@@ -371,6 +371,26 @@ INSTANTIATE_TEST_SUITE_P(
 // reproduce the single-threaded J and K matrices bit for bit on a fixed
 // seeded molecule. Guards the task partitioners, the bag/steal protocols
 // and the chunk-partial merge in one sweep.
+// A rebound builder keeps its pool and builds exactly what a builder made
+// fresh at the new geometry builds: the same pairs, chunk cut and sum.
+TEST(FockBuilder, RebindKeepsPoolAndMatchesFreshBuilder) {
+  chem::Molecule moved = water();
+  moved.set_position(1, {0.0, 1.50, -0.85});
+  const auto basis0 = chem::BasisSet::build(water(), "sto-3g");
+  const auto basis1 = chem::BasisSet::build(moved, "sto-3g");
+  const la::Matrix p = random_density(basis1.num_functions(), 43);
+  hfx::HfxOptions opts;
+  opts.num_threads = 2;
+  hfx::FockBuilder builder(basis0, opts);
+  const mthfx::parallel::ThreadPool* pool = &builder.pool();
+  builder.rebind(basis1);
+  EXPECT_EQ(&builder.pool(), pool);
+  const auto rebound = builder.coulomb_exchange(p);
+  const auto fresh = hfx::FockBuilder(basis1, opts).coulomb_exchange(p);
+  EXPECT_EQ(rebound.j, fresh.j);
+  EXPECT_EQ(rebound.k, fresh.k);
+}
+
 TEST(FockBuilder, AllSchedulesAndThreadCountsAgreeTightly) {
   const auto m = water();
   const auto basis = chem::BasisSet::build(m, "sto-3g");

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <numeric>
 #include <set>
@@ -104,9 +105,9 @@ TEST(ThreadPool, ParallelRegionReusableAcrossManyInvocations) {
 TEST(ThreadPool, RegistryInstrumentsRegions) {
   par::ThreadPool pool(3);
   obs::Registry reg(3);
-  pool.set_registry(&reg);
-  pool.parallel_region([](std::size_t) {});
-  pool.parallel_region([](std::size_t) {});
+  pool.parallel_region([](std::size_t) {}, &reg);
+  pool.parallel_for(0, 10, [](std::size_t, std::size_t) {},
+                    par::Schedule::kDynamic, 1, &reg);
   EXPECT_EQ(reg.counter_total("pool.regions"), 2u);
   // Every thread (including the calling thread as tid 0) is timed once
   // per region.
@@ -115,10 +116,31 @@ TEST(ThreadPool, RegistryInstrumentsRegions) {
   ASSERT_EQ(per_thread.size(), 3u);
   for (double s : per_thread) EXPECT_GE(s, 0.0);
 
-  // Detaching must stop recording without crashing later regions.
-  pool.set_registry(nullptr);
+  // A region without a registry records nothing.
   pool.parallel_region([](std::size_t) {});
   EXPECT_EQ(reg.counter_total("pool.regions"), 2u);
+}
+
+TEST(ThreadPool, OverlappingCallersShareOnePool) {
+  // Two threads drive regions on one pool at once (as two callers of one
+  // const FockBuilder can); the regions serialise, and every index of
+  // every loop runs exactly once.
+  par::ThreadPool pool(3);
+  constexpr std::size_t kRounds = 200, kN = 64;
+  std::vector<std::vector<std::atomic<int>>> hits(2);
+  for (auto& h : hits) h = std::vector<std::atomic<int>>(kRounds * kN);
+  const auto drive = [&](std::size_t caller) {
+    for (std::size_t round = 0; round < kRounds; ++round)
+      pool.parallel_for(0, kN, [&](std::size_t i, std::size_t) {
+        hits[caller][round * kN + i].fetch_add(1);
+      });
+  };
+  std::thread a(drive, 0), b(drive, 1);
+  a.join();
+  b.join();
+  for (std::size_t caller = 0; caller < 2; ++caller)
+    for (std::size_t i = 0; i < kRounds * kN; ++i)
+      ASSERT_EQ(hits[caller][i].load(), 1) << caller << " " << i;
 }
 
 TEST(WorkStealing, AllTasksExecutedOnce) {
@@ -435,4 +457,88 @@ TEST(TreeReduce, InOrderFinishKeepsFewPartsAlive) {
   }
   EXPECT_EQ(merge.take().value().v[0], 64.0);
   EXPECT_EQ(allocated, 7u);
+}
+
+namespace {
+
+// The parts of `costs` between consecutive chunk ends.
+std::vector<double> chunk_costs(const std::vector<double>& costs,
+                                const std::vector<std::size_t>& end) {
+  std::vector<double> out;
+  for (std::size_t c = 0; c < end.size(); ++c)
+    out.push_back(std::accumulate(costs.begin() + (c ? end[c - 1] : 0),
+                                  costs.begin() + end[c], 0.0));
+  return out;
+}
+
+}  // namespace
+
+TEST(CutChunks, CoversEveryIndexOnceInOrder) {
+  for (const std::size_t n : {1u, 10u, 63u, 64u, 65u, 1000u}) {
+    std::vector<double> costs(n);
+    for (std::size_t i = 0; i < n; ++i)
+      costs[i] = 1.0 + static_cast<double>((i * 7919) % 13);
+    const std::vector<std::size_t> end = par::cut_chunks(costs);
+    ASSERT_FALSE(end.empty()) << n;
+    EXPECT_LE(end.size(), par::kMaxChunks) << n;
+    EXPECT_GT(end.front(), 0u) << n;
+    for (std::size_t c = 1; c < end.size(); ++c)
+      EXPECT_LT(end[c - 1], end[c]) << n << " chunk " << c;
+    EXPECT_EQ(end.back(), n);
+  }
+}
+
+TEST(CutChunks, ChunkCostsAreNearEqual) {
+  // A chunk closes at the first item where the running cost reaches its
+  // share, so every chunk is within one item's cost of total / kMaxChunks.
+  std::vector<double> costs(5000);
+  for (std::size_t i = 0; i < costs.size(); ++i)
+    costs[i] = 1.0 + static_cast<double>((i * 104729) % 97) / 10.0;
+  const double total = std::accumulate(costs.begin(), costs.end(), 0.0);
+  const double largest = *std::max_element(costs.begin(), costs.end());
+  const std::vector<std::size_t> end = par::cut_chunks(costs);
+  ASSERT_EQ(end.size(), par::kMaxChunks);
+  for (const double c : chunk_costs(costs, end))
+    EXPECT_NEAR(c, total / par::kMaxChunks, largest);
+}
+
+TEST(CutChunks, AllZeroCostsFallBackToUnitCost) {
+  const std::vector<std::size_t> end =
+      par::cut_chunks(std::vector<double>(128, 0.0));
+  ASSERT_EQ(end.size(), par::kMaxChunks);
+  for (std::size_t c = 0; c < end.size(); ++c) EXPECT_EQ(end[c], 2 * (c + 1));
+}
+
+TEST(CutChunks, EmptyListGivesNoChunks) {
+  EXPECT_TRUE(par::cut_chunks(std::vector<double>{}).empty());
+}
+
+TEST(RunChunks, TotalIndependentOfPool) {
+  // Fractional per-item values: the total shows the merge order in its
+  // last bits, and must not show the pool.
+  const std::vector<std::size_t> end =
+      par::cut_chunks(std::vector<double>(1000, 1.0));
+  const auto sum = [&](par::ThreadPool* pool) {
+    return par::run_chunks(
+               end, pool,
+               [] { return par::VectorPart<double>{std::vector<double>(3)}; },
+               [](std::size_t begin, std::size_t stop,
+                  par::VectorPart<double>& part) {
+                 for (std::size_t i = begin; i < stop; ++i)
+                   for (std::size_t k = 0; k < 3; ++k)
+                     part.v[k] += 0.1 * static_cast<double>(i + k) / 3.0;
+               })
+        .v;
+  };
+  const std::vector<double> serial = sum(nullptr);
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    par::ThreadPool pool(threads);
+    EXPECT_EQ(sum(&pool), serial) << threads;
+  }
+  EXPECT_EQ(par::run_chunks(
+                {}, nullptr,
+                [] { return par::VectorPart<double>{{7.0}}; },
+                [](std::size_t, std::size_t, par::VectorPart<double>&) {})
+                .v,
+            std::vector<double>{7.0});
 }
