@@ -10,7 +10,11 @@
 #include <cstdlib>
 #include <fstream>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
+
+#include <unistd.h>
 
 #include "bgq/simulator.hpp"
 #include "chem/basis.hpp"
@@ -34,7 +38,10 @@ inline std::string bench_json_dir() {
 /// Write one bench's structured record to BENCH_<name>.json. Every
 /// experiment bench emits its tables through this alongside the printed
 /// version, so scaling claims can be checked by tooling instead of by
-/// scraping stdout (schema: docs/observability.md).
+/// scraping stdout (schema: docs/observability.md). Each record is
+/// stamped with the source revision at configure time (`git_rev`), the
+/// `host`, the run `mode` ("full" unless the bench set "smoke") and the
+/// `build` (build type, plus the sanitizer if any).
 inline void write_bench_json(const std::string& name,
                              const obs::Json& payload) {
   const std::string path = bench_json_dir() + "/BENCH_" + name + ".json";
@@ -43,7 +50,17 @@ inline void write_bench_json(const std::string& name,
     std::fprintf(stderr, "[json] cannot write %s\n", path.c_str());
     return;
   }
-  out << payload.dump(2) << "\n";
+  char host_name[256] = {};
+  if (gethostname(host_name, sizeof host_name - 1) != 0) host_name[0] = '\0';
+  obs::Json host = obs::Json::object();
+  host["name"] = std::string(host_name);
+  host["nproc"] = std::thread::hardware_concurrency();
+  obs::Json record = payload;
+  record["git_rev"] = MTHFX_GIT_REV;
+  record["host"] = std::move(host);
+  if (!record.find("mode")) record["mode"] = "full";
+  record["build"] = MTHFX_BUILD;
+  out << record.dump(2) << "\n";
   std::printf("[json] wrote %s\n", path.c_str());
 }
 

@@ -2,10 +2,11 @@
 # Build the memory-sensitive tests under AddressSanitizer and run them.
 #
 # Covers the surfaces that juggle raw buffers and exception-driven
-# unwinding: the fault-injection/retry/checkpoint suite (tasks throw
-# mid-kernel and must not leak or double-free scratch), the scheduler
-# and thread-pool stack, and the JSON parser the checkpoint files go
-# through. A heap error anywhere in that stack fails this script.
+# unwinding: the batched ERI kernel and its Boys table, the
+# fault-injection/retry/checkpoint suite (tasks throw mid-kernel and
+# must not leak or double-free scratch), the scheduler and thread-pool
+# stack, and the JSON parser the checkpoint files go through. A heap
+# error anywhere in that stack fails this script.
 #
 # Usage: scripts/run_asan.sh [build-dir]   (default: build-asan)
 
@@ -15,12 +16,18 @@ cd "$(dirname "$0")/.."
 BUILD_DIR="${1:-build-asan}"
 
 cmake -B "$BUILD_DIR" -S . -DMTHFX_SANITIZE=address
-cmake --build "$BUILD_DIR" -j --target test_fault test_parallel test_obs \
-  test_hfx test_property_hfx test_durability test_property_grad test_serve \
-  test_scaling test_property_scaling test_dft test_spin_dft test_chem
+cmake --build "$BUILD_DIR" -j --target test_boys test_eri test_fault \
+  test_parallel test_obs test_hfx test_property_hfx test_durability \
+  test_property_grad test_serve test_scaling test_property_scaling \
+  test_dft test_spin_dft test_chem
 
 export ASAN_OPTIONS="halt_on_error=1:detect_leaks=1:strict_string_checks=1"
 
+# ERI kernel: the Boys table reads on both sides of the batched seam,
+# the batched kernel's per-thread sort keys, ket-folded panel and SoA
+# output accumulator, all indexed through raw offsets.
+"$BUILD_DIR"/tests/test_boys
+"$BUILD_DIR"/tests/test_eri
 "$BUILD_DIR"/tests/test_fault
 "$BUILD_DIR"/tests/test_parallel
 "$BUILD_DIR"/tests/test_obs

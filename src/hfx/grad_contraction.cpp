@@ -17,7 +17,8 @@ using linalg::Matrix;
 std::vector<Vec3> two_electron_gradient(const chem::BasisSet& basis,
                                         const ShellPairList& pairs,
                                         const Matrix& density,
-                                        const GradContractionOptions& options) {
+                                        const GradContractionOptions& options,
+                                        parallel::ThreadPool& pool) {
   const std::size_t natoms =
       basis.num_shells() == 0
           ? 0
@@ -129,13 +130,19 @@ std::vector<Vec3> two_electron_gradient(const chem::BasisSet& basis,
     }
   };
 
-  parallel::ThreadPool pool(std::min(
-      parallel::resolve_thread_count(options.num_threads), chunk_end.size()));
   return parallel::run_chunks(
              chunk_end, &pool,
              [natoms] { return GradPart{std::vector<Vec3>(natoms)}; },
              run_chunk)
       .v;
+}
+
+std::vector<Vec3> two_electron_gradient(const chem::BasisSet& basis,
+                                        const ShellPairList& pairs,
+                                        const Matrix& density,
+                                        const GradContractionOptions& options) {
+  parallel::ThreadPool pool(options.num_threads);
+  return two_electron_gradient(basis, pairs, density, options, pool);
 }
 
 std::vector<Vec3> two_electron_gradient(const chem::BasisSet& basis,

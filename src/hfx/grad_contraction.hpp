@@ -20,8 +20,9 @@
 // rows of near-equal live ket count, and parallel::run_chunks runs them:
 // pool threads claim chunks dynamically, each chunk sums into its own
 // natoms x 3 partial, and the partials merge along parallel::TreeMerge's
-// fixed tree, so the gradient is bit-identical for any num_threads. Each
-// call starts its own pool of num_threads threads.
+// fixed tree, so the gradient is bit-identical for any pool size. The
+// pool overload runs on the caller's pool (ks_gradient passes the bound
+// FockBuilder's); the num_threads overloads start a pool per call.
 
 #include <vector>
 
@@ -29,13 +30,16 @@
 #include "chem/molecule.hpp"
 #include "hfx/shell_pairs.hpp"
 #include "linalg/matrix.hpp"
+#include "parallel/thread_pool.hpp"
 
 namespace mthfx::hfx {
 
 struct GradContractionOptions {
   double ax = 1.0;             ///< exact-exchange fraction (1 = RHF, 0.25 = PBE0)
   double eps_schwarz = 1e-12;  ///< quartet neglect threshold (pre-density)
-  std::size_t num_threads = 0; ///< 0 selects hardware concurrency
+  /// Threads of the per-call pool (0 selects hardware concurrency); the
+  /// pool overload ignores it.
+  std::size_t num_threads = 0;
   /// Safety margin applied below eps_schwarz: derivative integrals are not
   /// strictly bounded by the value-integral Schwarz product, so quartets
   /// are kept down to eps_schwarz * safety.
@@ -43,7 +47,14 @@ struct GradContractionOptions {
 };
 
 /// Two-electron gradient dE2/dR per atom over a prebuilt pair list
-/// (reuse the FockBuilder's list across calls when available).
+/// (reuse the FockBuilder's list across calls when available), run on
+/// `pool`.
+std::vector<chem::Vec3> two_electron_gradient(
+    const chem::BasisSet& basis, const ShellPairList& pairs,
+    const linalg::Matrix& density, const GradContractionOptions& options,
+    parallel::ThreadPool& pool);
+
+/// Same, on a pool of options.num_threads started for this call.
 std::vector<chem::Vec3> two_electron_gradient(
     const chem::BasisSet& basis, const ShellPairList& pairs,
     const linalg::Matrix& density, const GradContractionOptions& options);

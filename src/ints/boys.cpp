@@ -1,6 +1,7 @@
 #include "ints/boys.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cmath>
 #include <numbers>
@@ -74,18 +75,29 @@ double boys_single(int m, double t) {
 
 namespace {
 
-// ---- Batched path: tabulated Taylor top value + vectorized recursions.
+// ---- Batched path: tabulated Taylor top value + downward recursion
+// below the table edge, the erf-free closed form + upward recursion at
+// or above it.
 
 constexpr std::size_t kW = kBoysBatchWidth;
 constexpr int kTaylorTerms = 7;   // |δ| <= h/2 ⇒ truncation ~ (h/2)^7 / 7!
 constexpr double kGridStep = 1.0 / 32.0;
-// The table must cover every T the Taylor path can see: the downward
-// path is selected only below upward_threshold(m_max) <= 2 kBoysMaxM.
-constexpr double kTableMaxT = 2.0 * kBoysMaxM;
+// The table spans [0, kBoysTableEdge], the seam for every m_max. At or
+// above the seam erf(√T) rounds to exactly 1.0 (erfc(√40) ≈ 4e-19 is
+// below half an ulp of 1), so F_0 = ½√(π/T) is exact there, and upward
+// recursion is stable for every m_max <= kBoysMaxM ((2m+1)/(2T) < 1).
 constexpr std::size_t kGridPoints =
-    static_cast<std::size_t>(kTableMaxT / kGridStep) + 2;  // + guard row
+    static_cast<std::size_t>(kBoysTableEdge / kGridStep) + 2;  // + guard row
 constexpr std::size_t kTableCols =
     static_cast<std::size_t>(kBoysMaxM) + kTaylorTerms + 1;
+
+// 1/n for n <= 2 kBoysMaxM + 1: the recursions' divisors as multipliers.
+constexpr auto kInv = [] {
+  std::array<double, 2 * kBoysMaxM + 2> inv{};
+  for (std::size_t n = 1; n < inv.size(); ++n)
+    inv[n] = 1.0 / static_cast<double>(n);
+  return inv;
+}();
 
 // F_m(T_g) on the grid, row-major [grid][m], seeded from the scalar
 // series path so the two evaluators share one source of truth.
@@ -118,81 +130,76 @@ const double* boys_table() {
 void boys_batch(int m_max, const double* t, double* out) {
   assert(m_max <= kBoysMaxM);
   const double* table = boys_table();
-  const double seam = upward_threshold(m_max);
+  const std::size_t mm = static_cast<std::size_t>(m_max);
 
-  // Per-lane scalar setup (the recursions below are the vector loops).
-  // Dead lanes of either path run on clamped arguments, so they stay
-  // finite and division-by-small-T free; the final blend discards them.
-  double emt[kW], td[kW], tu[kW], top[kW], f0[kW];
-  v8_store(emt, v8_exp(v8_broadcast(0.0) - v8_load(t)));
+  // Per-lane setup. Each path's dead lanes run on clamped arguments
+  // (T_down = 0, T_up = the edge), so they stay finite and in-table; the
+  // final blend discards them.
+  double td[kW], tu[kW], delta[kW];
+  double rows[(kTaylorTerms + 1) * kW];  // Taylor coefficients [k][lane]
   bool up[kW];
   bool any_up = false, any_down = false;
   for (std::size_t w = 0; w < kW; ++w) {
-    const double tw = t[w];
-    up[w] = tw >= seam;
-    if (up[w]) {
-      any_up = true;
-      tu[w] = tw;
-      f0[w] = 0.5 * std::sqrt(std::numbers::pi / tw) * std::erf(std::sqrt(tw));
-      td[w] = 0.0;
-      top[w] = 1.0;  // harmless downward seed for this dead lane
-    } else {
-      any_down = true;
-      td[w] = tw;
-      tu[w] = kUpwardMinT;
-      f0[w] = 0.5;  // harmless upward seed for this dead lane
-      // Taylor top value F_{m_max}(T) about the nearest grid point:
-      // F_m(T) = Σ_k F_{m+k}(T_g) (T_g - T)^k / k!  (|T_g - T| <= h/2).
-      const std::size_t g = static_cast<std::size_t>(tw / kGridStep + 0.5);
-      const double delta = static_cast<double>(g) * kGridStep - tw;
-      const double* row =
-          table + g * kTableCols + static_cast<std::size_t>(m_max);
-      double acc = row[kTaylorTerms];
-      for (int k = kTaylorTerms - 1; k >= 0; --k)
-        acc = row[k] + delta * acc / (k + 1);
-      top[w] = acc;
-    }
+    up[w] = t[w] >= kBoysTableEdge;
+    any_up |= up[w];
+    any_down |= !up[w];
+    td[w] = up[w] ? 0.0 : t[w];
+    tu[w] = up[w] ? t[w] : kBoysTableEdge;
+    // Nearest grid point, |T_g - T| <= h/2.
+    const std::size_t g = static_cast<std::size_t>(td[w] / kGridStep + 0.5);
+    delta[w] = static_cast<double>(g) * kGridStep - td[w];
+    const double* row = table + g * kTableCols + mm;
+    for (int k = 0; k <= kTaylorTerms; ++k)
+      rows[static_cast<std::size_t>(k) * kW + w] = row[k];
   }
+  const V8 vemt = v8_exp(v8_zero() - v8_load(t));
 
-  // Downward lanes, m_max -> 0 (same association order as scalar boys,
-  // so only the Taylor-vs-series top value separates the two paths).
   double down[(kBoysMaxM + 1) * kW];
   double upv[(kBoysMaxM + 1) * kW];
-  const V8 vemt = v8_load(emt);
   if (any_down) {
+    // Taylor top value about the grid point:
+    // F_m(T) = Σ_k F_{m+k}(T_g) (T_g - T)^k / k!.
+    const V8 vdelta = v8_load(delta);
+    V8 hi = v8_load(rows + kTaylorTerms * kW);
+    for (int k = kTaylorTerms - 1; k >= 0; --k)
+      hi = v8_load(rows + static_cast<std::size_t>(k) * kW) +
+           vdelta * hi *
+               v8_broadcast(kInv[static_cast<std::size_t>(k) + 1]);
+    // Downward, m_max -> 0: F_m = (2T F_{m+1} + e^{-T}) / (2m+1).
     const V8 two_td = v8_broadcast(2.0) * v8_load(td);
-    V8 hi = v8_load(top);
-    v8_store(down + static_cast<std::size_t>(m_max) * kW, hi);
+    v8_store(down + mm * kW, hi);
     for (int m = m_max - 1; m >= 0; --m) {
-      hi = (two_td * hi + vemt) / v8_broadcast(static_cast<double>(2 * m + 1));
+      hi = (two_td * hi + vemt) *
+           v8_broadcast(kInv[2 * static_cast<std::size_t>(m) + 1]);
       v8_store(down + static_cast<std::size_t>(m) * kW, hi);
     }
   }
-
-  // Upward lanes, 0 -> m_max.
   if (any_up) {
-    const V8 two_tu = v8_broadcast(2.0) * v8_load(tu);
-    V8 lo = v8_load(f0);
+    // F_0 = ½√(π/T); upward: F_{m+1} = ((2m+1) F_m − e^{-T}) / (2T).
+    double root[kW];
+    for (std::size_t w = 0; w < kW; ++w) root[w] = std::sqrt(tu[w]);
+    const V8 inv_two_tu = v8_broadcast(0.5) / v8_load(tu);
+    V8 lo = v8_broadcast(0.5 * std::sqrt(std::numbers::pi)) / v8_load(root);
     v8_store(upv, lo);
     for (int m = 0; m < m_max; ++m) {
-      lo = (v8_broadcast(static_cast<double>(2 * m + 1)) * lo - vemt) / two_tu;
+      lo = (v8_broadcast(static_cast<double>(2 * m + 1)) * lo - vemt) *
+           inv_two_tu;
       v8_store(upv + static_cast<std::size_t>(m + 1) * kW, lo);
     }
   }
 
+  const std::size_t nout = (mm + 1) * kW;
   if (!any_up) {
-    std::copy(down, down + static_cast<std::size_t>(m_max + 1) * kW, out);
+    std::copy(down, down + nout, out);
     return;
   }
   if (!any_down) {
-    std::copy(upv, upv + static_cast<std::size_t>(m_max + 1) * kW, out);
+    std::copy(upv, upv + nout, out);
     return;
   }
-  for (int m = 0; m <= m_max; ++m)
+  for (std::size_t m = 0; m <= mm; ++m)
     for (std::size_t w = 0; w < kW; ++w)
-      out[static_cast<std::size_t>(m) * kW + w] =
-          up[w] ? upv[static_cast<std::size_t>(m) * kW + w]
-                : down[static_cast<std::size_t>(m) * kW + w];
+      out[m * kW + w] = up[w] ? upv[m * kW + w] : down[m * kW + w];
 }
 
 }  // namespace mthfx::ints

@@ -13,10 +13,13 @@
 // compacted list of structurally nonzero (t,u,v) -> E entries (angular
 // bounds t <= ax+bx etc. plus the same-center parity zeros), so the
 // quartet kernel touches only real work. The quartet contraction is
-// ordered ket-first: for each primitive pair the Hermite Coulomb tensor
-// R is contracted with each ket component's E-list once, into a panel
-// indexed by the bra pair's union pattern, and that panel is reused by
-// every bra component (see docs/hfx_scheme.md, "The ERI kernel").
+// ordered ket-first: the Hermite Coulomb tensor R is contracted with
+// each ket component's E-list into a panel indexed by the bra pair's
+// union pattern (stage 1), and that panel is reused by every bra
+// component (stage 2). The scalar kernel runs both stages per primitive
+// quartet; the batched kernel folds all ket primitives of one bra
+// primitive into the panel first, so its stage 2 runs once per bra
+// primitive (see docs/hfx_scheme.md, "The ERI kernel").
 //
 // Two kernels read this layout: the scalar eri_shell_quartet below,
 // which Schwarz bounds, eri_tensor and the shell-level API use, and the
@@ -78,7 +81,7 @@ struct HermiteCoord {
 /// Precomputed coefficient-weighted Hermite expansion of one contracted
 /// shell pair (all primitive pairs), compacted to structurally nonzero
 /// entries. The same object feeds the scalar and the batched kernel;
-/// structure_key() is what the batched kernel groups lanes by.
+/// structure_key() is what the batched kernel sorts lanes by.
 class ShellPairHermite {
  public:
   ShellPairHermite(const chem::Shell& a, const chem::Shell& b);
@@ -92,7 +95,7 @@ class ShellPairHermite {
   /// FNV-1a hash of the pair's structural skeleton — angular class,
   /// primitive count, union pattern, per-component entry coordinates —
   /// but *not* coefficient values. Two pairs with equal skeletons (the
-  /// batched kernel verifies equality, the key only pre-filters) can be
+  /// batched kernel sorts by the key and verifies equality) can be
   /// evaluated in lockstep SIMD lanes.
   std::uint64_t structure_key() const { return structure_key_; }
 

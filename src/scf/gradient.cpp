@@ -8,6 +8,7 @@
 #include "dft/xc_integrator.hpp"
 #include "hfx/grad_contraction.hpp"
 #include "ints/deriv.hpp"
+#include "ints/schwarz.hpp"
 #include "parallel/thread_pool.hpp"
 
 namespace mthfx::scf {
@@ -115,25 +116,30 @@ std::vector<Vec3> ks_gradient(const chem::Molecule& mol,
 
   // Two-electron term: Coulomb derivative always, exchange derivative
   // scaled by the functional's exact-exchange fraction. Reuse the shared
-  // builder's screened pair list when one targets this basis (the MD
-  // surface's cross-step path); otherwise build a fresh one.
+  // builder's screened pair list and pool when one targets this basis
+  // (the MD surface's cross-step path); otherwise build a fresh list and
+  // start one pool for both threaded terms.
   hfx::GradContractionOptions gopt;
   gopt.ax = functional.exact_exchange;
   gopt.eps_schwarz = options.scf.hfx.eps_schwarz;
   gopt.num_threads = options.scf.hfx.num_threads;
   const hfx::FockBuilder* shared = options.scf.shared_builder;
   if (shared && &shared->basis() != &basis) shared = nullptr;
+  std::optional<hfx::ShellPairList> own_pairs;
+  const hfx::ShellPairList& pairs =
+      shared ? shared->pairs()
+             : own_pairs.emplace(basis, ints::schwarz_bounds(basis),
+                                 gopt.eps_schwarz);
+  std::optional<parallel::ThreadPool> own_pool;
+  parallel::ThreadPool& pool =
+      shared ? shared->pool() : own_pool.emplace(options.scf.hfx.num_threads);
   const std::vector<Vec3> g2 =
-      shared ? hfx::two_electron_gradient(basis, shared->pairs(), p, gopt)
-             : hfx::two_electron_gradient(basis, p, gopt);
+      hfx::two_electron_gradient(basis, pairs, p, gopt, pool);
   for (std::size_t a = 0; a < grad.size(); ++a) grad[a] = grad[a] + g2[a];
 
   if (semilocal) {
     std::optional<KsGrid> own_grid;
     const KsGrid& grid = grid_for(mol, basis, options, own_grid);
-    std::optional<parallel::ThreadPool> own_pool;
-    parallel::ThreadPool& pool =
-        shared ? shared->pool() : own_pool.emplace(options.scf.hfx.num_threads);
     const std::vector<Vec3> gxc =
         grid.xc().gradient(functional, p, mol, &pool);
     for (std::size_t a = 0; a < grad.size(); ++a) grad[a] = grad[a] + gxc[a];

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <random>
 #include <vector>
 
 #include "chem/basis.hpp"
@@ -240,4 +242,61 @@ TEST(EriBatched, RepeatedCallsAreDeterministic) {
     for (std::size_t v = 0; v < first[q].values.size(); ++v)
       EXPECT_EQ(first[q].values[v], second[q].values[v])
           << "quartet=" << q << " element=" << v;
+}
+
+TEST(EriBatched, BlockIndependentOfStreamCompanions) {
+  // J/K's bit-identity across thread counts and schedules rests on each
+  // lane's block being a pure function of its own (bra, ket): the same
+  // quartet must give the same bits alone, inside its bra row's stream
+  // (the J/K task shape) and inside a shuffled stream that mixes every
+  // s/p/d pair class, ragged tails and partly cut-off primitive lanes.
+  chem::Molecule m;
+  m.add_atom(6, {0, 0, 0});
+  m.add_atom(8, {0, 0, 2.1});
+  m.add_atom(1, {1.8, 0, -0.7});
+  const auto basis = chem::BasisSet::build(m, "6-31g*");
+  const std::size_t ns = basis.num_shells();
+  std::vector<ints::ShellPairHermite> pairs;
+  pairs.reserve(ns * (ns + 1) / 2);
+  for (std::size_t i = 0; i < ns; ++i)
+    for (std::size_t j = 0; j <= i; ++j)
+      pairs.emplace_back(basis.shell(i), basis.shell(j));
+  const std::size_t np = pairs.size();
+
+  std::vector<ints::EriBlock> alone(np * np);
+  for (std::size_t b = 0; b < np; ++b)
+    for (std::size_t k = 0; k < np; ++k) {
+      const ints::QuartetRef q{&pairs[b], &pairs[k]};
+      ints::eri_shell_quartet_batched({&q, 1}, &alone[b * np + k]);
+    }
+  const auto expect_same = [&](const ints::EriBlock& got, std::size_t b,
+                               std::size_t k, const char* where) {
+    const ints::EriBlock& ref = alone[b * np + k];
+    ASSERT_EQ(got.values.size(), ref.values.size());
+    for (std::size_t v = 0; v < ref.values.size(); ++v)
+      ASSERT_EQ(got.values[v], ref.values[v])
+          << where << " bra=" << b << " ket=" << k << " element=" << v;
+  };
+
+  std::vector<ints::QuartetRef> row;
+  std::vector<ints::EriBlock> out(np);
+  for (std::size_t b = 0; b < np; ++b) {
+    row.clear();
+    for (std::size_t k = 0; k <= b; ++k) row.push_back({&pairs[b], &pairs[k]});
+    ints::eri_shell_quartet_batched({row.data(), row.size()}, out.data());
+    for (std::size_t k = 0; k <= b; ++k) expect_same(out[k], b, k, "row");
+  }
+
+  std::vector<std::size_t> order(np * np);
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::mt19937 rng(7);
+  std::shuffle(order.begin(), order.end(), rng);
+  std::vector<ints::QuartetRef> mixed;
+  for (const std::size_t i : order)
+    mixed.push_back({&pairs[i / np], &pairs[i % np]});
+  std::vector<ints::EriBlock> mixed_out(mixed.size());
+  ints::eri_shell_quartet_batched({mixed.data(), mixed.size()},
+                                  mixed_out.data());
+  for (std::size_t q = 0; q < order.size(); ++q)
+    expect_same(mixed_out[q], order[q] / np, order[q] % np, "mixed");
 }

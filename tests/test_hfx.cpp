@@ -279,6 +279,44 @@ TEST(FockBuilder, ScreeningErrorIsControlledByEps) {
   EXPECT_LT(last_err, 1e-10);
 }
 
+TEST(FockBuilder, ScreeningErrorOfJAndKTracksEpsOnSeparatedFragments) {
+  // A second screening input, with the Coulomb side too: Li2O2 and a
+  // water 12 Angstrom apart, so every eps from 1e-4 to 1e-12 drops
+  // quartets (2,740 down to 126 of them). The J and K errors against an
+  // unscreened build must shrink with eps and stay within 20 eps (they
+  // reach 5.6 eps at 1e-4 and fall below eps from 1e-10 on).
+  chem::Molecule m = mthfx::workload::lithium_peroxide();
+  const chem::Molecule second = water();
+  for (const chem::Atom& a : second.atoms())
+    m.add_atom(a.z, a.pos + chem::Vec3{12.0 * chem::kBohrPerAngstrom, 0, 0});
+  const auto basis = chem::BasisSet::build(m, "sto-3g");
+  const la::Matrix p = random_density(basis.num_functions(), 31);
+
+  hfx::HfxOptions exact_opts;
+  exact_opts.eps_schwarz = 1e-16;
+  exact_opts.density_screening = false;
+  const auto exact = hfx::FockBuilder(basis, exact_opts).coulomb_exchange(p);
+  const std::uint64_t all = exact.stats.screening.quartets_computed;
+
+  double last_j = 1e9, last_k = 1e9;
+  for (double eps : {1e-4, 1e-6, 1e-8, 1e-10, 1e-12}) {
+    hfx::HfxOptions opts;
+    opts.eps_schwarz = eps;
+    const auto r = hfx::FockBuilder(basis, opts).coulomb_exchange(p);
+    const std::uint64_t screened =
+        all - r.stats.screening.quartets_computed;
+    EXPECT_GT(screened, 0u) << "eps " << eps;
+    const double err_j = la::max_abs(r.j - exact.j);
+    const double err_k = la::max_abs(r.k - exact.k);
+    EXPECT_LE(err_j, 20.0 * eps) << "eps " << eps;
+    EXPECT_LE(err_k, 20.0 * eps) << "eps " << eps;
+    EXPECT_LE(err_j, last_j * 1.5 + 1e-15) << "eps " << eps;
+    EXPECT_LE(err_k, last_k * 1.5 + 1e-15) << "eps " << eps;
+    last_j = err_j;
+    last_k = err_k;
+  }
+}
+
 TEST(FockBuilder, ScreeningReducesComputedQuartets) {
   chem::Molecule m;
   // Linear chain of well-separated H2 units: most quartets negligible.
