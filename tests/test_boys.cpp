@@ -133,26 +133,37 @@ TEST(Boys, SingleHandlesMaxSupportedOrder) {
 }
 
 TEST(BoysBatch, MatchesScalarAcrossRegimes) {
-  // One batch deliberately straddling every branch: tiny-T series,
-  // mid-range tabulated-Taylor downward lanes, and upward erf lanes,
-  // for every m_max the ERI kernel can request.
-  const double ts[ints::kBoysBatchWidth] = {1e-14, 1e-3, 0.7,  5.0,
-                                            17.9,  19.0, 36.0, 250.0};
-  for (int m_max = 0; m_max <= ints::kBoysMaxM; ++m_max) {
-    double batch[(ints::kBoysMaxM + 1) * ints::kBoysBatchWidth];
-    ints::boys_batch(m_max, ts, batch);
-    for (std::size_t w = 0; w < ints::kBoysBatchWidth; ++w) {
-      double ref[ints::kBoysMaxM + 1];
-      ints::boys(m_max, ts[w], {ref, static_cast<std::size_t>(m_max) + 1});
-      for (int m = 0; m <= m_max; ++m) {
-        const double b =
-            batch[static_cast<std::size_t>(m) * ints::kBoysBatchWidth + w];
-        const double r = ref[static_cast<std::size_t>(m)];
-        EXPECT_NEAR(b, r, 1e-13 * r)
-            << "m_max=" << m_max << " m=" << m << " T=" << ts[w];
+  // Two batches, each deliberately mixing both paths, for every m_max
+  // the ERI kernel can request. The first spans the regimes: tiny T,
+  // mid-range table lanes, lanes the scalar evaluator runs upward while
+  // the batch still uses the table, and far upward lanes. The second
+  // straddles the batch seam at kBoysTableEdge: lanes one and two ulp
+  // below, at, and one and two ulp above it, and 1e-9 and 0.5 away.
+  const double edge = ints::kBoysTableEdge;
+  const double inf = std::numeric_limits<double>::infinity();
+  const double below = std::nextafter(edge, 0.0);
+  const double above = std::nextafter(edge, inf);
+  const double regimes[ints::kBoysBatchWidth] = {1e-14, 1e-3, 0.7,  5.0,
+                                                 17.9,  19.0, 36.0, 250.0};
+  const double seam[ints::kBoysBatchWidth] = {
+      below,       edge,        above,       std::nextafter(below, 0.0),
+      std::nextafter(above, inf), edge - 1e-9, edge + 1e-9, edge + 0.5};
+  for (const double* ts : {regimes, seam})
+    for (int m_max = 0; m_max <= ints::kBoysMaxM; ++m_max) {
+      double batch[(ints::kBoysMaxM + 1) * ints::kBoysBatchWidth];
+      ints::boys_batch(m_max, ts, batch);
+      for (std::size_t w = 0; w < ints::kBoysBatchWidth; ++w) {
+        double ref[ints::kBoysMaxM + 1];
+        ints::boys(m_max, ts[w], {ref, static_cast<std::size_t>(m_max) + 1});
+        for (int m = 0; m <= m_max; ++m) {
+          const double b =
+              batch[static_cast<std::size_t>(m) * ints::kBoysBatchWidth + w];
+          const double r = ref[static_cast<std::size_t>(m)];
+          EXPECT_NEAR(b, r, 1e-13 * r) << "m_max=" << m_max << " m=" << m
+                                       << " T=" << ts[w] << " lane=" << w;
+        }
       }
     }
-  }
 }
 
 TEST(BoysBatch, UniformBranchLanesTakeFastPaths) {
@@ -171,36 +182,6 @@ TEST(BoysBatch, UniformBranchLanesTakeFastPaths) {
                                  ints::kBoysBatchWidth +
                              w];
       EXPECT_NEAR(b, r, 1e-13 * r) << "T=" << ts[w];
-    }
-  }
-}
-
-TEST(BoysBatch, StraddlesTableEdgeSeam) {
-  // The batched evaluator switches from table + downward recursion to
-  // the erf-free closed form + upward recursion at kBoysTableEdge for
-  // every m_max. Lanes one ulp below, at and just above the edge (and a
-  // few ulp and 1e-9 to either side) must all match the scalar reference.
-  const double edge = ints::kBoysTableEdge;
-  const double inf = std::numeric_limits<double>::infinity();
-  const double below = std::nextafter(edge, 0.0);
-  const double above = std::nextafter(edge, inf);
-  const double ts[ints::kBoysBatchWidth] = {
-      below,        edge,         above,
-      std::nextafter(below, 0.0), std::nextafter(above, inf),
-      edge - 1e-9,  edge + 1e-9,  edge + 0.5};
-  for (int m_max = 0; m_max <= ints::kBoysMaxM; ++m_max) {
-    double batch[(ints::kBoysMaxM + 1) * ints::kBoysBatchWidth];
-    ints::boys_batch(m_max, ts, batch);
-    for (std::size_t w = 0; w < ints::kBoysBatchWidth; ++w) {
-      double ref[ints::kBoysMaxM + 1];
-      ints::boys(m_max, ts[w], {ref, static_cast<std::size_t>(m_max) + 1});
-      for (int m = 0; m <= m_max; ++m) {
-        const double b =
-            batch[static_cast<std::size_t>(m) * ints::kBoysBatchWidth + w];
-        const double r = ref[static_cast<std::size_t>(m)];
-        EXPECT_NEAR(b, r, 1e-13 * r)
-            << "m_max=" << m_max << " m=" << m << " lane=" << w;
-      }
     }
   }
 }

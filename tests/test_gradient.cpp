@@ -199,41 +199,21 @@ TEST(Gradient, TwoElectronGradientBitIdenticalAcrossThreadCounts) {
   opts.num_threads = 1;
   const std::vector<chem::Vec3> ref =
       hfx::two_electron_gradient(basis, p, opts);
-  for (const std::size_t threads : {2, 4, 8}) {
-    opts.num_threads = threads;
-    const std::vector<chem::Vec3> g =
-        hfx::two_electron_gradient(basis, p, opts);
-    ASSERT_EQ(g.size(), ref.size());
-    for (std::size_t atom = 0; atom < g.size(); ++atom)
-      for (std::size_t d = 0; d < 3; ++d)
-        EXPECT_EQ(g[atom][d], ref[atom][d])
-            << threads << " threads, atom " << atom << " dir " << d;
-  }
-}
-
-// ks_gradient hands the bound builder's pool to the two-electron term;
-// on any caller pool the result is the same bits as the per-call pool.
-TEST(Gradient, TwoElectronGradientOnCallerPoolBitIdenticalAcrossSizes) {
-  const auto mol = wl::lithium_peroxide();
-  const auto basis = chem::BasisSet::build(mol, "sto-3g");
-  const auto r = scf::rhf(mol, basis);
-  ASSERT_TRUE(r.converged);
-  hfx::GradContractionOptions opts;
-  opts.ax = 0.25;
-  opts.num_threads = 1;
   const hfx::ShellPairList pairs(basis, ints::schwarz_bounds(basis),
                                  opts.eps_schwarz);
-  const std::vector<chem::Vec3> ref =
-      hfx::two_electron_gradient(basis, pairs, r.density, opts);
   for (const std::size_t threads : {1, 2, 4, 8}) {
+    opts.num_threads = threads;
+    // The per-call pool, and a caller's pool (what ks_gradient passes).
     mthfx::parallel::ThreadPool pool(threads);
-    const std::vector<chem::Vec3> g =
-        hfx::two_electron_gradient(basis, pairs, r.density, opts, pool);
-    ASSERT_EQ(g.size(), ref.size());
-    for (std::size_t atom = 0; atom < g.size(); ++atom)
-      for (std::size_t d = 0; d < 3; ++d)
-        EXPECT_EQ(g[atom][d], ref[atom][d])
-            << threads << " threads, atom " << atom << " dir " << d;
+    for (const std::vector<chem::Vec3>& g :
+         {hfx::two_electron_gradient(basis, p, opts),
+          hfx::two_electron_gradient(basis, pairs, p, opts, pool)}) {
+      ASSERT_EQ(g.size(), ref.size());
+      for (std::size_t atom = 0; atom < g.size(); ++atom)
+        for (std::size_t d = 0; d < 3; ++d)
+          EXPECT_EQ(g[atom][d], ref[atom][d])
+              << threads << " threads, atom " << atom << " dir " << d;
+    }
   }
 }
 
