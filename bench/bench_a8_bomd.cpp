@@ -6,7 +6,7 @@
 //                  behavior for semilocal/hybrid functionals (6N+1
 //                  SCF solves per MD step)
 //   analytic_cold  analytic ks_gradient forces, acceleration disabled
-//                  (cold core-guess start every solve)
+//                  (cold SAD-guess start every solve)
 //   analytic_warm  analytic forces + per-geometry wavefunction cache,
 //                  density-matrix extrapolation warm starts, and
 //                  persistent FockBuilder rebind (the default surface)

@@ -8,7 +8,8 @@
 # inside the full test_parallel run), the obs registry's lock-free
 # per-thread slots, the HFX scheduler exactness tests, the XC
 # integrator's point chunks, the two-electron and KS gradients' row
-# chunks, and the screening engine's one job
+# chunks, the SAD guess's per-process atomic-density cache, and the
+# screening engine's one job
 # queue (per-tenant backlogs, fair-share dispatch) + multi-job scheduler. A data race anywhere in that stack fails this
 # script.
 #
@@ -22,7 +23,7 @@ BUILD_DIR="${1:-build-tsan}"
 cmake -B "$BUILD_DIR" -S . -DMTHFX_SANITIZE=thread
 cmake --build "$BUILD_DIR" -j --target test_parallel test_obs test_hfx \
   test_fault test_engine test_durability test_serve test_differential \
-  test_property_scaling test_dft test_spin_dft test_gradient
+  test_property_scaling test_dft test_spin_dft test_gradient test_scf
 
 export TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1"
 
@@ -44,6 +45,9 @@ export TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1"
 # pool, and a PBE0 solve + KS gradient on one bound builder whose pool
 # runs J/K, XC and the XC gradient.
 "$BUILD_DIR"/tests/test_gradient --gtest_filter='Gradient.*BitIdenticalAcrossThreadCounts'
+# SAD atomic-density cache: four threads fill cold entries at once, each
+# getting the serial result bit for bit.
+"$BUILD_DIR"/tests/test_scf --gtest_filter='Guess.SadCacheIsThreadSafe'
 # Retry/exactly-once-commit paths of the fault suite: concurrent task
 # failure, in-place retry, and attempt accounting across every schedule,
 # plus retried and poisoned tasks of a dense builder and of a culled

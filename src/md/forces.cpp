@@ -91,7 +91,7 @@ const scf::KsResult& ScfPotential::solve(const chem::Molecule& mol) const {
   auto result = scf::rks(mol, *basis_, opt);
   if (!result.scf.converged && warm) {
     // An extrapolated guess can overshoot through a hard geometry; the
-    // core guess is slower but safe. Count only successful warm solves.
+    // cold SAD guess is slower but safe. Count only successful warm solves.
     opt.scf.initial_density.reset();
     result = scf::rks(mol, *basis_, opt);
     warm = false;

@@ -53,7 +53,7 @@ class PotentialSurface {
 ///    pattern) reuses the converged result instead of re-solving;
 ///  - warm starts: the SCF guess is the linear extrapolation 2 P_{n-1} -
 ///    P_{n-2} of the previous converged densities (falling back to
-///    P_{n-1}, then to the core guess; a non-converged warm solve is
+///    P_{n-1}, then to the cold SAD guess; a non-converged warm solve is
 ///    retried cold before giving up);
 ///  - builder reuse: one FockBuilder serves the whole trajectory,
 ///    rebound per geometry so Schwarz bounds and Hermite tables on

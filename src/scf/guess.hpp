@@ -2,6 +2,10 @@
 
 // Initial-guess machinery for the SCF drivers.
 
+#include <cstddef>
+#include <memory>
+#include <vector>
+
 #include "chem/basis.hpp"
 #include "chem/molecule.hpp"
 #include "linalg/matrix.hpp"
@@ -29,5 +33,32 @@ linalg::Matrix occupied_density(const linalg::Matrix& c, std::size_t nocc,
 linalg::Matrix core_guess_density(const chem::BasisSet& basis,
                                   const chem::Molecule& mol,
                                   const linalg::Matrix& x);
+
+/// One neutral atom's density in its own shells, placed at the origin:
+/// the total (alpha + beta) density of a UHF solve at the ground-state
+/// multiplicity, started from the core guess on one HFX thread, averaged
+/// over the 48 signed permutations of x, y, z (the exact spherical
+/// average for s and p shells). Atom-local AO order = shell order.
+struct AtomicDensity {
+  linalg::Matrix density;
+  std::size_t iterations = 0;
+  bool converged = false;
+};
+
+/// The atomic density of element z in `shells` (their centres are
+/// ignored), solved on first use and cached per process under a mutex,
+/// keyed on z and the shells' l, exponents and coefficients. The solve
+/// uses no caller setting, so the result depends only on its key.
+std::shared_ptr<const AtomicDensity> atomic_density(
+    int z, const std::vector<chem::Shell>& shells);
+
+/// Superposition of atomic densities (SAD; Van Lenthe et al., J. Comput.
+/// Chem. 27, 926 (2006)): each atom's cached atomic_density placed
+/// block-diagonally in the molecule's AO order, inter-atom blocks zero.
+/// It describes the neutral atoms, so tr(P S) = Σ Z whatever the charge;
+/// the first diagonalization fixes the electron count. The cold guess of
+/// every SCF driver.
+linalg::Matrix sad_guess_density(const chem::BasisSet& basis,
+                                 const chem::Molecule& mol);
 
 }  // namespace mthfx::scf

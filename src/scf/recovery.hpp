@@ -36,7 +36,7 @@ const char* to_string(RecoveryStage stage);
 struct RecoveryOptions {
   bool enabled = true;
   /// Iterations before divergence heuristics may fire (the first cycles
-  /// of a core guess legitimately swing hard).
+  /// from a cold guess legitimately swing hard).
   std::size_t min_iterations = 2;
   /// Iterations to wait after an escalation before escalating again
   /// (gives the mitigation time to act). Non-finite values bypass this.

@@ -36,9 +36,11 @@ obs::Json scf_log_to_json(const std::vector<ScfIterationLog>& log) {
 
 namespace {
 
-// One channel of N/2 states with ScfOptions::initial_density as guess.
+// One channel of N/2 states, started from ScfOptions::initial_density
+// or, cold, from SAD.
 detail::LoopSpec closed_shell_spec(const char* method,
                                    const chem::Molecule& mol,
+                                   const chem::BasisSet& basis,
                                    const ScfOptions& options) {
   if (mol.num_electrons() % 2 != 0)
     throw std::invalid_argument(std::string(method) +
@@ -47,7 +49,9 @@ detail::LoopSpec closed_shell_spec(const char* method,
   spec.method = method;
   spec.nocc = {static_cast<std::size_t>(mol.num_electrons() / 2)};
   spec.nuclear_repulsion = mol.nuclear_repulsion();
-  if (options.initial_density) spec.guess = {*options.initial_density};
+  const obs::Trace::Scope guess_span(obs::global_trace(), "scf.guess");
+  spec.guess = {options.initial_density ? *options.initial_density
+                                        : sad_guess_density(basis, mol)};
   return spec;
 }
 
@@ -61,7 +65,7 @@ ScfResult rhf(const chem::Molecule& mol, const chem::BasisSet& basis,
   if (options.hfx.sparsity.blocked(basis.num_functions()))
     return sparse_rhf(mol, basis, options);
   const obs::Trace::Scope scf_span(obs::global_trace(), "scf.rhf");
-  detail::LoopSpec spec = closed_shell_spec("rhf", mol, options);
+  detail::LoopSpec spec = closed_shell_spec("rhf", mol, basis, options);
   spec.incremental = options.incremental_fock;
   const auto step = detail::diagonalize_step(mol, basis, options.hfx,
                                              options.shared_builder, "rhf");
@@ -71,7 +75,8 @@ ScfResult rhf(const chem::Molecule& mol, const chem::BasisSet& basis,
 ScfResult sparse_rhf(const chem::Molecule& mol, const chem::BasisSet& basis,
                      const ScfOptions& options, SparseScfInfo* info) {
   const obs::Trace::Scope scf_span(obs::global_trace(), "scf.sparse_rhf");
-  detail::LoopSpec spec = closed_shell_spec("sparse_rhf", mol, options);
+  detail::LoopSpec spec =
+      closed_shell_spec("sparse_rhf", mol, basis, options);
   spec.incremental = options.incremental_fock;
   SparseScfInfo local_info;
   const auto step =
@@ -82,7 +87,7 @@ ScfResult sparse_rhf(const chem::Molecule& mol, const chem::BasisSet& basis,
 KsResult rks(const chem::Molecule& mol, const chem::BasisSet& basis,
              const KsOptions& options) {
   const obs::Trace::Scope scf_span(obs::global_trace(), "scf.rks");
-  detail::LoopSpec spec = closed_shell_spec("rks", mol, options.scf);
+  detail::LoopSpec spec = closed_shell_spec("rks", mol, basis, options.scf);
   const dft::Functional functional = dft::make_functional(options.functional);
   spec.ax = functional.exact_exchange;
   const auto step = detail::diagonalize_step(

@@ -54,8 +54,8 @@ struct ScfOptions {
   /// deadline watchdog to reclaim hung/overdue jobs.
   std::shared_ptr<const fault::CancelToken> cancel;
 
-  /// Warm-start density guess replacing the core guess (rhf, rks and
-  /// sparse_rhf).
+  /// Warm-start density guess replacing the cold SAD guess
+  /// (scf::sad_guess_density) of rhf, rks and sparse_rhf.
   /// The MD surface feeds extrapolated previous-step densities through
   /// here so mid-trajectory solves converge in a few iterations. Throws
   /// std::invalid_argument on a dimension mismatch with the basis.

@@ -291,15 +291,12 @@ LoopResult run_scf(const LoopSpec& spec, const ScfOptions& options,
   const std::size_t nch = spec.nocc.size();
   const double occupation = nch == 1 ? 2.0 : 1.0;
   const Matrix& h = step.core_hamiltonian();
+  if (spec.guess.size() != nch)
+    throw std::invalid_argument(method + ": one guess density per channel");
 
-  // Guess: the given densities, else the lowest states of H itself.
   std::vector<Channel> ch(nch);
   for (std::size_t c = 0; c < nch; ++c) {
     ch[c].nocc = spec.nocc[c];
-    if (spec.guess.empty()) {
-      take(ch[c], step.update(h, ch[c].nocc, occupation));
-      continue;
-    }
     const Matrix& p0 = spec.guess[c];
     if (p0.rows() != h.rows() || p0.cols() != h.cols())
       throw std::invalid_argument(method +

@@ -33,6 +33,7 @@
 #include "scf/guess.hpp"
 #include "scf/rhf.hpp"
 #include "scf/sparse_scf.hpp"
+#include "scf/uhf.hpp"
 
 namespace mthfx::scf::detail {
 
@@ -120,7 +121,7 @@ struct LoopSpec {
   double nuclear_repulsion = 0.0;
   double ax = 1.0;                    ///< exact-exchange fraction
   XcFunction xc;                      ///< empty: no semilocal term
-  std::vector<linalg::Matrix> guess;  ///< per channel; empty: core guess
+  std::vector<linalg::Matrix> guess;  ///< starting density per channel
   bool incremental = false;           ///< ΔP Fock builds (one channel)
   // Configured mitigations (UhfOptions); the ladder's stronger ones win.
   double density_damping = 0.0;
@@ -141,5 +142,11 @@ struct LoopResult {
 /// fields are the wrapper's (through `step` and `spec`).
 LoopResult run_scf(const LoopSpec& spec, const ScfOptions& options,
                    DensityStep& step);
+
+/// uhf started from the core-Hamiltonian guess instead of SAD: the atomic
+/// solves behind sad_guess_density, which must not recurse into it.
+UhfResult uhf_from_core_guess(const chem::Molecule& mol,
+                              const chem::BasisSet& basis, int multiplicity,
+                              const UhfOptions& options);
 
 }  // namespace mthfx::scf::detail

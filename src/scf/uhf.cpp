@@ -72,20 +72,15 @@ UhfResult open_shell_result(detail::LoopResult&& r) {
   return out;
 }
 
-}  // namespace
-
-UhfResult uhf(const chem::Molecule& mol, const chem::BasisSet& basis,
-              int multiplicity, const UhfOptions& options) {
-  const obs::Trace::Scope scf_span(obs::global_trace(), "scf.uhf");
-  detail::LoopSpec spec = open_shell_spec("uhf", mol, multiplicity, options);
-  const auto step =
-      detail::diagonalize_step(mol, basis, options.hfx, nullptr, "uhf");
-
-  const std::size_t na = spec.nocc[0], nb = spec.nocc[1];
-  if (options.break_symmetry && na < basis.num_functions()) {
-    // Core guess with the alpha HOMO rotated toward the LUMO.
-    const linalg::Matrix& h = step->core_hamiltonian();
-    linalg::Matrix ca = step->update(h, na, 1.0).coefficients;
+// Alpha and beta core-Hamiltonian guesses: the lowest states of H, with
+// the alpha HOMO rotated toward the LUMO when `rotate` is set.
+std::vector<linalg::Matrix> core_guess(detail::DensityStep& step,
+                                       std::size_t na, std::size_t nb,
+                                       bool rotate) {
+  const linalg::Matrix& h = step.core_hamiltonian();
+  OrbitalSolution alpha = step.update(h, na, 1.0);
+  if (rotate) {
+    linalg::Matrix& ca = alpha.coefficients;
     const std::size_t homo = na - 1, lumo = na;
     const double c = std::cos(0.25 * M_PI / 2.0), sn = std::sin(0.25 * M_PI / 2.0);
     for (std::size_t i = 0; i < ca.rows(); ++i) {
@@ -93,11 +88,50 @@ UhfResult uhf(const chem::Molecule& mol, const chem::BasisSet& basis,
       ca(i, homo) = c * vh + sn * vl;
       ca(i, lumo) = -sn * vh + c * vl;
     }
-    spec.guess = {occupied_density(ca, na, 1.0),
-                  step->update(h, nb, 1.0).density};
+    alpha.density = occupied_density(ca, na, 1.0);
+  }
+  return {std::move(alpha.density), step.update(h, nb, 1.0).density};
+}
+
+// Half the SAD density per spin channel.
+std::vector<linalg::Matrix> sad_spin_guess(const chem::BasisSet& basis,
+                                           const chem::Molecule& mol) {
+  const linalg::Matrix half = 0.5 * sad_guess_density(basis, mol);
+  return {half, half};
+}
+
+// uhf from SAD, or from the core guess when `core` is set or the caller
+// asks for the symmetry-broken start.
+UhfResult run_uhf(const chem::Molecule& mol, const chem::BasisSet& basis,
+                  int multiplicity, const UhfOptions& options, bool core) {
+  const obs::Trace::Scope scf_span(obs::global_trace(), "scf.uhf");
+  detail::LoopSpec spec = open_shell_spec("uhf", mol, multiplicity, options);
+  const auto step =
+      detail::diagonalize_step(mol, basis, options.hfx, nullptr, "uhf");
+  {
+    const obs::Trace::Scope guess_span(obs::global_trace(), "scf.guess");
+    const bool rotate =
+        options.break_symmetry && spec.nocc[0] < basis.num_functions();
+    spec.guess = core || rotate ? core_guess(*step, spec.nocc[0],
+                                             spec.nocc[1], rotate)
+                                : sad_spin_guess(basis, mol);
   }
   return open_shell_result(
       detail::run_scf(spec, loop_options(options), *step));
+}
+
+}  // namespace
+
+UhfResult uhf(const chem::Molecule& mol, const chem::BasisSet& basis,
+              int multiplicity, const UhfOptions& options) {
+  return run_uhf(mol, basis, multiplicity, options, false);
+}
+
+UhfResult detail::uhf_from_core_guess(const chem::Molecule& mol,
+                                      const chem::BasisSet& basis,
+                                      int multiplicity,
+                                      const UhfOptions& options) {
+  return run_uhf(mol, basis, multiplicity, options, true);
 }
 
 UksResult uks(const chem::Molecule& mol, const chem::BasisSet& basis,
@@ -110,6 +144,10 @@ UksResult uks(const chem::Molecule& mol, const chem::BasisSet& basis,
   spec.ax = functional.exact_exchange;
   const auto step =
       detail::diagonalize_step(mol, basis, options.scf.hfx, nullptr, "uks");
+  {
+    const obs::Trace::Scope guess_span(obs::global_trace(), "scf.guess");
+    spec.guess = sad_spin_guess(basis, mol);
+  }
 
   std::optional<KsGrid> grid;
   if (options.functional != "hf") {

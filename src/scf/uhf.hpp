@@ -13,8 +13,9 @@ struct UhfOptions {
   double energy_tolerance = 1e-9;
   double diis_tolerance = 1e-6;
   bool use_diis = true;
-  /// Mix the alpha HOMO/LUMO of the initial guess to let the SCF break
-  /// spin symmetry (needed e.g. for stretched closed-shell bonds).
+  /// Start from the core-Hamiltonian guess with its alpha HOMO rotated
+  /// toward the LUMO, instead of SAD, to let the SCF break spin symmetry
+  /// (needed e.g. for stretched closed-shell bonds).
   bool break_symmetry = false;
   /// Fraction of the previous density mixed into each new density while
   /// the DIIS error is still above `damping_until`; stabilizes

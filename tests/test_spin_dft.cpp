@@ -277,6 +277,17 @@ TEST(Uks, Pbe0DoubletLithiumConverges) {
   EXPECT_LT(r.scf.energy, u.energy);
 }
 
+TEST(Uks, LithiumSuperoxideAnionPbe0SingletConverges) {
+  // A hard open-shell start: from the core-Hamiltonian guess this solve
+  // does not converge in the default 200 iterations. From SAD it reaches
+  // the closed-shell singlet.
+  const auto m = wl::lithium_superoxide_anion();
+  const auto basis = chem::BasisSet::build(m, "sto-3g");
+  const auto r = scf::uks(m, basis, 1);
+  ASSERT_TRUE(r.scf.converged);
+  EXPECT_NEAR(r.scf.s_squared, 0.0, 1e-6);
+}
+
 TEST(Uks, SpinDensityPositiveAtRadicalSite) {
   // Li doublet: alpha excess resides on the atom. PBE0 is used — pure
   // LSDA on this atom limit-cycles between degenerate 2p directions, a
