@@ -52,16 +52,18 @@ void screening_cost_table() {
       "scale.\n");
 }
 
-void BM_SchwarzBoundsTable(benchmark::State& state) {
+// Pair formation: cell-list candidates, one batched Schwarz-diagonal
+// call per row, the eps rule and the sort.
+void BM_PairFormation(benchmark::State& state) {
   const auto cluster = workload::cluster_of(
       workload::water(), static_cast<int>(state.range(0)), 8.0);
   const auto basis = chem::BasisSet::build(cluster, "sto-3g");
   for (auto _ : state) {
-    auto q = ints::schwarz_bounds(basis);
-    benchmark::DoNotOptimize(q.data());
+    auto pairs = hfx::ShellPairList::culled(basis, 1e-10);
+    benchmark::DoNotOptimize(pairs.max_q());
   }
 }
-BENCHMARK(BM_SchwarzBoundsTable)->Arg(2)->Arg(4)->Unit(
+BENCHMARK(BM_PairFormation)->Arg(2)->Arg(4)->Unit(
     benchmark::kMillisecond);
 
 }  // namespace

@@ -1,10 +1,9 @@
 // A7 — ERI kernel microbenchmark: quartet throughput by L-class for the
-// batched SIMD kernel and the scalar sparse Hermite kernel (compacted
-// E-lists + ket-side contraction intermediates), which read the same
-// ShellPairHermite pair data, against the dense reference oracle
+// batched SIMD kernel (compacted ShellPairHermite E-lists, the one
+// production kernel) against the dense reference oracle
 // (testing::dense_reference_quartet), which builds its own dense pair
-// boxes from the same shells with ints::HermiteE/HermiteR. Every column
-// is cross-checked element by element.
+// boxes from the same shells with ints::HermiteE/HermiteR. Both columns
+// are cross-checked element by element.
 //
 // Workloads replicate each shell at several jittered centers, the way a
 // molecular row repeats the same contraction pattern across atoms —
@@ -15,7 +14,7 @@
 // threads) for the row-blocked tree reduction.
 //
 // `--smoke` runs the table with small iteration counts and exits nonzero
-// on any batched/sparse/dense disagreement — the counts-only CI
+// on any batched/dense disagreement — the counts-only CI
 // invocation in scripts/run_tests.sh. Without it, the table runs at full
 // iteration counts, emits BENCH_hfx_kernel.json, and then hands off to
 // google-benchmark for the registered timing loops.
@@ -110,15 +109,13 @@ double max_abs_diff(const ints::EriBlock& a, const ints::EriBlock& b) {
   return mx;
 }
 
-// Cross-check a batched stream against both scalar kernels; returns the
-// worst element difference across all quartets and both oracles.
+// Cross-check a batched stream against the dense oracle; returns the
+// worst element difference across all quartets.
 double stream_agreement(const ClassWorkload& w,
                         const std::vector<ints::EriBlock>& batched) {
   double diff = 0.0;
   ints::EriBlock ref;
   for (std::size_t q = 0; q < w.stream.size(); ++q) {
-    ints::eri_shell_quartet(*w.stream[q].bra, *w.stream[q].ket, ref);
-    diff = std::max(diff, max_abs_diff(batched[q], ref));
     const std::size_t i = q / ClassWorkload::kReplicas;
     const std::size_t j = q % ClassWorkload::kReplicas;
     testing::dense_reference_quartet(w.dense_bras[i], w.dense_kets[j], ref);
@@ -128,34 +125,30 @@ double stream_agreement(const ClassWorkload& w,
 }
 
 obs::Json make_row(const char* name, double quartets, double qps_b,
-                   double qps_s, double qps_d, double diff) {
-  std::printf("%-10s %-9.0f %-13.3e %-13.3e %-13.3e %-8.2f %-8.2f %-10.2e\n",
-              name, quartets, qps_b, qps_s, qps_d, qps_b / qps_s,
-              qps_s / qps_d, diff);
+                   double qps_d, double diff) {
+  std::printf("%-10s %-9.0f %-13.3e %-13.3e %-8.2f %-10.2e\n", name,
+              quartets, qps_b, qps_d, qps_b / qps_d, diff);
   obs::Json row = obs::Json::object();
   row["class"] = name;
   row["quartets"] = quartets;
   row["batched_quartets_per_second"] = qps_b;
-  row["sparse_quartets_per_second"] = qps_s;
   row["dense_quartets_per_second"] = qps_d;
-  row["batched_speedup_vs_sparse"] = qps_b / qps_s;
-  row["speedup"] = qps_s / qps_d;  // historical sparse-vs-dense column
+  row["batched_speedup_vs_dense"] = qps_b / qps_d;
   row["max_abs_diff"] = diff;
   return row;
 }
 
 void print_table_header(const char* title) {
   bench::print_header(title);
-  std::printf("%-10s %-9s %-13s %-13s %-13s %-8s %-8s %-10s\n", "class",
-              "quartets", "batched q/s", "sparse q/s", "dense q/s", "b/s",
-              "s/d", "max|diff|");
+  std::printf("%-10s %-9s %-13s %-13s %-8s %-10s\n", "class", "quartets",
+              "batched q/s", "dense q/s", "b/d", "max|diff|");
   bench::print_rule();
 }
 
 obs::Json throughput_table(bool smoke, bool* agreement_ok) {
   print_table_header(
-      "A7: ERI quartet throughput, batched SIMD vs. scalar sparse vs. dense "
-      "reference oracle (same shells)");
+      "A7: ERI quartet throughput, batched SIMD vs. dense reference oracle "
+      "(same shells)");
 
   obs::Json rows = obs::Json::array();
   const int sweeps = smoke ? 5 : 400;
@@ -174,12 +167,6 @@ obs::Json throughput_table(bool smoke, bool* agreement_ok) {
                                           batched.data());
         },
         sweeps);
-    const double ts = seconds_for(
-        [&] {
-          for (const auto& q : w.stream)
-            ints::eri_shell_quartet(*q.bra, *q.ket, block);
-        },
-        sweeps);
     const double td = seconds_for(
         [&] {
           for (std::size_t i = 0; i < w.dense_bras.size(); ++i)
@@ -189,8 +176,7 @@ obs::Json throughput_table(bool smoke, bool* agreement_ok) {
         },
         sweeps);
     const double total = static_cast<double>(n * sweeps);
-    rows.push_back(make_row(cls.name, total, total / tb, total / ts,
-                            total / td, diff));
+    rows.push_back(make_row(cls.name, total, total / tb, total / td, diff));
   }
   return rows;
 }
@@ -228,8 +214,6 @@ obs::Json mixed_workload(bool smoke, bool* agreement_ok) {
   double diff = 0.0;
   ints::EriBlock ref;
   for (std::size_t q = 0; q < n; ++q) {
-    ints::eri_shell_quartet(*stream[q].bra, *stream[q].ket, ref);
-    diff = std::max(diff, max_abs_diff(batched[q], ref));
     testing::dense_reference_quartet(dense[bra_of[q]], dense[ket_of[q]], ref);
     diff = std::max(diff, max_abs_diff(batched[q], ref));
   }
@@ -241,12 +225,6 @@ obs::Json mixed_workload(bool smoke, bool* agreement_ok) {
       [&] { ints::eri_shell_quartet_batched({stream.data(), n},
                                             batched.data()); },
       sweeps);
-  const double ts = seconds_for(
-      [&] {
-        for (const auto& q : stream)
-          ints::eri_shell_quartet(*q.bra, *q.ket, block);
-      },
-      sweeps);
   const double td = seconds_for(
       [&] {
         for (std::size_t q = 0; q < n; ++q)
@@ -255,8 +233,7 @@ obs::Json mixed_workload(bool smoke, bool* agreement_ok) {
       },
       sweeps);
   const double total = static_cast<double>(n * sweeps);
-  obs::Json row = make_row("mixed", total, total / tb, total / ts, total / td,
-                           diff);
+  obs::Json row = make_row("mixed", total, total / tb, total / td, diff);
   row["class"] = "mixed s/p/d";
   return row;
 }
@@ -294,7 +271,7 @@ obs::Json reduce_scaling(bool smoke) {
   return rows;
 }
 
-// google-benchmark timing loops for the three kernels, for perf-tracking
+// google-benchmark timing loops for the two kernels, for perf-tracking
 // runs. The batched loop times a full-width 64-quartet stream and
 // reports per-quartet time via items processed.
 void BM_BatchedKernel(benchmark::State& state) {
@@ -309,19 +286,6 @@ void BM_BatchedKernel(benchmark::State& state) {
                           static_cast<std::int64_t>(w.stream.size()));
 }
 BENCHMARK(BM_BatchedKernel)->DenseRange(0, 4)->Unit(benchmark::kMicrosecond);
-
-void BM_SparseKernel(benchmark::State& state) {
-  ClassWorkload w(kClasses[state.range(0)]);
-  ints::EriBlock block;
-  for (auto _ : state) {
-    for (const auto& q : w.stream)
-      ints::eri_shell_quartet(*q.bra, *q.ket, block);
-    benchmark::DoNotOptimize(block.values.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(w.stream.size()));
-}
-BENCHMARK(BM_SparseKernel)->DenseRange(0, 4)->Unit(benchmark::kMicrosecond);
 
 void BM_DenseReferenceKernel(benchmark::State& state) {
   ClassWorkload w(kClasses[state.range(0)]);
@@ -358,11 +322,12 @@ int main(int argc, char** argv) {
   if (!agreement_ok) {
     std::fprintf(
         stderr,
-        "A7: kernel variants disagree (batched/sparse/dense > 1e-12)\n");
+        "A7: batched kernel disagrees with the dense oracle (> 1e-12)\n");
     return 1;
   }
   if (smoke) {
-    std::printf("A7 smoke: kernel variants agree on every class.\n");
+    std::printf("A7 smoke: batched kernel agrees with the oracle on every "
+                "class.\n");
     return 0;
   }
   benchmark::Initialize(&argc, argv);

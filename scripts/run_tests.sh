@@ -49,9 +49,9 @@ case "$TIER" in
       "$BUILD_DIR"/bench/bench_a10_scaling --smoke
     fi
     if [ "$TIER" = tier1 ]; then
-      # Perf smoke: small-iteration A7 kernel sweep. Counts and
-      # batched + scalar + oracle cross-checks only — no timing
-      # assertions, so it cannot flake on a loaded machine.
+      # Perf smoke: small-iteration A7 kernel sweep. Counts and the
+      # batched-vs-oracle cross-check only — no timing assertions, so
+      # it cannot flake on a loaded machine.
       "$BUILD_DIR"/bench/bench_a7_eri_kernel --smoke
       # A8 smoke: a 2-step PBE0 trajectory checking the accelerated
       # MD surface's one-solve-per-step counters — again counts only,

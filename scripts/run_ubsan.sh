@@ -17,7 +17,8 @@ BUILD_DIR="${1:-build-ubsan}"
 
 cmake -B "$BUILD_DIR" -S . -DMTHFX_SANITIZE=undefined
 cmake --build "$BUILD_DIR" -j --target test_boys test_eri test_hfx \
-  test_differential test_gradient test_property_grad bench_a7_eri_kernel
+  test_differential test_gradient test_property_grad test_scaling \
+  bench_a7_eri_kernel
 
 export UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1"
 
@@ -38,8 +39,12 @@ MTHFX_PROPERTY_ITERS=3 "$BUILD_DIR"/tests/test_differential
 "$BUILD_DIR"/tests/test_gradient
 MTHFX_PROPERTY_ITERS=2 "$BUILD_DIR"/tests/test_property_grad \
   --gtest_filter='PropertyGrad.NetForceVanishes'
-# The A7 smoke sweeps every shell class through batched + scalar + oracle
-# in one process — the densest UB net over the micro-kernel itself.
+# Pair formation: the cell-list candidate walk and the per-row batched
+# Schwarz diagonals, against the brute-force sweep.
+"$BUILD_DIR"/tests/test_scaling --gtest_filter='PairCulling.*'
+# The A7 smoke sweeps every shell class through the batched kernel and
+# the dense oracle in one process — the densest UB net over the
+# micro-kernel itself.
 "$BUILD_DIR"/bench/bench_a7_eri_kernel --smoke
 
 echo "UBSan pass clean."

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 
@@ -151,6 +152,14 @@ StructuredResult run_structured(const Input& input) {
       opts.scf.cancel = input.cancel;
       opts.grid.radial_points = input.grid_radial;
       opts.grid.angular_points = input.grid_angular;
+      // A KS gradient runs on the solve's pair list, pool and grid: one
+      // of each per task, as on the MD surface.
+      std::optional<hfx::FockBuilder> builder;
+      std::optional<scf::KsGrid> grid;
+      if (input.task == Task::kGradient && input.method != "hf") {
+        opts.scf.shared_builder = &builder.emplace(basis, opts.scf.hfx);
+        opts.shared_grid = &scf::grid_for(mol, basis, opts, grid);
+      }
       const auto r = scf::rks(mol, basis, opts);
       result.ok = r.scf.converged;
       result.converged = r.scf.converged;

@@ -89,16 +89,9 @@ void CellList::candidates(std::size_t s,
   for (std::size_t ix = x0; ix <= x1; ++ix) {
     for (std::size_t iy = y0; iy <= y1; ++iy) {
       for (std::size_t iz = z0; iz <= z1; ++iz) {
-        for (const std::uint32_t t : cells_[(ix * ny_ + iy) * nz_ + iz]) {
-          if (t > s) continue;
-          const chem::Vec3& ct = basis_->shell(t).center();
-          const double dx = ct.x - c.x;
-          const double dy = ct.y - c.y;
-          const double dz = ct.z - c.z;
-          const double cut = radii_[s] + radii_[t];
-          if (dx * dx + dy * dy + dz * dz <= cut * cut)
+        for (const std::uint32_t t : cells_[(ix * ny_ + iy) * nz_ + iz])
+          if (t <= s && within_extent_range(*basis_, radii_, s, t))
             out->push_back(t);
-        }
       }
     }
   }

@@ -2,8 +2,8 @@
 
 // Spatial cell-list for distance-culled shell-pair formation.
 //
-// The dense pair sweep visits all ns(ns+1)/2 shell pairs and computes an
-// exact Schwarz diagonal for each — O(np²) work dominated, in a large
+// A sweep over all ns(ns+1)/2 shell pairs, computing an exact Schwarz
+// diagonal for each, is O(ns²) work dominated, in a large
 // electrolyte box, by pairs so far apart that every primitive
 // combination of (ab|ab) underflows the kernel's primitive cutoff
 // (ints::kEriPrimitiveCutoff) and the bound collapses to the noise
@@ -18,8 +18,8 @@
 // kernel can resolve (see shell_extent_radii). Candidates then get the
 // exact Schwarz bound; the only pairs culled without evaluation are ones
 // the kernel would have floored anyway. The property suite
-// (tests/test_property_scaling.cpp) checks this against the dense sweep
-// across random geometries and basis sets.
+// (tests/test_property_scaling.cpp) checks this against a brute-force
+// sweep over every shell pair across random geometries and basis sets.
 
 #include <cstddef>
 #include <cstdint>
@@ -41,10 +41,9 @@ inline constexpr double kExtentLogSlack = 64.0;
 /// under the 1e-18 primitive cutoff for contraction/prefactor growth.
 std::vector<double> shell_extent_radii(const chem::BasisSet& basis);
 
-/// Exact test `|center(s) - center(t)| <= radii[s] + radii[t]` with the
-/// same arithmetic CellList::candidates applies. Shared so the dense
-/// pair sweep can drop beyond-range pairs bit-identically to the culled
-/// build never enumerating them.
+/// Exact test `|center(s) - center(t)| <= radii[s] + radii[t]`: the
+/// range rule of CellList::candidates. Public so a brute-force sweep over
+/// every pair (the tests' oracle) applies the very same arithmetic.
 bool within_extent_range(const chem::BasisSet& basis,
                          const std::vector<double>& radii, std::size_t s,
                          std::size_t t);

@@ -12,7 +12,6 @@
 #include "hfx/schedulers.hpp"
 #include "ints/eri.hpp"
 #include "ints/eri_batch.hpp"
-#include "ints/schwarz.hpp"
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
 #include "parallel/reduce.hpp"
@@ -137,31 +136,18 @@ std::vector<std::size_t> chunk_ends(const BasisSet& basis,
   return end;
 }
 
-// Pair formation for the constructor's member-init list: the culled
-// branch never forms the O(ns²) Schwarz matrix (schwarz stays empty),
-// the dense branch fills it and screens against it as before.
-ShellPairList make_pairs(const BasisSet& basis, const HfxOptions& options,
-                         Matrix* schwarz, bool* culled, PairCullStats* stats) {
-  if (options.sparsity.blocked(basis.num_functions())) {
-    *culled = true;
-    return ShellPairList::culled(basis, options.eps_schwarz, stats);
-  }
-  *schwarz = ints::schwarz_bounds(basis);
-  return ShellPairList(basis, *schwarz, options.eps_schwarz);
-}
-
 // One task per bra row unless a dense caller asks for finer tasks:
 // chunked rows leave the batched kernel's 8-wide batches mostly padding,
-// and culled builders always run rows, the unit the link walk enumerates.
+// and blocked builders always run rows, the unit the link walk enumerates.
 std::vector<QuartetTask> builder_tasks(const BasisSet& basis,
                                        const ShellPairList& pairs,
                                        const HfxOptions& options,
-                                       bool culled) {
-  return make_tasks(basis, pairs, culled ? 0.0 : options.target_task_cost,
+                                       bool blocked) {
+  return make_tasks(basis, pairs, blocked ? 0.0 : options.target_task_cost,
                     options.eps_schwarz);
 }
 
-// Density-linked (LinK-style) ket source of culled builders.
+// Density-linked (LinK-style) ket source of blocked builders.
 //
 // The range source visits a task's whole live ket prefix: Θ(pairs²)
 // visits per build even when the density screen then kills almost all of
@@ -350,8 +336,9 @@ FockBuilder::FockBuilder(const BasisSet& basis, HfxOptions options)
     : basis_(&basis),
       options_(options),
       pool_(options_.num_threads),
-      pairs_(make_pairs(basis, options_, &schwarz_, &culled_, &cull_stats_)),
-      tasks_(builder_tasks(basis, pairs_, options_, culled_)),
+      blocked_(options_.sparsity.blocked(basis.num_functions())),
+      pairs_(ShellPairList::culled(basis, options_.eps_schwarz, &cull_stats_)),
+      tasks_(builder_tasks(basis, pairs_, options_, blocked_)),
       chunk_end_(chunk_ends(basis, pairs_, options_.eps_schwarz, tasks_)) {
   index_pairs_by_shell();
   pair_hermites_.reserve(pairs_.size());
@@ -391,20 +378,6 @@ void FockBuilder::rebind(const BasisSet& basis) {
     moved[s] = (c0.x != c1.x || c0.y != c1.y || c0.z != c1.z) ? 1 : 0;
   }
 
-  // Refresh Schwarz entries with a moved endpoint; bounds between two
-  // unmoved shells are bitwise identical by construction. Culled mode
-  // never formed the matrix — it re-culls below instead.
-  if (!culled_) {
-    for (std::size_t sa = 0; sa < ns; ++sa)
-      for (std::size_t sb = sa; sb < ns; ++sb)
-        if (moved[sa] || moved[sb]) {
-          const double b =
-              ints::schwarz_bound(basis.shell(sa), basis.shell(sb));
-          schwarz_(sa, sb) = b;
-          schwarz_(sb, sa) = b;
-        }
-  }
-
   // Index the old pair list so surviving unmoved pairs can hand their
   // Hermite tables over instead of re-expanding them.
   std::unordered_map<std::uint64_t, std::size_t> old_index;
@@ -414,8 +387,7 @@ void FockBuilder::rebind(const BasisSet& basis) {
         (static_cast<std::uint64_t>(pairs_[i].sa) << 32) | pairs_[i].sb, i);
 
   ShellPairList new_pairs =
-      culled_ ? ShellPairList::culled(basis, options_.eps_schwarz, &cull_stats_)
-              : ShellPairList(basis, schwarz_, options_.eps_schwarz);
+      ShellPairList::culled(basis, options_.eps_schwarz, &cull_stats_);
   std::vector<ints::ShellPairHermite> new_hermites;
   new_hermites.reserve(new_pairs.size());
   std::size_t reused = 0;
@@ -434,7 +406,7 @@ void FockBuilder::rebind(const BasisSet& basis) {
 
   pairs_ = std::move(new_pairs);
   pair_hermites_ = std::move(new_hermites);
-  tasks_ = builder_tasks(basis, pairs_, options_, culled_);
+  tasks_ = builder_tasks(basis, pairs_, options_, blocked_);
   chunk_end_ = chunk_ends(basis, pairs_, options_.eps_schwarz, tasks_);
   basis_ = &basis;
   index_pairs_by_shell();
@@ -478,12 +450,12 @@ JkResult FockBuilder::build(const Matrix& density, bool want_coulomb) const {
   const Matrix block_max = density_screening
                                ? shell_block_max_density(*basis_, density)
                                : Matrix();
-  // Ket source: culled builders walk the density links, dense builders
+  // Ket source: blocked builders walk the density links, dense builders
   // (and builds without a density screen, which keep every live ket)
   // sweep the task's contiguous ket range.
   std::optional<LinkWalk> walk;
   std::vector<LinkWalk::Scratch> walk_scratch;
-  if (culled_ && density_screening) {
+  if (blocked_ && density_screening) {
     walk.emplace(pairs_, pairs_by_shell_, block_max, eps, want_coulomb);
     walk_scratch.resize(nthreads);
   }

@@ -40,17 +40,19 @@ enum class HfxSchedule {
   kWorkStealing,
 };
 
-/// Sparsity regime of pair formation and J/K builds.
-/// kDense keeps the original code paths bitwise intact. kBlocked turns
-/// on the distance-culled cell-list pair list, whose builders enumerate
-/// kets through the density-linked (LinK-style) walk.
+/// Ket source of J/K builds. Every builder forms its pair list the same
+/// way (ShellPairList::culled), so the mode changes cost, never results:
+/// kDense sweeps each task's contiguous ket range, kBlocked enumerates
+/// kets through the density-linked (LinK-style) walk and always runs
+/// whole bra rows. scf::rhf also hands blocked systems to sparse_rhf,
+/// whose density step is purification.
 /// kAuto selects kBlocked once the basis crosses auto_nbf_threshold, so
-/// small systems never leave the dense path.
+/// small systems keep the range sweep.
 enum class SparsityMode { kAuto, kDense, kBlocked };
 
 struct SparsityOptions {
   SparsityMode mode = SparsityMode::kAuto;
-  /// kAuto switches to the blocked/culled machinery above this many
+  /// kAuto switches to the density-linked walk above this many
   /// basis functions (large electrolyte boxes; every preexisting suite
   /// stays far below it).
   std::size_t auto_nbf_threshold = 768;
@@ -97,9 +99,9 @@ struct HfxOptions {
   /// at the default granularity.
   bool validate_tasks = false;
 
-  /// Pair-formation / blocked-build regime (see SparsityOptions). The
+  /// Ket source / blocked-build regime (see SparsityOptions). The
   /// default (kAuto with a high threshold) keeps every small system on
-  /// the dense path.
+  /// the range sweep.
   SparsityOptions sparsity;
 
   /// Derived default for eps_contribution: 1e-6 * eps_schwarz reproduces
@@ -161,9 +163,10 @@ struct JkResult {
 
 class FockBuilder {
  public:
-  /// Precomputes Schwarz bounds, the significant pair list and the task
-  /// list, and starts the pool of options.num_threads threads. The basis
-  /// must outlive the builder.
+  /// Forms the significant pair list (ShellPairList::culled: Schwarz
+  /// bounds on cell-list candidates from the batched kernel), the task
+  /// list and the pair expansions, and starts the pool of
+  /// options.num_threads threads. The basis must outlive the builder.
   FockBuilder(const chem::BasisSet& basis, HfxOptions options = {});
 
   /// Exchange-only build (the paper's benchmarked kernel).
@@ -175,7 +178,7 @@ class FockBuilder {
 
   /// The same builds from a blocked density, which is densified first.
   /// Every entry point runs one task-bag build; what changes with the
-  /// builder is the ket source. A culled builder (culled()) enumerates
+  /// builder is the ket source. A blocked builder (blocked()) enumerates
   /// each bra row through density-linked ket lists (LinK-style): only
   /// kets reachable through a shell-block density element large enough
   /// to pass the combined Schwarz + density bound are visited, then every
@@ -190,12 +193,11 @@ class FockBuilder {
   JkResult coulomb_exchange_blocked(const linalg::BlockSparseMatrix& density) const;
 
   /// Re-target the builder at a new geometry of the *same* molecule/basis
-  /// (identical shell structure, possibly moved centers). Schwarz bounds
-  /// and shell-pair Hermite tables are recomputed only for pairs with a
-  /// bitwise-moved endpoint; everything touching only unmoved atoms is
-  /// carried over exactly. This is the cross-step reuse lever for MD
-  /// surfaces and finite-difference sweeps, where most single-geometry
-  /// rebuild cost is pair preparation on atoms that did not move.
+  /// (identical shell structure, possibly moved centers). The pair list
+  /// is re-culled; shell-pair Hermite tables are re-expanded only for
+  /// pairs with a bitwise-moved endpoint, and every kept pair touching
+  /// only unmoved atoms hands its table over. This is the cross-step
+  /// reuse lever for MD surfaces and finite-difference sweeps.
   /// Throws std::invalid_argument if the shell structure differs. The new
   /// basis must outlive the builder. The pool is kept.
   void rebind(const chem::BasisSet& basis);
@@ -213,9 +215,9 @@ class FockBuilder {
   /// SCF's XC runs on it too.
   parallel::ThreadPool& pool() const { return pool_; }
 
-  /// True when the pair list came from the distance-culled cell-list
-  /// build (sparsity engaged) rather than the dense O(ns²) sweep.
-  bool culled() const { return culled_; }
+  /// True when sparsity is engaged (SparsityOptions::blocked): kets come
+  /// from the density-linked walk and tasks are whole bra rows.
+  bool blocked() const { return blocked_; }
   const PairCullStats& cull_stats() const { return cull_stats_; }
 
   /// Pair indices (into pairs()) containing each shell, descending q —
@@ -231,8 +233,7 @@ class FockBuilder {
   const chem::BasisSet* basis_;
   HfxOptions options_;
   mutable parallel::ThreadPool pool_;
-  linalg::Matrix schwarz_;  ///< empty in culled mode (never formed)
-  bool culled_ = false;
+  bool blocked_ = false;
   PairCullStats cull_stats_;
   ShellPairList pairs_;
   std::vector<std::vector<std::uint32_t>> pairs_by_shell_;

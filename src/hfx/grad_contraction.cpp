@@ -5,7 +5,6 @@
 
 #include "hfx/screening.hpp"
 #include "ints/deriv.hpp"
-#include "ints/schwarz.hpp"
 #include "parallel/reduce.hpp"
 #include "parallel/thread_pool.hpp"
 
@@ -143,14 +142,6 @@ std::vector<Vec3> two_electron_gradient(const chem::BasisSet& basis,
                                         const GradContractionOptions& options) {
   parallel::ThreadPool pool(options.num_threads);
   return two_electron_gradient(basis, pairs, density, options, pool);
-}
-
-std::vector<Vec3> two_electron_gradient(const chem::BasisSet& basis,
-                                        const Matrix& density,
-                                        const GradContractionOptions& options) {
-  const ShellPairList pairs(basis, ints::schwarz_bounds(basis),
-                            options.eps_schwarz);
-  return two_electron_gradient(basis, pairs, density, options);
 }
 
 }  // namespace mthfx::hfx

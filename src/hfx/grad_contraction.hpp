@@ -22,7 +22,7 @@
 // natoms x 3 partial, and the partials merge along parallel::TreeMerge's
 // fixed tree, so the gradient is bit-identical for any pool size. The
 // pool overload runs on the caller's pool (ks_gradient passes the bound
-// FockBuilder's); the num_threads overloads start a pool per call.
+// FockBuilder's); the num_threads overload starts a pool per call.
 
 #include <vector>
 
@@ -58,10 +58,5 @@ std::vector<chem::Vec3> two_electron_gradient(
 std::vector<chem::Vec3> two_electron_gradient(
     const chem::BasisSet& basis, const ShellPairList& pairs,
     const linalg::Matrix& density, const GradContractionOptions& options);
-
-/// Convenience overload that builds its own Schwarz table and pair list.
-std::vector<chem::Vec3> two_electron_gradient(
-    const chem::BasisSet& basis, const linalg::Matrix& density,
-    const GradContractionOptions& options);
 
 }  // namespace mthfx::hfx

@@ -11,8 +11,6 @@
 #include <vector>
 
 #include "chem/basis.hpp"
-#include "ints/schwarz.hpp"
-#include "linalg/matrix.hpp"
 
 namespace mthfx::hfx {
 
@@ -22,8 +20,7 @@ struct ShellPair {
   double q = 0.0;        ///< Schwarz bound sqrt(max (ab|ab))
 };
 
-/// Pair-formation statistics of the distance-culled build (zero for the
-/// dense build).
+/// Pair-formation statistics of the distance-culled build.
 struct PairCullStats {
   std::size_t candidates = 0;  ///< pairs the cell list proposed
   std::size_t floored = 0;     ///< candidates whose (ab|ab) underflowed
@@ -32,29 +29,21 @@ struct PairCullStats {
 
 class ShellPairList {
  public:
-  /// Build from precomputed Schwarz bounds. Pairs with
-  /// q(sa,sb) * max_q < eps are discarded, as are pairs beyond summed
-  /// extent radii (hfx/cell_list.hpp): past that range the
-  /// Gaussian-product factor is e^{-kExtentLogSlack} below every scale
-  /// the kernel resolves for any partner, yet the pair's *stored* bound
-  /// sits at the underflow noise floor (ints/schwarz.hpp) and would
+  /// The one pair-list build. Enumerates only cell-list candidates
+  /// (shells within summed extent radii — hfx/cell_list.hpp), then keeps
+  /// the candidates with q * max_q >= eps, max_q the largest candidate
+  /// bound. Per candidate row sa it expands one ints::ShellPairHermite
+  /// per candidate (sa, sb <= sa), the operand order the J/K build uses,
+  /// and evaluates the row's (ab|ab) diagonals in one batched kernel
+  /// call (ints::schwarz_bounds); the row's expansions are freed before
+  /// the next row. Pairs beyond summed extent radii are never touched:
+  /// there the Gaussian-product factor is e^{-kExtentLogSlack} below
+  /// every scale the kernel resolves for any partner, yet the pair's
+  /// bound would sit at the underflow noise floor (ints/schwarz.hpp) and
   /// clear the eps rule on noise alone. In-range pairs whose diagonal
-  /// underflowed are kept under the plain eps rule — their cross
-  /// quartets with strong partners are real at the sqrt(noise)·max_q
-  /// scale, which tight-eps builds must resolve.
-  ShellPairList(const chem::BasisSet& basis, const linalg::Matrix& schwarz,
-                double eps);
-
-  /// Distance-culled build: enumerate only cell-list candidates (shells
-  /// within summed extent radii — hfx/cell_list.hpp), compute the exact
-  /// Schwarz bound per candidate, and apply the same q * max_q >= eps
-  /// rule as the dense build. The result is pair-for-pair identical to
-  /// the dense constructor: both drop exactly the beyond-range pairs
-  /// (the dense sweep by the explicit within_extent_range test, this
-  /// build by never enumerating them) and both keep in-range candidates
-  /// under the eps rule with bounds from the same kernel and operand
-  /// order. max_q matches the dense build: beyond-range bounds sit at
-  /// the noise scale, far below any compact pair's bound.
+  /// underflowed stay under the plain eps rule — their cross quartets
+  /// with strong partners are real at the sqrt(noise)·max_q scale, which
+  /// tight-eps builds must resolve. Pairs are sorted by descending q.
   static ShellPairList culled(const chem::BasisSet& basis, double eps,
                               PairCullStats* stats = nullptr);
 

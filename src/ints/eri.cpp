@@ -1,10 +1,9 @@
 #include "ints/eri.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
-#include <numbers>
 
+#include "ints/eri_batch.hpp"
 #include "ints/hermite_fixed.hpp"
 
 namespace mthfx::ints {
@@ -16,9 +15,8 @@ using chem::Vec3;
 namespace {
 
 // Compile-time capacity: supports shells up to l = kEriMaxL (f) on each
-// center, i.e. Hermite orders up to kEriMaxTuv in the Coulomb tensor.
+// center.
 using E1d = detail::E1d<kEriMaxL, kEriMaxL>;
-using RTensor = detail::RTensor<kEriMaxTuv>;
 
 // True when E(t; i, j) vanishes identically in one dimension, by
 // parity rather than by accident of the geometry. A same-coordinate
@@ -36,13 +34,6 @@ bool parity_zero_1d(double ab, double ea, double eb, int i, int j, int t) {
   if (ea == eb && i == j) return (t & 1) != 0;
   return false;
 }
-
-thread_local RTensor tls_r;
-
-// Per-quartet scratch for the sparse kernel (capacity persists, so the
-// hot path never allocates once warm).
-thread_local std::vector<std::uint32_t> tls_rbase;  // union point -> R offset
-thread_local std::vector<double> tls_panel;  // [ket comp][union point]
 
 }  // namespace
 
@@ -201,92 +192,13 @@ ShellPairHermite::ShellPairHermite(const Shell& a, const Shell& b)
   structure_key_ = h;
 }
 
-void eri_shell_quartet(const ShellPairHermite& bra,
-                       const ShellPairHermite& ket, EriBlock& out) {
-  out.na = bra.na_;
-  out.nb = bra.nb_;
-  out.nc = ket.na_;
-  out.nd = ket.nb_;
-  const std::size_t ncomp_bra = bra.ncomp_;
-  const std::size_t ncomp_ket = ket.ncomp_;
-  out.values.assign(ncomp_bra * ncomp_ket, 0.0);
-
-  const double pi52 = 2.0 * std::pow(std::numbers::pi, 2.5);
-  const int lab = bra.lab_;
-  const int lcd = ket.lab_;
-  const std::size_t rn1 = static_cast<std::size_t>(lab + lcd + 1);
-  const std::size_t nu = bra.union_coords_.size();
-  if (nu == 0) return;
-
-  // The R-tensor extent rn1 is fixed for the whole quartet, so the flat
-  // R offset of every bra union point can be tabulated once: R factors
-  // as base(t,u,v) + shift(tt,uu,vv) for any ket entry.
-  std::vector<std::uint32_t>& rbase = tls_rbase;
-  rbase.resize(nu);
-  for (std::size_t pnt = 0; pnt < nu; ++pnt) {
-    const HermiteCoord c = bra.union_coords_[pnt];
-    rbase[pnt] = static_cast<std::uint32_t>(
-        (static_cast<std::size_t>(c.t) * rn1 + c.u) * rn1 + c.v);
-  }
-  std::vector<double>& panel = tls_panel;
-  panel.resize(ncomp_ket * nu);
-
-  for (const auto& bp : bra.prims_) {
-    for (const auto& kp : ket.prims_) {
-      const double p = bp.p, q = kp.p;
-      const double pref = pi52 / (p * q * std::sqrt(p + q));
-      // Primitive-combination cutoff: the Hermite expansions carry the
-      // exp(-mu R^2) pair factors, so this bound removes combinations of
-      // tight/distant primitives that cannot reach double precision.
-      if (pref * bp.max_abs_e * kp.max_abs_e < kEriPrimitiveCutoff) continue;
-      const double alpha = p * q / (p + q);
-      const Vec3 pq = bp.center - kp.center;
-      const double* r = tls_r.build(lab + lcd, alpha, pq.x, pq.y, pq.z);
-
-      // Stage 1 — ket-side contraction intermediates: fold each ket
-      // component's E-list into R once, over the bra union pattern. The
-      // panel is then reused by every bra component, removing the
-      // O(ncomp_bra) redundancy of redoing ek·R per bra component.
-      for (std::size_t kc = 0; kc < ncomp_ket; ++kc) {
-        double* panel_kc = panel.data() + kc * nu;
-        std::fill(panel_kc, panel_kc + nu, 0.0);
-        const HermiteEntry* ke = kp.entries.data() + kp.comp_begin[kc];
-        const HermiteEntry* ke_end = kp.entries.data() + kp.comp_begin[kc + 1];
-        for (; ke != ke_end; ++ke) {
-          const double s = ke->sval;
-          const double* rk =
-              r + (static_cast<std::size_t>(ke->t) * rn1 + ke->u) * rn1 +
-              ke->v;
-          for (std::size_t pnt = 0; pnt < nu; ++pnt)
-            panel_kc[pnt] += s * rk[rbase[pnt]];
-        }
-      }
-
-      // Stage 2 — bra-side dot products: each (bra comp, ket comp) pair
-      // is a sparse dot of the bra E-list against the ket panel.
-      double* outv = out.values.data();
-      for (std::size_t bc = 0; bc < ncomp_bra; ++bc) {
-        const HermiteEntry* be0 = bp.entries.data() + bp.comp_begin[bc];
-        const HermiteEntry* be1 = bp.entries.data() + bp.comp_begin[bc + 1];
-        double* orow = outv + bc * ncomp_ket;
-        for (std::size_t kc = 0; kc < ncomp_ket; ++kc) {
-          const double* panel_kc = panel.data() + kc * nu;
-          double sum = 0.0;
-          for (const HermiteEntry* be = be0; be != be1; ++be)
-            sum += be->val * panel_kc[be->upos];
-          orow[kc] += pref * sum;
-        }
-      }
-    }
-  }
-}
-
 EriBlock eri_shell_quartet(const Shell& a, const Shell& b, const Shell& c,
                            const Shell& d) {
   const ShellPairHermite bra(a, b);
   const ShellPairHermite ket(c, d);
+  const QuartetRef quartet{&bra, &ket};
   EriBlock out;
-  eri_shell_quartet(bra, ket, out);
+  eri_shell_quartet_batched({&quartet, 1}, &out);
   return out;
 }
 
@@ -308,18 +220,23 @@ std::vector<double> eri_tensor(const chem::BasisSet& basis) {
     return hi * (hi + 1) / 2 + lo;
   };
 
-  EriBlock block;
+  // One batched stream per bra: every ordered ket (sc, sd).
+  std::vector<QuartetRef> stream(ns * ns);
+  std::vector<EriBlock> blocks(ns * ns);
   for (std::size_t sa = 0; sa < ns; ++sa)
     for (std::size_t sb = 0; sb < ns; ++sb) {
       const bool swap_ab = sa < sb;
       const ShellPairHermite& bra =
           pairs[swap_ab ? tri(sb, sa) : tri(sa, sb)];
       for (std::size_t sc = 0; sc < ns; ++sc)
+        for (std::size_t sd = 0; sd < ns; ++sd)
+          stream[sc * ns + sd] = {&bra,
+                                  &pairs[sc < sd ? tri(sd, sc) : tri(sc, sd)]};
+      eri_shell_quartet_batched(stream, blocks.data());
+      for (std::size_t sc = 0; sc < ns; ++sc)
         for (std::size_t sd = 0; sd < ns; ++sd) {
           const bool swap_cd = sc < sd;
-          const ShellPairHermite& ket =
-              pairs[swap_cd ? tri(sd, sc) : tri(sc, sd)];
-          eri_shell_quartet(bra, ket, block);
+          const EriBlock& block = blocks[sc * ns + sd];
           const std::size_t oa = basis.first_function(sa);
           const std::size_t ob = basis.first_function(sb);
           const std::size_t oc = basis.first_function(sc);

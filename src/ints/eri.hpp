@@ -16,16 +16,14 @@
 // ordered ket-first: the Hermite Coulomb tensor R is contracted with
 // each ket component's E-list into a panel indexed by the bra pair's
 // union pattern (stage 1), and that panel is reused by every bra
-// component (stage 2). The scalar kernel runs both stages per primitive
-// quartet; the batched kernel folds all ket primitives of one bra
-// primitive into the panel first, so its stage 2 runs once per bra
+// component (stage 2). The kernel folds all ket primitives of one bra
+// primitive into the panel first, so stage 2 runs once per bra
 // primitive (see docs/hfx_scheme.md, "The ERI kernel").
 //
-// Two kernels read this layout: the scalar eri_shell_quartet below,
-// which Schwarz bounds, eri_tensor and the shell-level API use, and the
-// batched SIMD kernel (eri_batch.hpp), which the J/K build runs. The
-// dense reference they are both tested against shares none of this
-// code; it lives in src/testing (testing::DenseHermitePair).
+// One kernel reads this layout: the batched SIMD kernel (eri_batch.hpp).
+// The J/K build, the Schwarz bounds (schwarz.hpp) and the shell-level
+// API below all run it. The dense reference it is tested against shares
+// none of this code; it lives in src/testing (testing::DenseHermitePair).
 
 #include <cstddef>
 #include <cstdint>
@@ -80,8 +78,7 @@ struct HermiteCoord {
 
 /// Precomputed coefficient-weighted Hermite expansion of one contracted
 /// shell pair (all primitive pairs), compacted to structurally nonzero
-/// entries. The same object feeds the scalar and the batched kernel;
-/// structure_key() is what the batched kernel sorts lanes by.
+/// entries. structure_key() is what the batched kernel sorts lanes by.
 class ShellPairHermite {
  public:
   ShellPairHermite(const chem::Shell& a, const chem::Shell& b);
@@ -89,6 +86,8 @@ class ShellPairHermite {
   std::size_t num_functions_bra() const { return na_; }
   std::size_t num_functions_ket() const { return nb_; }
   int total_l() const { return lab_; }
+  /// nprim_a * nprim_b: the primitive pairs the expansion holds.
+  std::size_t num_primitive_pairs() const { return prims_.size(); }
   /// Size of the union sparsity pattern (<= (lab+1)^3; halved for
   /// same-center pairs by Hermite parity).
   std::size_t union_size() const { return union_coords_.size(); }
@@ -101,8 +100,6 @@ class ShellPairHermite {
 
  private:
   friend class BatchedEri;
-  friend void eri_shell_quartet(const ShellPairHermite& bra,
-                                const ShellPairHermite& ket, EriBlock& out);
 
   struct Prim {
     double p = 0.0;         // exponent sum
@@ -124,19 +121,16 @@ class ShellPairHermite {
   std::uint64_t structure_key_ = 0;
 };
 
-/// Compute one shell quartet from precomputed pair data into `out`
-/// (buffers are reused across calls — the hot path never allocates once
-/// capacities are warm). Scalar kernel: one quartet at a time.
-void eri_shell_quartet(const ShellPairHermite& bra,
-                       const ShellPairHermite& ket, EriBlock& out);
-
-/// Convenience: compute one shell quartet (ab|cd) from shells.
+/// Convenience: compute one shell quartet (ab|cd) from shells — a
+/// one-quartet batched stream, so a caller that sweeps many quartets
+/// should expand its pairs once and stream them (eri_batch.hpp).
 EriBlock eri_shell_quartet(const chem::Shell& a, const chem::Shell& b,
                            const chem::Shell& c, const chem::Shell& d);
 
 /// Full nao^4 tensor in chemists' notation (test/small-system use only).
 /// Index ((mu*n + nu)*n + lam)*n + sig. Pair expansions are built for
-/// the sa >= sb triangle only and reused for both bra orders.
+/// the sa >= sb triangle only and reused for both bra orders; each bra
+/// runs every ket in one batched stream.
 std::vector<double> eri_tensor(const chem::BasisSet& basis);
 
 }  // namespace mthfx::ints

@@ -116,8 +116,8 @@ const RPlan& r_plan(int tuv_max) {
   return plans[static_cast<std::size_t>(tuv_max)];
 }
 
-// Lane-parallel Hermite Coulomb tensor: the scalar RTensor recurrence
-// with every slot widened to kW lanes. Returns the n = 0 slice,
+// Lane-parallel Hermite Coulomb tensor: the detail::RTensor recurrence
+// (hermite_fixed.hpp) with every slot widened to kW lanes. Returns the n = 0 slice,
 // [flat (t,u,v) offset * kW + lane] with stride tuv_max + 1.
 const double* build_r(int tuv_max, V8 alpha, V8 dx, V8 dy, V8 dz,
                       const double* f) {
@@ -374,8 +374,8 @@ class BatchedEri {
         static_assert(kEriMaxTuv <= kBoysMaxM);
         boys_batch(tuv_max, targ, f);
 
-        // R-tensor recurrence over lanes, same term association as the
-        // scalar RTensor.
+        // R-tensor recurrence over lanes, same term association as
+        // detail::RTensor.
         const double* r = build_r(tuv_max, alpha, dx, dy, dz, f);
 
         // Stage 1 — ket contraction, prefactor folded into the ket

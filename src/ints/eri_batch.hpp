@@ -1,14 +1,16 @@
 #pragma once
 
-// Batched SIMD ERI micro-kernel.
+// Batched SIMD ERI micro-kernel: the one quartet kernel. The J/K build,
+// the Schwarz diagonals (schwarz.hpp), the shell-level API and the full
+// tensor (eri.hpp) all run it.
 //
-// The scalar kernel (eri_shell_quartet) evaluates one quartet at a time,
-// so the Boys function, the R-tensor recurrence and the two Hermite
-// contraction stages all run at vector width 1. This entry point takes
-// the whole post-screening quartet stream of a task, groups quartets
-// whose pair expansions share an identical structural skeleton, packs up
-// to kBoysBatchWidth of them into SoA lanes, and runs every kernel stage
-// across the lanes with fixed-width vector loops. Results are written in
+// Evaluated one quartet at a time, the Boys function, the R-tensor
+// recurrence and the two Hermite contraction stages would all run at
+// vector width 1. This entry point takes a whole quartet stream (a J/K
+// task's post-screening kets, or one row of Schwarz diagonals), groups
+// quartets whose pair expansions share an identical structural skeleton,
+// packs up to kBoysBatchWidth of them into SoA lanes, and runs every
+// kernel stage across the lanes with fixed-width vector loops. Results are written in
 // the caller's stream order.
 //
 // Per batch, for each bra primitive: every surviving ket primitive
@@ -19,8 +21,9 @@
 // accumulates into SoA output blocks (stage 2).
 // The blocks are scattered to the lanes once per batch. Stage 2 thus
 // runs once per bra primitive, not once per primitive quartet. The
-// result agrees with the scalar kernel to a few ulp: the summation is
-// regrouped and the Boys top value is tabulated.
+// result agrees with the dense reference (testing::dense_reference_quartet)
+// to 1e-12: the summation is regrouped and the Boys top value is
+// tabulated.
 //
 // Batch formation (see docs/hfx_scheme.md, "Batch formation"):
 //   1. sort the stream by the (bra, ket) structure_key() pair, ties by
@@ -49,7 +52,7 @@ struct QuartetRef {
 };
 
 /// Evaluate every quartet in `stream`, writing stream[i]'s block into
-/// out[i] (same layout as eri_shell_quartet). Buffers inside out[i] and
+/// out[i] (EriBlock layout). Buffers inside out[i] and
 /// the kernel scratch are reused across calls — the hot path performs no
 /// allocation once capacities are warm.
 void eri_shell_quartet_batched(std::span<const QuartetRef> stream,

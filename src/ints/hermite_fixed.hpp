@@ -1,10 +1,12 @@
 #pragma once
 
-// Fixed-capacity McMurchie–Davidson tables for the hot integral kernels
-// (the scalar ERI kernel in eri.cpp and the derivative ERI kernel in
-// deriv.cpp). Same recurrences as ints::HermiteE / ints::HermiteR, but
-// sized at compile time so a kernel can rebuild them per primitive pair
-// or quartet without touching the heap.
+// Fixed-capacity McMurchie–Davidson tables: E1d for the pair expansions
+// (ShellPairHermite in eri.cpp, ShellPairDeriv in deriv.cpp) and RTensor
+// for the derivative ERI kernel (deriv.cpp), whose recurrence the batched
+// kernel (eri_batch.cpp) widens to SIMD lanes. Same recurrences as
+// ints::HermiteE / ints::HermiteR, but sized at compile time so a kernel
+// can rebuild them per primitive pair or quartet without touching the
+// heap.
 
 #include <cmath>
 #include <cstddef>

@@ -1,9 +1,9 @@
 #pragma once
 
 // Geometry optimization on a PotentialSurface: gradient descent with
-// Barzilai–Borwein step control. Used to relax the electrolyte species
-// before energetics (E6/E7) and as an end-to-end consumer of the
-// analytic RHF gradients.
+// Barzilai–Borwein step control. An end-to-end consumer of the analytic
+// gradients, exercised by tests/test_md.cpp. No bench calls it: E6 and
+// E7 run on the fixed and rigidly scanned geometries of src/workload.
 
 #include "md/forces.hpp"
 

@@ -8,7 +8,6 @@
 #include "dft/xc_integrator.hpp"
 #include "hfx/grad_contraction.hpp"
 #include "ints/deriv.hpp"
-#include "ints/schwarz.hpp"
 #include "parallel/thread_pool.hpp"
 
 namespace mthfx::scf {
@@ -128,8 +127,8 @@ std::vector<Vec3> ks_gradient(const chem::Molecule& mol,
   std::optional<hfx::ShellPairList> own_pairs;
   const hfx::ShellPairList& pairs =
       shared ? shared->pairs()
-             : own_pairs.emplace(basis, ints::schwarz_bounds(basis),
-                                 gopt.eps_schwarz);
+             : own_pairs.emplace(
+                   hfx::ShellPairList::culled(basis, gopt.eps_schwarz));
   std::optional<parallel::ThreadPool> own_pool;
   parallel::ThreadPool& pool =
       shared ? shared->pool() : own_pool.emplace(options.scf.hfx.num_threads);

@@ -59,7 +59,7 @@ detail::LoopSpec closed_shell_spec(const char* method,
 
 ScfResult rhf(const chem::Molecule& mol, const chem::BasisSet& basis,
               const ScfOptions& options) {
-  // Large-basis route: distance-culled pairs, blocked J/K, purification
+  // Large-basis route: blocked J/K (density-linked kets), purification
   // instead of diagonalization (scf/sparse_scf.hpp). Small systems never
   // enter it under the default kAuto threshold.
   if (options.hfx.sparsity.blocked(basis.num_functions()))

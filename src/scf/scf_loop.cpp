@@ -174,7 +174,7 @@ class PurifyStep final : public DensityStep {
     h_ = std::move(oe.h);
 
     // Pair list + Hermite tables. The sparsity options route the builder
-    // to the culled cell-list constructor.
+    // to the density-linked ket walk.
     const obs::Stopwatch setup_watch;
     bind_builder(basis, options.hfx, options.shared_builder, "sparse_rhf");
     info_.num_pairs = builder_->pairs().size();

@@ -6,6 +6,7 @@
 
 #include "ints/eri.hpp"
 #include "ints/schwarz.hpp"
+#include "testing/oracles.hpp"
 
 namespace mthfx::testing {
 
@@ -83,44 +84,34 @@ InvariantResult check_eri_permutation_symmetry(const BasisSet& basis, Rng& rng,
 
 InvariantResult check_schwarz_bound(const BasisSet& basis, double rel_slack) {
   const Matrix q = ints::schwarz_bounds(basis);
-  const std::size_t ns = basis.num_shells();
-  for (std::size_t sa = 0; sa < ns; ++sa)
-    for (std::size_t sb = 0; sb < ns; ++sb)
-      for (std::size_t sc = 0; sc < ns; ++sc)
-        for (std::size_t sd = 0; sd < ns; ++sd) {
-          const auto blk = ints::eri_shell_quartet(
-              basis.shell(sa), basis.shell(sb), basis.shell(sc),
-              basis.shell(sd));
-          double vmax = 0.0;
-          for (const double v : blk.values) vmax = std::max(vmax, std::abs(v));
-          const double bound = q(sa, sb) * q(sc, sd);
-          // Truncation-noise allowance (see header): the kernel may have
-          // under-computed each diagonal by up to noise_xy and skipped
-          // cross-integral primitive combos worth up to nab*ncd*cutoff.
-          const double nab =
-              static_cast<double>(basis.shell(sa).num_primitives() *
-                                  basis.shell(sb).num_primitives());
-          const double ncd =
-              static_cast<double>(basis.shell(sc).num_primitives() *
-                                  basis.shell(sd).num_primitives());
-          const double qa = std::sqrt(q(sa, sb) * q(sa, sb) +
-                                      nab * nab * ints::kEriPrimitiveCutoff);
-          const double qc = std::sqrt(q(sc, sd) * q(sc, sd) +
-                                      ncd * ncd * ints::kEriPrimitiveCutoff);
-          const double allowed =
-              qa * qc + nab * ncd * ints::kEriPrimitiveCutoff;
-          if (vmax > allowed * (1.0 + rel_slack) + 1e-300) {
-            InvariantResult res;
-            res.ok = false;
-            std::ostringstream os;
-            os << "Schwarz bound violated on shells "
-               << format_quartet(sa, sb, sc, sd) << ": max|(ab|cd)| = " << vmax
-               << " > Q_ab*Q_cd = " << bound;
-            res.detail = os.str();
-            return res;
-          }
-        }
-  return {};
+  InvariantResult res;
+  for_each_shell_quartet(basis, [&](std::size_t sa, std::size_t sb,
+                                    std::size_t sc, std::size_t sd,
+                                    const ints::EriBlock& block) {
+    double vmax = 0.0;
+    for (const double v : block.values) vmax = std::max(vmax, std::abs(v));
+    const double bound = q(sa, sb) * q(sc, sd);
+    // Truncation-noise allowance (see header): the kernel may have
+    // under-computed each diagonal by up to noise_xy and skipped
+    // cross-integral primitive combos worth up to nab*ncd*cutoff.
+    const double nab = static_cast<double>(basis.shell(sa).num_primitives() *
+                                           basis.shell(sb).num_primitives());
+    const double ncd = static_cast<double>(basis.shell(sc).num_primitives() *
+                                           basis.shell(sd).num_primitives());
+    const double qa = std::sqrt(q(sa, sb) * q(sa, sb) +
+                                nab * nab * ints::kEriPrimitiveCutoff);
+    const double qc = std::sqrt(q(sc, sd) * q(sc, sd) +
+                                ncd * ncd * ints::kEriPrimitiveCutoff);
+    const double allowed = qa * qc + nab * ncd * ints::kEriPrimitiveCutoff;
+    if (vmax <= allowed * (1.0 + rel_slack) + 1e-300) return true;
+    res.ok = false;
+    std::ostringstream os;
+    os << "Schwarz bound violated on shells " << format_quartet(sa, sb, sc, sd)
+       << ": max|(ab|cd)| = " << vmax << " > Q_ab*Q_cd = " << bound;
+    res.detail = os.str();
+    return false;
+  });
+  return res;
 }
 
 InvariantResult check_hermitian(const Matrix& a, double tol,

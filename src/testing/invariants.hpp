@@ -30,7 +30,9 @@ InvariantResult check_eri_permutation_symmetry(const chem::BasisSet& basis,
                                                double tol = 1e-11);
 
 /// Schwarz inequality max|(ab|cd)| <= Q_ab * Q_cd over every shell
-/// quartet (full sweep; intended for the small generated systems), up
+/// quartet (full sweep, one batched stream per bra pair; intended for
+/// the small generated systems), with Q from ints::schwarz_bounds — the
+/// bounds and the integrals both from the kernel J/K runs — up
 /// to the ERI kernel's primitive-truncation noise: each pair's computed
 /// diagonal (ab|ab) may sit below the true one by as much as
 /// (nprim_a*nprim_b)^2 * kEriPrimitiveCutoff, and the cross integral

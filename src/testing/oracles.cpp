@@ -6,6 +6,7 @@
 #include <numbers>
 #include <stdexcept>
 
+#include "ints/eri_batch.hpp"
 #include "ints/hermite.hpp"
 
 namespace mthfx::testing {
@@ -238,28 +239,45 @@ ints::EriGradBlocks reference_eri_gradient_blocks(const chem::Shell& a,
   return out;
 }
 
-std::vector<double> naive_eri_tensor(const BasisSet& basis) {
-  const std::size_t n = basis.num_functions();
+void for_each_shell_quartet(
+    const BasisSet& basis,
+    const std::function<bool(std::size_t, std::size_t, std::size_t,
+                             std::size_t, const ints::EriBlock&)>& visit) {
   const std::size_t ns = basis.num_shells();
-  std::vector<double> tensor(n * n * n * n, 0.0);
+  std::vector<ints::ShellPairHermite> pairs;
+  pairs.reserve(ns * ns);
   for (std::size_t sa = 0; sa < ns; ++sa)
     for (std::size_t sb = 0; sb < ns; ++sb)
-      for (std::size_t sc = 0; sc < ns; ++sc)
-        for (std::size_t sd = 0; sd < ns; ++sd) {
-          const ints::EriBlock block = ints::eri_shell_quartet(
-              basis.shell(sa), basis.shell(sb), basis.shell(sc),
-              basis.shell(sd));
-          const std::size_t oa = basis.first_function(sa);
-          const std::size_t ob = basis.first_function(sb);
-          const std::size_t oc = basis.first_function(sc);
-          const std::size_t od = basis.first_function(sd);
-          for (std::size_t i = 0; i < block.na; ++i)
-            for (std::size_t j = 0; j < block.nb; ++j)
-              for (std::size_t k = 0; k < block.nc; ++k)
-                for (std::size_t l = 0; l < block.nd; ++l)
-                  tensor[(((oa + i) * n + (ob + j)) * n + (oc + k)) * n +
-                         (od + l)] = block(i, j, k, l);
-        }
+      pairs.emplace_back(basis.shell(sa), basis.shell(sb));
+  std::vector<ints::QuartetRef> stream(ns * ns);
+  std::vector<ints::EriBlock> blocks(ns * ns);
+  for (std::size_t ab = 0; ab < ns * ns; ++ab) {
+    for (std::size_t cd = 0; cd < ns * ns; ++cd)
+      stream[cd] = {&pairs[ab], &pairs[cd]};
+    ints::eri_shell_quartet_batched(stream, blocks.data());
+    for (std::size_t cd = 0; cd < ns * ns; ++cd)
+      if (!visit(ab / ns, ab % ns, cd / ns, cd % ns, blocks[cd])) return;
+  }
+}
+
+std::vector<double> naive_eri_tensor(const BasisSet& basis) {
+  const std::size_t n = basis.num_functions();
+  std::vector<double> tensor(n * n * n * n, 0.0);
+  for_each_shell_quartet(basis, [&](std::size_t sa, std::size_t sb,
+                                    std::size_t sc, std::size_t sd,
+                                    const ints::EriBlock& block) {
+    const std::size_t oa = basis.first_function(sa);
+    const std::size_t ob = basis.first_function(sb);
+    const std::size_t oc = basis.first_function(sc);
+    const std::size_t od = basis.first_function(sd);
+    for (std::size_t i = 0; i < block.na; ++i)
+      for (std::size_t j = 0; j < block.nb; ++j)
+        for (std::size_t k = 0; k < block.nc; ++k)
+          for (std::size_t l = 0; l < block.nd; ++l)
+            tensor[(((oa + i) * n + (ob + j)) * n + (oc + k)) * n + (od + l)] =
+                block(i, j, k, l);
+    return true;
+  });
   return tensor;
 }
 

@@ -67,10 +67,19 @@ struct DenseJk {
   linalg::Matrix k;
 };
 
-/// Naive one-pass ERI tensor: every one of the ns^4 shell quartets is
-/// evaluated independently through the shell-level API (no pair-data
-/// reuse, no canonical-quartet shortcut). Index ((mu*n+nu)*n+lam)*n+sig,
-/// chemists' notation.
+/// Every one of the ns^4 shell quartets (sa sb|sc sd), evaluated in its
+/// requested shell order on one expansion per *ordered* shell pair (no
+/// triangle sharing, no component swaps, no canonical-quartet shortcut),
+/// one batched stream per bra pair. `visit` gets each block; returning
+/// false stops the sweep.
+void for_each_shell_quartet(
+    const chem::BasisSet& basis,
+    const std::function<bool(std::size_t sa, std::size_t sb, std::size_t sc,
+                             std::size_t sd, const ints::EriBlock& block)>&
+        visit);
+
+/// Naive one-pass ERI tensor from for_each_shell_quartet. Index
+/// ((mu*n+nu)*n+lam)*n+sig, chemists' notation.
 std::vector<double> naive_eri_tensor(const chem::BasisSet& basis);
 
 /// Unscreened O(N^4) J/K contraction of a full ERI tensor:

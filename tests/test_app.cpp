@@ -4,8 +4,10 @@
 #include "app/input.hpp"
 #include "chem/basis.hpp"
 #include "chem/elements.hpp"
+#include "obs/trace.hpp"
 #include "scf/gradient.hpp"
 #include "scf/rhf.hpp"
+#include "scf/rks.hpp"
 
 namespace app = mthfx::app;
 namespace chem = mthfx::chem;
@@ -246,6 +248,38 @@ TEST(Driver, Pbe0GradientTask) {
   // Stretched past equilibrium: the bond pulls inward from both ends.
   EXPECT_LT(s.gradient[0][2], 0.0);
   EXPECT_GT(s.gradient[1][2], 0.0);
+}
+
+TEST(Driver, KsGradientTaskBuildsOneGridAndPairList) {
+  // The solve and the gradient share one grid, one pair list and one
+  // pool; the forces are those of the unshared rks + ks_gradient path.
+  const app::Input input = app::parse_input(
+      "method pbe0\ntask gradient\nthreads 2\ngrid_radial 30\n"
+      "grid_angular 26\ngeometry angstrom\nO 0.0 0.0 0.1173\n"
+      "H 0.0 0.7572 -0.4692\nH 0.0 -0.7572 -0.4692\nend\n");
+  mthfx::obs::Trace& trace = mthfx::obs::global_trace();
+  trace.clear();
+  trace.set_enabled(true);
+  const auto s = app::run_structured(input);
+  const std::uint64_t grids = trace.count("dft.grid");
+  trace.set_enabled(false);
+  trace.clear();
+  ASSERT_TRUE(s.ok);
+  EXPECT_EQ(grids, 1u);
+
+  scf::KsOptions opts;
+  opts.functional = input.method;
+  opts.scf.hfx.eps_schwarz = input.eps_schwarz;
+  opts.scf.hfx.num_threads = input.num_threads;
+  opts.grid.radial_points = input.grid_radial;
+  opts.grid.angular_points = input.grid_angular;
+  const auto basis = chem::BasisSet::build(input.molecule, input.basis);
+  const auto r = scf::rks(input.molecule, basis, opts);
+  const auto ref = scf::ks_gradient(input.molecule, basis, opts, r);
+  ASSERT_EQ(s.gradient.size(), ref.size());
+  for (std::size_t a = 0; a < ref.size(); ++a)
+    for (std::size_t d = 0; d < 3; ++d)
+      EXPECT_EQ(s.gradient[a][d], ref[a][d]) << "atom " << a << " dir " << d;
 }
 
 TEST(Driver, MdTask) {

@@ -10,9 +10,11 @@
 #include "ints/eri.hpp"
 #include "ints/eri_batch.hpp"
 #include "ints/schwarz.hpp"
+#include "testing/oracles.hpp"
 
 namespace chem = mthfx::chem;
 namespace ints = mthfx::ints;
+namespace mt = mthfx::testing;
 
 namespace {
 
@@ -183,8 +185,8 @@ TEST(EriBatched, MatchesScalarOnRaggedMixedStreams) {
   // All shell-pair quartets of a C/O dimer in 6-31g* (s, p and d shells,
   // same-center and cross-center pairs), streamed at lengths that cover
   // a single-quartet batch, sub-width batches, exact-width batches and
-  // ragged tails. Every block must match the scalar sparse kernel to
-  // well inside the 1e-12 agreement budget.
+  // ragged tails. Every block must match the dense reference kernel
+  // (testing::dense_reference_quartet) to 1e-12.
   chem::Molecule m;
   m.add_atom(6, {0, 0, 0});
   m.add_atom(8, {0, 0, 2.1});
@@ -192,14 +194,22 @@ TEST(EriBatched, MatchesScalarOnRaggedMixedStreams) {
   const std::size_t ns = basis.num_shells();
 
   std::vector<ints::ShellPairHermite> pairs;
+  std::vector<mt::DenseHermitePair> dense;
   pairs.reserve(ns * (ns + 1) / 2);
   for (std::size_t i = 0; i < ns; ++i)
-    for (std::size_t j = 0; j <= i; ++j)
+    for (std::size_t j = 0; j <= i; ++j) {
       pairs.emplace_back(basis.shell(i), basis.shell(j));
+      dense.emplace_back(basis.shell(i), basis.shell(j));
+    }
+  const std::size_t np = pairs.size();
 
   std::vector<ints::QuartetRef> stream;
   for (const auto& bra : pairs)
     for (const auto& ket : pairs) stream.push_back({&bra, &ket});
+
+  std::vector<ints::EriBlock> ref(stream.size());
+  for (std::size_t q = 0; q < stream.size(); ++q)
+    mt::dense_reference_quartet(dense[q / np], dense[q % np], ref[q]);
 
   for (const std::size_t len :
        {std::size_t{1}, std::size_t{3}, std::size_t{8}, std::size_t{9},
@@ -208,11 +218,9 @@ TEST(EriBatched, MatchesScalarOnRaggedMixedStreams) {
     std::vector<ints::EriBlock> out(len);
     ints::eri_shell_quartet_batched({stream.data(), len}, out.data());
     for (std::size_t q = 0; q < len; ++q) {
-      ints::EriBlock ref;
-      ints::eri_shell_quartet(*stream[q].bra, *stream[q].ket, ref);
-      ASSERT_EQ(out[q].values.size(), ref.values.size()) << "quartet " << q;
-      for (std::size_t v = 0; v < ref.values.size(); ++v)
-        EXPECT_NEAR(out[q].values[v], ref.values[v], 1e-12)
+      ASSERT_EQ(out[q].values.size(), ref[q].values.size()) << "quartet " << q;
+      for (std::size_t v = 0; v < ref[q].values.size(); ++v)
+        EXPECT_NEAR(out[q].values[v], ref[q].values[v], 1e-12)
             << "len=" << len << " quartet=" << q << " element=" << v;
     }
   }

@@ -253,7 +253,7 @@ TEST(Schedulers, WorkStealingCountersStayConsistentUnderRetries) {
 }
 
 // Fault handling belongs to the one J/K build, so it must hold for both
-// ket sources: a dense builder through exchange(), and a culled builder
+// ket sources: a dense builder through exchange(), and a blocked builder
 // (SparsityMode::kBlocked) through exchange_blocked().
 namespace {
 
@@ -270,8 +270,8 @@ hfx::ExchangeResult exchange_in_mode(hfx::SparsityMode mode,
                                      hfx::HfxOptions opts) {
   opts.sparsity.mode = mode;
   const hfx::FockBuilder builder(basis, opts);
-  EXPECT_EQ(builder.culled(), mode == hfx::SparsityMode::kBlocked);
-  if (!builder.culled()) return builder.exchange(p);
+  EXPECT_EQ(builder.blocked(), mode == hfx::SparsityMode::kBlocked);
+  if (!builder.blocked()) return builder.exchange(p);
   const auto part = scf::shell_aligned_partition(basis, 4);
   return builder.exchange_blocked(
       la::BlockSparseMatrix::from_dense(p, part, 0.0));

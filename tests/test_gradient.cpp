@@ -9,7 +9,6 @@
 #include "ints/deriv.hpp"
 #include "ints/eri.hpp"
 #include "ints/one_electron.hpp"
-#include "ints/schwarz.hpp"
 #include "parallel/thread_pool.hpp"
 #include "scf/gradient.hpp"
 #include "scf/rhf.hpp"
@@ -197,16 +196,16 @@ TEST(Gradient, TwoElectronGradientBitIdenticalAcrossThreadCounts) {
   hfx::GradContractionOptions opts;
   opts.ax = 0.25;
   opts.num_threads = 1;
+  const hfx::ShellPairList pairs =
+      hfx::ShellPairList::culled(basis, opts.eps_schwarz);
   const std::vector<chem::Vec3> ref =
-      hfx::two_electron_gradient(basis, p, opts);
-  const hfx::ShellPairList pairs(basis, ints::schwarz_bounds(basis),
-                                 opts.eps_schwarz);
+      hfx::two_electron_gradient(basis, pairs, p, opts);
   for (const std::size_t threads : {1, 2, 4, 8}) {
     opts.num_threads = threads;
     // The per-call pool, and a caller's pool (what ks_gradient passes).
     mthfx::parallel::ThreadPool pool(threads);
     for (const std::vector<chem::Vec3>& g :
-         {hfx::two_electron_gradient(basis, p, opts),
+         {hfx::two_electron_gradient(basis, pairs, p, opts),
           hfx::two_electron_gradient(basis, pairs, p, opts, pool)}) {
       ASSERT_EQ(g.size(), ref.size());
       for (std::size_t atom = 0; atom < g.size(); ++atom)

@@ -14,7 +14,6 @@
 #include "hfx/shell_pairs.hpp"
 #include "hfx/tasks.hpp"
 #include "ints/eri.hpp"
-#include "ints/schwarz.hpp"
 #include "workload/geometries.hpp"
 
 namespace chem = mthfx::chem;
@@ -67,8 +66,7 @@ std::pair<la::Matrix, la::Matrix> reference_jk(const chem::BasisSet& basis,
 TEST(ShellPairs, KeepsAllPairsAtLooseThreshold) {
   const auto m = water();
   const auto basis = chem::BasisSet::build(m, "sto-3g");
-  const auto q = ints::schwarz_bounds(basis);
-  hfx::ShellPairList pairs(basis, q, 1e-30);
+  const auto pairs = hfx::ShellPairList::culled(basis, 1e-30);
   EXPECT_EQ(pairs.size(), pairs.unscreened_count());
   EXPECT_GT(pairs.max_q(), 0.0);
 }
@@ -78,8 +76,7 @@ TEST(ShellPairs, TightThresholdPrunesDistantPairs) {
   m.add_atom(1, {0, 0, 0});
   m.add_atom(1, {0, 0, 30.0});  // far apart: cross pair negligible
   const auto basis = chem::BasisSet::build(m, "sto-3g");
-  const auto q = ints::schwarz_bounds(basis);
-  hfx::ShellPairList pairs(basis, q, 1e-8);
+  const auto pairs = hfx::ShellPairList::culled(basis, 1e-8);
   EXPECT_EQ(pairs.unscreened_count(), 3u);
   EXPECT_EQ(pairs.size(), 2u);  // the two diagonal pairs survive
 }
@@ -87,8 +84,7 @@ TEST(ShellPairs, TightThresholdPrunesDistantPairs) {
 TEST(Tasks, CoverEveryKetRangeExactlyOnce) {
   const auto m = water();
   const auto basis = chem::BasisSet::build(m, "sto-3g");
-  const auto q = ints::schwarz_bounds(basis);
-  hfx::ShellPairList pairs(basis, q, 1e-14);
+  const auto pairs = hfx::ShellPairList::culled(basis, 1e-14);
   // Rows (the default) and chunked rows down to the finest grain.
   for (const double target : {0.0, 100.0, 1.0}) {
     SCOPED_TRACE(target);
@@ -112,8 +108,7 @@ TEST(Tasks, CoverEveryKetRangeExactlyOnce) {
 TEST(Tasks, DefaultIsOneTaskPerBraRow) {
   const auto m = water();
   const auto basis = chem::BasisSet::build(m, "6-31g");
-  const auto q = ints::schwarz_bounds(basis);
-  hfx::ShellPairList pairs(basis, q, 1e-14);
+  const auto pairs = hfx::ShellPairList::culled(basis, 1e-14);
   const auto tasks = hfx::make_tasks(basis, pairs, 0.0);
   ASSERT_EQ(tasks.size(), pairs.size());
   for (std::size_t b = 0; b < tasks.size(); ++b) {
@@ -126,8 +121,7 @@ TEST(Tasks, DefaultIsOneTaskPerBraRow) {
 TEST(Tasks, GranularityRespondsToTargetCost) {
   const auto m = water();
   const auto basis = chem::BasisSet::build(m, "6-31g");
-  const auto q = ints::schwarz_bounds(basis);
-  hfx::ShellPairList pairs(basis, q, 1e-14);
+  const auto pairs = hfx::ShellPairList::culled(basis, 1e-14);
   const auto coarse = hfx::make_tasks(basis, pairs, 1e12);
   const auto fine = hfx::make_tasks(basis, pairs, 1.0);
   EXPECT_GT(fine.size(), coarse.size());

@@ -1,10 +1,9 @@
 // Property tests for the sparsity pipeline: on seeded random geometries
 // and bases, the distance-culled cell-list pair formation must
-// reproduce the dense O(ns²) Schwarz sweep exactly (both drop exactly
-// the beyond-extent-range pairs; in-range pairs, Schwarz-floored or
-// not, pass the same eps rule), and the blocked J/K build, at a drawn
-// thread count, must replay the single-threaded dense builder to within
-// summation-order noise on the shared pair list. Iteration count comes
+// reproduce a brute-force sweep over every shell pair exactly (bound,
+// then the extent rule, then the eps rule; tests/support/pair_sweep.hpp),
+// and the blocked J/K build, at a drawn thread count, must replay the
+// single-threaded dense builder on the shared pair list. Iteration count comes
 // from MTHFX_PROPERTY_ITERS (default 50). Registered under the compound
 // "property-scaling" label plus a nightly high-iteration run.
 
@@ -14,16 +13,15 @@
 #include <cmath>
 #include <sstream>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "chem/basis.hpp"
 #include "hfx/cell_list.hpp"
 #include "hfx/fock_builder.hpp"
 #include "hfx/shell_pairs.hpp"
-#include "ints/schwarz.hpp"
 #include "linalg/block_sparse.hpp"
 #include "scf/sparse_scf.hpp"
+#include "support/pair_sweep.hpp"
 #include "support/property_gtest.hpp"
 #include "testing/generators.hpp"
 #include "testing/property.hpp"
@@ -31,10 +29,10 @@
 
 namespace chem = mthfx::chem;
 namespace hfx = mthfx::hfx;
-namespace ints = mthfx::ints;
 namespace la = mthfx::linalg;
 namespace mt = mthfx::testing;
 namespace scf = mthfx::scf;
+namespace ts = mthfx::testsupport;
 
 namespace {
 
@@ -51,14 +49,6 @@ mt::MoleculeSpec spread_spec() {
   return spec;
 }
 
-std::vector<hfx::ShellPair> by_index(std::vector<hfx::ShellPair> v) {
-  std::sort(v.begin(), v.end(),
-            [](const hfx::ShellPair& a, const hfx::ShellPair& b) {
-              return std::tuple(a.sa, a.sb) < std::tuple(b.sa, b.sb);
-            });
-  return v;
-}
-
 }  // namespace
 
 TEST(PropertyScaling, CulledPairListMatchesDenseSweep) {
@@ -71,40 +61,39 @@ TEST(PropertyScaling, CulledPairListMatchesDenseSweep) {
         // eps log-uniform over the useful screening range.
         const double eps = std::pow(10.0, -6.0 - 6.0 * rng.uniform());
 
-        const hfx::ShellPairList dense(basis, ints::schwarz_bounds(basis),
-                                       eps);
+        const ts::PairSweep dense = ts::brute_force_pairs(basis, eps);
         hfx::PairCullStats st;
         const hfx::ShellPairList culled =
             hfx::ShellPairList::culled(basis, eps, &st);
 
-        if (dense.size() != culled.size()) {
+        if (dense.pairs.size() != culled.size()) {
           std::ostringstream os;
-          os << "pair count mismatch: dense " << dense.size() << " culled "
-             << culled.size() << " (" << bname << ", eps " << eps
-             << ", candidates " << st.candidates << ", floored "
+          os << "pair count mismatch: brute force " << dense.pairs.size()
+             << " culled " << culled.size() << " (" << bname << ", eps "
+             << eps << ", candidates " << st.candidates << ", floored "
              << st.floored << ")";
           return os.str();
         }
-        const auto a = by_index(dense.pairs());
-        const auto b = by_index(culled.pairs());
+        const auto& a = dense.pairs;
+        const auto b = ts::by_index(culled.pairs());
         for (std::size_t i = 0; i < a.size(); ++i) {
           if (a[i].sa != b[i].sa || a[i].sb != b[i].sb)
             return "pair identity mismatch at index " + std::to_string(i);
           if (a[i].q != b[i].q) {
             std::ostringstream os;
             os << "bound mismatch on pair (" << a[i].sa << "," << a[i].sb
-               << "): dense " << a[i].q << " culled " << b[i].q;
+               << "): brute force " << a[i].q << " culled " << b[i].q;
             return os.str();
           }
         }
-        if (dense.max_q() != culled.max_q()) return "max_q mismatch";
+        if (dense.max_q != culled.max_q()) return "max_q mismatch";
         return "";
       });
 }
 
 TEST(PropertyScaling, CellListCandidatesCoverSurvivingPairs) {
-  // Stronger than list equality: every pair the dense sweep keeps must
-  // have been proposed by the cell list (the no-false-negative
+  // Stronger than list equality: every pair the brute-force sweep keeps
+  // must have been proposed by the cell list (the no-false-negative
   // guarantee the culled build rests on), independently of the eps and
   // floor filters downstream.
   MTHFX_PROPERTY(
@@ -123,9 +112,7 @@ TEST(PropertyScaling, CellListCandidatesCoverSurvivingPairs) {
           for (const std::uint32_t sb : cand) proposed[sa][sb] = 1;
           cand.clear();
         }
-        const hfx::ShellPairList dense(basis, ints::schwarz_bounds(basis),
-                                       1e-10);
-        for (const auto& p : dense.pairs())
+        for (const auto& p : ts::brute_force_pairs(basis, 1e-10).pairs)
           if (!proposed[p.sa][p.sb]) {
             std::ostringstream os;
             os << "surviving pair (" << p.sa << "," << p.sb
@@ -156,7 +143,7 @@ TEST(PropertyScaling, BlockedJkReplaysDenseBuilder) {
             mt::random_symmetric_density(rng, basis.num_functions());
         const auto part = scf::shell_aligned_partition(basis, 32);
         // The blocked side runs the one task-bag build at a drawn thread
-        // count; only the summation order may differ from the dense side.
+        // count on the same pair list: J/K must be the same bits.
         hfx::HfxOptions blocked_opts;
         blocked_opts.num_threads = 1 + rng.index(8);
         blocked_opts.sparsity.mode = hfx::SparsityMode::kBlocked;
@@ -170,7 +157,7 @@ TEST(PropertyScaling, BlockedJkReplaysDenseBuilder) {
           for (std::size_t j = 0; j < p.cols(); ++j)
             diff = std::max({diff, std::abs(jk_d.j(i, j) - jk_b.j(i, j)),
                              std::abs(jk_d.k(i, j) - jk_b.k(i, j))});
-        if (diff > 1e-12) {
+        if (diff != 0.0) {
           std::ostringstream os;
           os << "blocked J/K deviates from dense by " << diff << " ("
              << mol.size() << " atoms, " << basis.num_functions() << " bf, "

@@ -21,11 +21,11 @@
 #include "hfx/cell_list.hpp"
 #include "hfx/fock_builder.hpp"
 #include "hfx/shell_pairs.hpp"
-#include "ints/schwarz.hpp"
 #include "linalg/matrix.hpp"
 #include "obs/json.hpp"
 #include "scf/rhf.hpp"
 #include "scf/sparse_scf.hpp"
+#include "support/pair_sweep.hpp"
 #include "testing/oracles.hpp"
 #include "workload/geometries.hpp"
 #include "workload/replicate.hpp"
@@ -37,18 +37,13 @@ namespace ints = mthfx::ints;
 namespace la = mthfx::linalg;
 namespace obs = mthfx::obs;
 namespace scf = mthfx::scf;
+namespace ts = mthfx::testsupport;
 namespace wl = mthfx::workload;
 
 namespace {
 
-std::vector<hfx::ShellPair> sorted_by_index(
-    const std::vector<hfx::ShellPair>& in) {
-  std::vector<hfx::ShellPair> out = in;
-  std::sort(out.begin(), out.end(),
-            [](const hfx::ShellPair& a, const hfx::ShellPair& b) {
-              return std::tuple(a.sa, a.sb) < std::tuple(b.sa, b.sb);
-            });
-  return out;
+std::vector<double> bits(const la::Matrix& m) {
+  return {m.flat().begin(), m.flat().end()};
 }
 
 la::Matrix random_density_like(std::size_t n, unsigned seed) {
@@ -69,30 +64,29 @@ la::Matrix random_density_like(std::size_t n, unsigned seed) {
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Pair formation: the culled cell-list build must reproduce the dense
-// O(ns²) sweep pair-for-pair (both drop exactly the beyond-extent-range
-// pairs; in-range pairs pass through the same eps rule).
+// Pair formation: the culled cell-list build against a brute-force sweep
+// over every shell pair (bound, extent rule, eps rule; see
+// tests/support/pair_sweep.hpp).
 
 TEST(PairCulling, CulledListMatchesDenseOnSpreadBox) {
   const auto box = wl::box_of(wl::propylene_carbonate(), 4, 1.205, 3);
   const auto basis = chem::BasisSet::build(box, "sto-3g");
   const double eps = 1e-10;
 
-  const hfx::ShellPairList dense(basis, ints::schwarz_bounds(basis), eps);
+  const ts::PairSweep dense = ts::brute_force_pairs(basis, eps);
   hfx::PairCullStats st;
   const hfx::ShellPairList culled = hfx::ShellPairList::culled(basis, eps, &st);
 
-  ASSERT_EQ(culled.size(), dense.size());
-  EXPECT_DOUBLE_EQ(culled.max_q(), dense.max_q());
-  const auto a = sorted_by_index(dense.pairs());
-  const auto b = sorted_by_index(culled.pairs());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].sa, b[i].sa);
-    EXPECT_EQ(a[i].sb, b[i].sb);
-    EXPECT_DOUBLE_EQ(a[i].q, b[i].q);  // exact same bound, same kernel
+  ASSERT_EQ(culled.size(), dense.pairs.size());
+  EXPECT_EQ(culled.max_q(), dense.max_q);
+  const auto b = ts::by_index(culled.pairs());
+  for (std::size_t i = 0; i < b.size(); ++i) {
+    EXPECT_EQ(dense.pairs[i].sa, b[i].sa);
+    EXPECT_EQ(dense.pairs[i].sb, b[i].sb);
+    EXPECT_EQ(dense.pairs[i].q, b[i].q);  // same kernel, same operand order
   }
   // The cell list must have proposed strictly fewer candidates than the
-  // dense sweep touches on a spread box.
+  // brute-force sweep touches on a spread box.
   EXPECT_LT(st.candidates, basis.num_shells() * (basis.num_shells() + 1) / 2);
   EXPECT_EQ(culled.unscreened_count(),
             basis.num_shells() * (basis.num_shells() + 1) / 2);
@@ -106,12 +100,12 @@ TEST(PairCulling, FlooredPairsAreDroppedByBothBuilds) {
   far.append(other);
   const auto basis = chem::BasisSet::build(far, "sto-3g");
 
-  const hfx::ShellPairList dense(basis, ints::schwarz_bounds(basis), 1e-10);
+  const ts::PairSweep dense = ts::brute_force_pairs(basis, 1e-10);
   const hfx::ShellPairList culled = hfx::ShellPairList::culled(basis, 1e-10);
-  ASSERT_EQ(dense.size(), culled.size());
+  ASSERT_EQ(dense.pairs.size(), culled.size());
   // No surviving pair may straddle the two far-apart copies.
   const std::size_t ns_half = basis.num_shells() / 2;
-  for (const auto& p : dense.pairs())
+  for (const auto& p : culled.pairs())
     EXPECT_EQ(p.sa < ns_half, p.sb < ns_half)
         << "cross pair survived: " << p.sa << "," << p.sb << " q=" << p.q;
 }
@@ -145,7 +139,7 @@ TEST(BlockedBuild, JkMatchesDenseBuilder) {
     blocked_opts.num_threads = threads;
     blocked_opts.sparsity.mode = hfx::SparsityMode::kBlocked;
     const hfx::FockBuilder blocked(basis, blocked_opts);
-    EXPECT_TRUE(blocked.culled());
+    EXPECT_TRUE(blocked.blocked());
     const auto got = blocked.coulomb_exchange_blocked(p_blk);
     EXPECT_EQ(got.stats.thread_busy_seconds.size(), threads);
     EXPECT_EQ(ref.stats.screening.quartets_computed,
@@ -154,21 +148,56 @@ TEST(BlockedBuild, JkMatchesDenseBuilder) {
     EXPECT_EQ(metric_names(ref.stats.metrics),
               metric_names(got.stats.metrics));
 
-    double jdiff = 0.0, kdiff = 0.0;
-    for (std::size_t i = 0; i < ref.j.rows(); ++i)
-      for (std::size_t j = 0; j < ref.j.cols(); ++j) {
-        jdiff = std::max(jdiff, std::abs(ref.j(i, j) - got.j(i, j)));
-        kdiff = std::max(kdiff, std::abs(ref.k(i, j) - got.k(i, j)));
-      }
-    // The same quartets, but not bit for bit even on one thread: the
-    // culled and dense pair lists hold the same pairs, yet order pairs of
-    // equal q differently (582 of 1378 positions here), so kets are
-    // digested in another order. More threads also change which
-    // thread-private buffer each row lands in (ROADMAP item 1).
-    const double bound = threads == 1 ? 1e-13 : 1e-12;
-    EXPECT_LT(jdiff, bound);
-    EXPECT_LT(kdiff, bound);
+    // One pair list in one order, one chunk cut and one digest order:
+    // the ket source changes which kets are visited, never the result.
+    EXPECT_EQ(bits(ref.j), bits(got.j));
+    EXPECT_EQ(bits(ref.k), bits(got.k));
   }
+}
+
+// Both ket sources run on the one pair list: same pairs in the same
+// order, and bit-identical J and K, before and after a rebind.
+TEST(BlockedBuild, DenseAndBlockedBuildersShareOnePairList) {
+  auto mol = wl::box_of(wl::water(), 3, 1.0, 5);
+  const auto basis = chem::BasisSet::build(mol, "sto-3g");
+  mol.set_position(0, mol.atom(0).pos + chem::Vec3{0.05, -0.03, 0.02});
+  const auto moved = chem::BasisSet::build(mol, "sto-3g");
+
+  hfx::HfxOptions dense_opts;
+  dense_opts.num_threads = 2;
+  dense_opts.sparsity.mode = hfx::SparsityMode::kDense;
+  hfx::HfxOptions blocked_opts = dense_opts;
+  blocked_opts.sparsity.mode = hfx::SparsityMode::kBlocked;
+  hfx::FockBuilder dense(basis, dense_opts);
+  hfx::FockBuilder blocked(basis, blocked_opts);
+  ASSERT_FALSE(dense.blocked());
+  ASSERT_TRUE(blocked.blocked());
+
+  const la::Matrix p = random_density_like(basis.num_functions(), 11);
+  const auto same = [&](const char* where) {
+    SCOPED_TRACE(where);
+    const auto& a = dense.pairs();
+    const auto& b = blocked.pairs();
+    ASSERT_EQ(a.size(), b.size());
+    EXPECT_EQ(a.max_q(), b.max_q());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(a[i].sa, b[i].sa) << "position " << i;
+      EXPECT_EQ(a[i].sb, b[i].sb) << "position " << i;
+      EXPECT_EQ(a[i].q, b[i].q) << "position " << i;
+    }
+    const auto jk_d = dense.coulomb_exchange(p);
+    const auto jk_b = blocked.coulomb_exchange(p);
+    EXPECT_EQ(bits(jk_d.j), bits(jk_b.j));
+    EXPECT_EQ(bits(jk_d.k), bits(jk_b.k));
+    EXPECT_EQ(bits(dense.exchange(p).k), bits(blocked.exchange(p).k));
+  };
+  same("constructed");
+  dense.rebind(moved);
+  blocked.rebind(moved);
+  EXPECT_GT(dense.last_rebind_reused_pairs(), 0u);
+  EXPECT_EQ(dense.last_rebind_reused_pairs(),
+            blocked.last_rebind_reused_pairs());
+  same("rebound");
 }
 
 // ---------------------------------------------------------------------------
