@@ -1,17 +1,20 @@
 // A7 — ERI kernel microbenchmark: quartet throughput by L-class for the
-// batched SIMD kernel (compacted ShellPairHermite E-lists, the one
-// production kernel) against the dense reference oracle
+// batched SIMD kernel (ShellPairHermite values in their class skeleton's
+// layout, the one production kernel) against the dense reference oracle
 // (testing::dense_reference_quartet), which builds its own dense pair
 // boxes from the same shells with ints::HermiteE/HermiteR. Both columns
-// are cross-checked element by element.
+// are cross-checked element by element; the oracle's timed passes are
+// few for the high-L classes, where one pass takes seconds, and its last
+// pass is the agreement reference.
 //
 // Workloads replicate each shell at several jittered centers, the way a
-// molecular row repeats the same contraction pattern across atoms —
-// that is what gives the batched kernel full-width (8-lane) batches;
-// a stream of all-distinct structures would degenerate to width 1.
+// molecular row repeats the same contraction pattern across atoms, so
+// the batched kernel runs full-width (8-lane) batches.
 //
-// Also records the reduce-phase scaling (hfx.reduce_seconds at 1 vs 8
-// threads) for the row-blocked tree reduction.
+// Also records the J/K row shape (every Schwarz-live bra row of DMSO
+// STO-3G, one stream per row: quartets/s and lanes per batch) and the
+// reduce-phase scaling (hfx.reduce_seconds at 1 vs 8 threads) for the
+// row-blocked tree reduction.
 //
 // `--smoke` runs the table with small iteration counts and exits nonzero
 // on any batched/dense disagreement — the counts-only CI
@@ -56,12 +59,13 @@ chem::Vec3 jitter(chem::Vec3 c, int i) {
 struct LClass {
   const char* name;
   int la, lb, lc, ld;
+  int dense_sweeps;  // the oracle's timed passes (about 1-2 s each class)
 };
 
 constexpr LClass kClasses[] = {
-    {"(ss|ss)", 0, 0, 0, 0}, {"(sp|sp)", 0, 1, 0, 1},
-    {"(pp|pp)", 1, 1, 1, 1}, {"(dp|dp)", 2, 1, 2, 1},
-    {"(dd|dd)", 2, 2, 2, 2},
+    {"(ss|ss)", 0, 0, 0, 0, 400}, {"(sp|sp)", 0, 1, 0, 1, 400},
+    {"(pp|pp)", 1, 1, 1, 1, 40},  {"(dp|dp)", 2, 1, 2, 1, 4},
+    {"(dd|dd)", 2, 2, 2, 2, 1},
 };
 
 // Per-class workload: kReplicas bra pairs x kReplicas ket pairs (all
@@ -109,19 +113,13 @@ double max_abs_diff(const ints::EriBlock& a, const ints::EriBlock& b) {
   return mx;
 }
 
-// Cross-check a batched stream against the dense oracle; returns the
-// worst element difference across all quartets.
-double stream_agreement(const ClassWorkload& w,
-                        const std::vector<ints::EriBlock>& batched) {
-  double diff = 0.0;
-  ints::EriBlock ref;
-  for (std::size_t q = 0; q < w.stream.size(); ++q) {
-    const std::size_t i = q / ClassWorkload::kReplicas;
-    const std::size_t j = q % ClassWorkload::kReplicas;
-    testing::dense_reference_quartet(w.dense_bras[i], w.dense_kets[j], ref);
-    diff = std::max(diff, max_abs_diff(batched[q], ref));
-  }
-  return diff;
+// Worst element difference between two block lists.
+double max_abs_diff(const std::vector<ints::EriBlock>& a,
+                    const std::vector<ints::EriBlock>& b) {
+  double mx = 0.0;
+  for (std::size_t q = 0; q < a.size(); ++q)
+    mx = std::max(mx, max_abs_diff(a[q], b[q]));
+  return mx;
 }
 
 obs::Json make_row(const char* name, double quartets, double qps_b,
@@ -155,28 +153,27 @@ obs::Json throughput_table(bool smoke, bool* agreement_ok) {
   for (const LClass& cls : kClasses) {
     ClassWorkload w(cls);
     const std::size_t n = w.stream.size();
-    std::vector<ints::EriBlock> batched(n);
-    ints::eri_shell_quartet_batched({w.stream.data(), n}, batched.data());
-    const double diff = stream_agreement(w, batched);
-    if (diff > 1e-12) *agreement_ok = false;
-
-    ints::EriBlock block;
+    std::vector<ints::EriBlock> batched(n), ref(n);
     const double tb = seconds_for(
         [&] {
           ints::eri_shell_quartet_batched({w.stream.data(), n},
                                           batched.data());
         },
         sweeps);
+    const int dense_sweeps = smoke ? 1 : cls.dense_sweeps;
     const double td = seconds_for(
         [&] {
-          for (std::size_t i = 0; i < w.dense_bras.size(); ++i)
-            for (std::size_t j = 0; j < w.dense_kets.size(); ++j)
-              testing::dense_reference_quartet(w.dense_bras[i],
-                                               w.dense_kets[j], block);
+          for (std::size_t q = 0; q < n; ++q)
+            testing::dense_reference_quartet(
+                w.dense_bras[q / ClassWorkload::kReplicas],
+                w.dense_kets[q % ClassWorkload::kReplicas], ref[q]);
         },
-        sweeps);
+        dense_sweeps);
+    const double diff = max_abs_diff(batched, ref);
+    if (diff > 1e-12) *agreement_ok = false;
     const double total = static_cast<double>(n * sweeps);
-    rows.push_back(make_row(cls.name, total, total / tb, total / td, diff));
+    rows.push_back(make_row(cls.name, total, total / tb,
+                            static_cast<double>(n * dense_sweeps) / td, diff));
   }
   return rows;
 }
@@ -209,32 +206,81 @@ obs::Json mixed_workload(bool smoke, bool* agreement_ok) {
     }
 
   const std::size_t n = stream.size();
-  std::vector<ints::EriBlock> batched(n);
-  ints::eri_shell_quartet_batched({stream.data(), n}, batched.data());
-  double diff = 0.0;
-  ints::EriBlock ref;
-  for (std::size_t q = 0; q < n; ++q) {
-    testing::dense_reference_quartet(dense[bra_of[q]], dense[ket_of[q]], ref);
-    diff = std::max(diff, max_abs_diff(batched[q], ref));
-  }
-  if (diff > 1e-12) *agreement_ok = false;
-
+  std::vector<ints::EriBlock> batched(n), ref(n);
   const int sweeps = smoke ? 3 : 60;
-  ints::EriBlock block;
   const double tb = seconds_for(
       [&] { ints::eri_shell_quartet_batched({stream.data(), n},
                                             batched.data()); },
       sweeps);
+  // One oracle pass (about 5 s): it is both the timing and the reference.
   const double td = seconds_for(
       [&] {
         for (std::size_t q = 0; q < n; ++q)
           testing::dense_reference_quartet(dense[bra_of[q]], dense[ket_of[q]],
-                                           block);
+                                           ref[q]);
+      },
+      1);
+  const double diff = max_abs_diff(batched, ref);
+  if (diff > 1e-12) *agreement_ok = false;
+  const double total = static_cast<double>(n * sweeps);
+  obs::Json row = make_row("mixed", total, total / tb,
+                           static_cast<double>(n) / td, diff);
+  row["class"] = "mixed s/p/d";
+  return row;
+}
+
+// The J/K task shape: every Schwarz-live bra row of DMSO STO-3G at
+// eps 1e-9 (no density screen), one batched stream per row, as the J/K
+// build runs them. Lanes per batch = quartets / batches.
+obs::Json jk_rows(bool smoke) {
+  bench::print_header(
+      "A7: J/K rows, DMSO STO-3G, every Schwarz-live ket (eps 1e-9)");
+  const double eps = 1e-9;
+  const auto basis =
+      chem::BasisSet::build(workload::by_name("dmso"), "sto-3g");
+  const auto pairs = hfx::ShellPairList::culled(basis, eps);
+  std::vector<ShellPairHermite> hermites;
+  hermites.reserve(pairs.size());
+  for (const hfx::ShellPair& pr : pairs.pairs())
+    hermites.emplace_back(basis.shell(pr.sa), basis.shell(pr.sb));
+
+  std::vector<std::vector<ints::QuartetRef>> rows(pairs.size());
+  std::size_t quartets = 0;
+  for (std::size_t b = 0; b < pairs.size(); ++b) {
+    for (std::size_t k = 0; k < pairs.live_end(b, eps); ++k)
+      rows[b].push_back({&hermites[b], &hermites[k]});
+    quartets += rows[b].size();
+  }
+  std::vector<ints::EriBlock> out(pairs.size());
+  std::size_t batches = 0;
+  const int sweeps = smoke ? 1 : 20;
+  const double t = seconds_for(
+      [&] {
+        batches = 0;
+        for (const auto& row : rows) {
+          if (out.size() < row.size()) out.resize(row.size());
+          batches += ints::eri_shell_quartet_batched({row.data(), row.size()},
+                                                     out.data());
+        }
       },
       sweeps);
-  const double total = static_cast<double>(n * sweeps);
-  obs::Json row = make_row("mixed", total, total / tb, total / td, diff);
-  row["class"] = "mixed s/p/d";
+  const double qps = static_cast<double>(quartets * sweeps) / t;
+  const double lanes =
+      static_cast<double>(quartets) / static_cast<double>(batches);
+  std::printf("%-8s %-10s %-10s %-13s %-8s\n", "rows", "quartets",
+              "batches", "batched q/s", "lanes");
+  bench::print_rule();
+  std::printf("%-8zu %-10zu %-10zu %-13.3e %-8.2f\n", rows.size(), quartets,
+              batches, qps, lanes);
+  obs::Json row = obs::Json::object();
+  row["species"] = "dmso";
+  row["basis"] = "sto-3g";
+  row["eps_schwarz"] = eps;
+  row["rows"] = rows.size();
+  row["quartets"] = quartets;
+  row["batches"] = batches;
+  row["lanes_per_batch"] = lanes;
+  row["batched_quartets_per_second"] = qps;
   return row;
 }
 
@@ -316,6 +362,7 @@ int main(int argc, char** argv) {
   record["bench"] = "hfx_kernel";
   record["throughput_by_class"] = throughput_table(smoke, &agreement_ok);
   record["mixed_workload"] = mixed_workload(smoke, &agreement_ok);
+  record["jk_rows"] = jk_rows(smoke);
   record["reduce_scaling"] = reduce_scaling(smoke);
   if (!smoke) bench::write_bench_json("hfx_kernel", record);
 

@@ -24,8 +24,9 @@ cmake --build "$BUILD_DIR" -j --target test_boys test_eri test_fault \
 export ASAN_OPTIONS="halt_on_error=1:detect_leaks=1:strict_string_checks=1"
 
 # ERI kernel: the Boys table reads on both sides of the batched seam,
-# the batched kernel's per-thread sort keys, ket-folded panel and SoA
-# output accumulator, all indexed through raw offsets.
+# the batched kernel's per-thread sort records, class-skeleton entry
+# offsets, live-entry term lists, cached bra packing, ket-folded panel
+# and SoA output accumulator, all indexed through raw offsets.
 "$BUILD_DIR"/tests/test_boys
 "$BUILD_DIR"/tests/test_eri
 "$BUILD_DIR"/tests/test_fault

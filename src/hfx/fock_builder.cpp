@@ -136,6 +136,16 @@ std::vector<std::size_t> chunk_ends(const BasisSet& basis,
   return end;
 }
 
+// Expands the pairs the cull left without a table: those that cleared
+// its eps rule only against the final max_q.
+void expand_missing(
+    const BasisSet& basis, const ShellPairList& pairs,
+    std::vector<std::optional<ints::ShellPairHermite>>& hermites) {
+  for (std::size_t i = 0; i < pairs.size(); ++i)
+    if (!hermites[i])
+      hermites[i].emplace(basis.shell(pairs[i].sa), basis.shell(pairs[i].sb));
+}
+
 // One task per bra row unless a dense caller asks for finer tasks:
 // chunked rows leave the batched kernel's 8-wide batches mostly padding,
 // and blocked builders always run rows, the unit the link walk enumerates.
@@ -308,6 +318,7 @@ obs::Json to_json(const HfxStats& stats) {
   out["num_pairs"] = stats.num_pairs;
   out["num_pairs_unscreened"] = stats.num_pairs_unscreened;
   out["num_tasks"] = stats.num_tasks;
+  out["kernel_batches"] = stats.kernel_batches;
   out["wall_seconds"] = stats.wall_seconds;
   out["reduce_seconds"] = stats.reduce_seconds;
   out["imbalance"] = stats.imbalance();
@@ -337,13 +348,12 @@ FockBuilder::FockBuilder(const BasisSet& basis, HfxOptions options)
       options_(options),
       pool_(options_.num_threads),
       blocked_(options_.sparsity.blocked(basis.num_functions())),
-      pairs_(ShellPairList::culled(basis, options_.eps_schwarz, &cull_stats_)),
+      pairs_(ShellPairList::culled(basis, options_.eps_schwarz, &cull_stats_,
+                                   &pair_hermites_)),
       tasks_(builder_tasks(basis, pairs_, options_, blocked_)),
       chunk_end_(chunk_ends(basis, pairs_, options_.eps_schwarz, tasks_)) {
   index_pairs_by_shell();
-  pair_hermites_.reserve(pairs_.size());
-  for (const ShellPair& pr : pairs_.pairs())
-    pair_hermites_.emplace_back(basis_->shell(pr.sa), basis_->shell(pr.sb));
+  expand_missing(basis, pairs_, pair_hermites_);
   if (options_.fault.enabled()) injector_.emplace(options_.fault);
 }
 
@@ -379,30 +389,28 @@ void FockBuilder::rebind(const BasisSet& basis) {
   }
 
   // Index the old pair list so surviving unmoved pairs can hand their
-  // Hermite tables over instead of re-expanding them.
+  // Hermite tables over where the cull did not expand them.
   std::unordered_map<std::uint64_t, std::size_t> old_index;
   old_index.reserve(pairs_.size());
   for (std::size_t i = 0; i < pairs_.size(); ++i)
     old_index.emplace(
         (static_cast<std::uint64_t>(pairs_[i].sa) << 32) | pairs_[i].sb, i);
 
-  ShellPairList new_pairs =
-      ShellPairList::culled(basis, options_.eps_schwarz, &cull_stats_);
-  std::vector<ints::ShellPairHermite> new_hermites;
-  new_hermites.reserve(new_pairs.size());
+  std::vector<std::optional<ints::ShellPairHermite>> new_hermites;
+  ShellPairList new_pairs = ShellPairList::culled(
+      basis, options_.eps_schwarz, &cull_stats_, &new_hermites);
   std::size_t reused = 0;
-  for (const ShellPair& pr : new_pairs.pairs()) {
-    if (!moved[pr.sa] && !moved[pr.sb]) {
-      const auto it = old_index.find(
-          (static_cast<std::uint64_t>(pr.sa) << 32) | pr.sb);
-      if (it != old_index.end()) {
-        new_hermites.push_back(std::move(pair_hermites_[it->second]));
-        ++reused;
-        continue;
-      }
-    }
-    new_hermites.emplace_back(basis.shell(pr.sa), basis.shell(pr.sb));
+  for (std::size_t i = 0; i < new_pairs.size(); ++i) {
+    const ShellPair& pr = new_pairs[i];
+    if (moved[pr.sa] || moved[pr.sb]) continue;
+    const auto it =
+        old_index.find((static_cast<std::uint64_t>(pr.sa) << 32) | pr.sb);
+    if (it == old_index.end()) continue;
+    ++reused;
+    if (!new_hermites[i])
+      new_hermites[i] = std::move(pair_hermites_[it->second]);
   }
+  expand_missing(basis, new_pairs, new_hermites);
 
   pairs_ = std::move(new_pairs);
   pair_hermites_ = std::move(new_hermites);
@@ -444,6 +452,7 @@ JkResult FockBuilder::build(const Matrix& density, bool want_coulomb) const {
   const obs::Counter c_schwarz = registry.counter("hfx.quartets_schwarz_screened");
   const obs::Counter c_density = registry.counter("hfx.quartets_density_screened");
   const obs::Counter c_computed = registry.counter("hfx.quartets_computed");
+  const obs::Counter c_batches = registry.counter("hfx.kernel_batches");
 
   const double eps = options_.eps_schwarz;
   const bool density_screening = options_.density_screening;
@@ -505,7 +514,8 @@ JkResult FockBuilder::build(const Matrix& density, bool want_coulomb) const {
   std::vector<JkPartial> saved(transactional ? nthreads : 0);
 
   // Screens, evaluates and digests one task into `acc`. Returns the end
-  // of the task's Schwarz-live ket range and the quartets computed.
+  // of the task's Schwarz-live ket range, the quartets computed and the
+  // kernel batches they ran in.
   const auto digest_task = [&](const QuartetTask& task, std::size_t tid,
                                JkPartial& acc) {
     const ShellPair& bra = pairs_[task.bra];
@@ -544,10 +554,10 @@ JkResult FockBuilder::build(const Matrix& density, bool want_coulomb) const {
     // One batched kernel call evaluates every survivor of the task.
     stream.clear();
     for (const std::uint32_t kk : survivors)
-      stream.push_back({&pair_hermites_[task.bra], &pair_hermites_[kk]});
+      stream.push_back({&*pair_hermites_[task.bra], &*pair_hermites_[kk]});
     if (blocks.size() < survivors.size()) blocks.resize(survivors.size());
-    ints::eri_shell_quartet_batched({stream.data(), stream.size()},
-                                    blocks.data());
+    const std::size_t batches = ints::eri_shell_quartet_batched(
+        {stream.data(), stream.size()}, blocks.data());
     for (std::size_t i = 0; i < survivors.size(); ++i) {
       const ShellPair& ket = pairs_[survivors[i]];
       digest_quartet(*basis_, bra.sa, bra.sb, ket.sa, ket.sb, blocks[i],
@@ -555,7 +565,7 @@ JkResult FockBuilder::build(const Matrix& density, bool want_coulomb) const {
                      /*braket_same=*/survivors[i] == task.bra,
                      eps_contribution);
     }
-    return std::pair{live, survivors.size()};
+    return std::tuple{live, survivors.size(), batches};
   };
 
   auto run_task = [&](std::size_t task_index, std::size_t tid) {
@@ -572,9 +582,9 @@ JkResult FockBuilder::build(const Matrix& density, bool want_coulomb) const {
     JkPartial& acc = open[tid];
     if (transactional) saved[tid] = acc;
     const obs::Stopwatch watch;
-    std::size_t live = 0, computed = 0;
+    std::size_t live = 0, computed = 0, batches = 0;
     try {
-      std::tie(live, computed) = digest_task(task, tid, acc);
+      std::tie(live, computed, batches) = digest_task(task, tid, acc);
       // A kCorrupt fault models silent data corruption in the task's
       // output. With validation on, the isfinite sweep catches it and the
       // retry path heals it; with validation off it lands in K, which is
@@ -595,6 +605,7 @@ JkResult FockBuilder::build(const Matrix& density, bool want_coulomb) const {
     c_schwarz.add(tid, task.ket_end - live);
     c_density.add(tid, live - task.ket_begin - computed);
     c_computed.add(tid, computed);
+    c_batches.add(tid, batches);
     if (options_.record_task_costs)
       result.stats.task_costs[task_index] = {
           static_cast<std::uint32_t>(task_index), task.est_cost, secs};
@@ -627,6 +638,7 @@ JkResult FockBuilder::build(const Matrix& density, bool want_coulomb) const {
       registry.counter_total("hfx.quartets_density_screened");
   result.stats.screening.quartets_computed =
       registry.counter_total("hfx.quartets_computed");
+  result.stats.kernel_batches = registry.counter_total("hfx.kernel_batches");
   result.stats.wall_seconds = registry.timer_seconds("hfx.wall_seconds");
   result.stats.reduce_seconds = registry.timer_seconds("hfx.reduce_seconds");
   result.stats.thread_busy_seconds =

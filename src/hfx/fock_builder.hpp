@@ -136,6 +136,9 @@ struct HfxStats {
   std::size_t num_pairs = 0;
   std::size_t num_pairs_unscreened = 0;
   std::size_t num_tasks = 0;
+  /// Batched-kernel batches run; quartets_computed / kernel_batches is
+  /// the build's lane fill (at most 8).
+  std::uint64_t kernel_batches = 0;
   double wall_seconds = 0.0;
   double reduce_seconds = 0.0;               ///< chunk-partial merges, summed
   std::vector<double> thread_busy_seconds;   ///< per-thread kernel time
@@ -235,15 +238,16 @@ class FockBuilder {
   mutable parallel::ThreadPool pool_;
   bool blocked_ = false;
   PairCullStats cull_stats_;
+  /// Precomputed Hermite expansions, aligned with pairs_ — computed once
+  /// and amortized over every quartet the pair participates in. Declared
+  /// before pairs_, whose cull fills the ones it expanded anyway.
+  std::vector<std::optional<ints::ShellPairHermite>> pair_hermites_;
   ShellPairList pairs_;
   std::vector<std::vector<std::uint32_t>> pairs_by_shell_;
   std::vector<QuartetTask> tasks_;
   /// Chunk ends over tasks_: the fixed units whose J/K partials merge.
   std::vector<std::size_t> chunk_end_;
   std::size_t rebind_reused_ = 0;
-  /// Precomputed Hermite expansions, aligned with pairs_ — computed once
-  /// and amortized over every quartet the pair participates in.
-  std::vector<ints::ShellPairHermite> pair_hermites_;
   /// Fault-injection state (engaged only when options_.fault has nonzero
   /// rates). The epoch salts fault sites so each build of an SCF sequence
   /// draws an independent — but still seed-deterministic — fault pattern.

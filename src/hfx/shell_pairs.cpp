@@ -22,8 +22,9 @@ std::size_t ShellPairList::live_end(std::size_t b, double eps) const {
   return lo;
 }
 
-ShellPairList ShellPairList::culled(const chem::BasisSet& basis, double eps,
-                                    PairCullStats* stats) {
+ShellPairList ShellPairList::culled(
+    const chem::BasisSet& basis, double eps, PairCullStats* stats,
+    std::vector<std::optional<ints::ShellPairHermite>>* expansions) {
   const std::size_t ns = basis.num_shells();
   ShellPairList list;
   list.unscreened_ = ns * (ns + 1) / 2;
@@ -33,10 +34,12 @@ ShellPairList ShellPairList::culled(const chem::BasisSet& basis, double eps,
   PairCullStats st;
 
   // Pass 1: Schwarz bounds on cell-list candidates only, one batched
-  // kernel call per row; the row's expansions live until the next row.
+  // kernel call per row; the row's expansions live until the next row
+  // unless they belong to a pair kept for certain that the caller wants.
   // Pairs outside candidate range are below every resolvable scale by
   // construction and are never touched.
   std::vector<ShellPair> computed;
+  std::vector<std::optional<ints::ShellPairHermite>> held;  // by computed
   std::vector<std::uint32_t> cand;
   std::vector<ints::ShellPairHermite> row;
   std::vector<double> q;
@@ -53,19 +56,33 @@ ShellPairList ShellPairList::culled(const chem::BasisSet& basis, double eps,
       computed.push_back({static_cast<std::uint32_t>(sa), cand[i], q[i]});
       qmax = std::max(qmax, q[i]);
     }
+    if (expansions) {
+      held.resize(computed.size());
+      const std::size_t first = computed.size() - cand.size();
+      for (std::size_t i = 0; i < cand.size(); ++i)
+        if (q[i] * qmax >= eps) held[first + i] = std::move(row[i]);
+    }
     st.candidates += cand.size();
   }
   list.max_q_ = qmax;
 
   // Pass 2: the eps rule against the largest bound.
-  for (std::size_t i = 0; i < computed.size(); ++i) {
-    if (computed[i].q * qmax < eps) continue;
-    list.pairs_.push_back(computed[i]);
-  }
+  std::vector<std::uint32_t> kept;
+  for (std::size_t i = 0; i < computed.size(); ++i)
+    if (computed[i].q * qmax >= eps)
+      kept.push_back(static_cast<std::uint32_t>(i));
   // Sorting by descending bound keeps the heaviest bra pairs early: the
   // dynamic bag hands them out first, which shortens the critical path.
-  std::sort(list.pairs_.begin(), list.pairs_.end(),
-            [](const ShellPair& x, const ShellPair& y) { return x.q > y.q; });
+  std::sort(kept.begin(), kept.end(), [&](std::uint32_t x, std::uint32_t y) {
+    return computed[x].q > computed[y].q;
+  });
+  list.pairs_.reserve(kept.size());
+  for (const std::uint32_t i : kept) list.pairs_.push_back(computed[i]);
+  if (expansions) {
+    expansions->clear();
+    for (const std::uint32_t i : kept)
+      expansions->push_back(std::move(held[i]));
+  }
   if (stats) *stats = st;
   return list;
 }

@@ -8,9 +8,11 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "chem/basis.hpp"
+#include "ints/eri.hpp"
 
 namespace mthfx::hfx {
 
@@ -44,8 +46,16 @@ class ShellPairList {
   /// underflowed stay under the plain eps rule — their cross quartets
   /// with strong partners are real at the sqrt(noise)·max_q scale, which
   /// tight-eps builds must resolve. Pairs are sorted by descending q.
-  static ShellPairList culled(const chem::BasisSet& basis, double eps,
-                              PairCullStats* stats = nullptr);
+  ///
+  /// With `expansions`, a row keeps the expansion of every candidate
+  /// whose q times the running max_q already clears eps (kept for
+  /// certain: max_q only grows), and the caller receives one slot per
+  /// kept pair in pairs() order, empty where the pair cleared eps only
+  /// against the final max_q.
+  static ShellPairList culled(
+      const chem::BasisSet& basis, double eps, PairCullStats* stats = nullptr,
+      std::vector<std::optional<ints::ShellPairHermite>>* expansions =
+          nullptr);
 
   const std::vector<ShellPair>& pairs() const { return pairs_; }
   std::size_t size() const { return pairs_.size(); }

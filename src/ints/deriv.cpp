@@ -312,7 +312,7 @@ ShellPairDeriv::ShellPairDeriv(const Shell& a, const Shell& b)
                        static_cast<std::size_t>(u)) *
                           n1 +
                       static_cast<std::size_t>(w);
-                  HermiteEntry entry;
+                  Entry entry;
                   entry.val = ev;
                   entry.sval = ((t + u + w) & 1) ? -ev : ev;
                   entry.t = static_cast<std::uint8_t>(t);
@@ -393,8 +393,8 @@ void eri_gradient_quartet(const ShellPairDeriv& bra, const ShellPairDeriv& ket,
     for (std::size_t kc = 0; kc < nkc; ++kc) {
       double* row = rows + kc * npts;
       std::fill(row, row + npts, 0.0);
-      const HermiteEntry* e = kp.entries.data() + kp.begin[seg * nkc + kc];
-      const HermiteEntry* end =
+      const ShellPairDeriv::Entry* e = kp.entries.data() + kp.begin[seg * nkc + kc];
+      const ShellPairDeriv::Entry* end =
           kp.entries.data() + kp.begin[seg * nkc + kc + 1];
       for (; e != end; ++e) {
         const double sv = e->sval;
@@ -407,8 +407,8 @@ void eri_gradient_quartet(const ShellPairDeriv& bra, const ShellPairDeriv& ket,
   // A bra list read against one panel row.
   const auto dot = [](const Prim& bp, std::size_t list, const double* row) {
     double sum = 0.0;
-    const HermiteEntry* e = bp.entries.data() + bp.begin[list];
-    const HermiteEntry* end = bp.entries.data() + bp.begin[list + 1];
+    const ShellPairDeriv::Entry* e = bp.entries.data() + bp.begin[list];
+    const ShellPairDeriv::Entry* end = bp.entries.data() + bp.begin[list + 1];
     for (; e != end; ++e) sum += e->val * row[e->upos];
     return sum;
   };

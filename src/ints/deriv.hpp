@@ -81,13 +81,21 @@ class ShellPairDeriv {
   /// Entry-list segments of a component: plain, A in x/y/z, B in x/y/z.
   static constexpr std::size_t kSegments = 7;
 
+  /// One nonzero entry: the value, the value times (-1)^(t+u+v) (ket
+  /// side), the Hermite orders and the entry's point index.
+  struct Entry {
+    double val = 0.0, sval = 0.0;
+    std::uint8_t t = 0, u = 0, v = 0;
+    std::uint16_t upos = 0;
+  };
+
   struct Prim {
     double p = 0.0;          // exponent sum
     chem::Vec3 center{};     // Gaussian product center
     double max_abs = 0.0;    // largest |entry| of any list
     /// List (segment s, component c) owns entries
     /// [begin[s*ncomp + c], begin[s*ncomp + c + 1]).
-    std::vector<HermiteEntry> entries;
+    std::vector<Entry> entries;
     std::vector<std::uint32_t> begin;
   };
 

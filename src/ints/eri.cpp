@@ -23,42 +23,94 @@ using E1d = detail::E1d<kEriMaxL, kEriMaxL>;
 // pair (ab == 0) expands the pure monomial (x-P)^{i+j}, so only
 // i+j-t even survives; equal exponents with i == j expand
 // ((x-P)^2 - (ab/2)^2)^i, even in x-P, so only even t survives.
-// Entry retention must be decided by these rules, not by comparing
-// the computed value with zero: the recurrence's cancellation noise
-// makes a value test geometry-dependent, which splits structurally
-// identical pairs into distinct batching classes (observed as the
-// batched kernel degrading to width-1 batches whenever a basis puts
-// the same exponent on both shells of a pair).
+// Such slots are stored as exact zeros, never taken from the
+// recurrence, whose cancellation noise would leave geometry-dependent
+// residue there.
 bool parity_zero_1d(double ab, double ea, double eb, int i, int j, int t) {
   if (ab == 0.0) return ((i + j - t) & 1) != 0;
   if (ea == eb && i == j) return (t & 1) != 0;
   return false;
 }
 
+PairSkeleton make_skeleton(int la, int lb) {
+  PairSkeleton sk;
+  sk.lab = la + lb;
+  const std::vector<chem::CartPowers> pa = cartesian_powers(la);
+  const std::vector<chem::CartPowers> pb = cartesian_powers(lb);
+  sk.na = pa.size();
+  sk.nb = pb.size();
+  const std::size_t n1 = static_cast<std::size_t>(sk.lab + 1);
+  const auto off = [n1](std::size_t t, std::size_t u, std::size_t v) {
+    return (t * n1 + u) * n1 + v;
+  };
+
+  // Every component's slots, t <= ax+bx etc., in box-offset order; the
+  // union of them is the pattern the ket->bra panel is indexed by.
+  std::vector<char> mask(n1 * n1 * n1, 0);
+  for (const chem::CartPowers& a : pa)
+    for (const chem::CartPowers& b : pb) {
+      sk.comp_begin.push_back(static_cast<std::uint32_t>(sk.entries.size()));
+      for (int t = 0; t <= a.x + b.x; ++t)
+        for (int u = 0; u <= a.y + b.y; ++u)
+          for (int v = 0; v <= a.z + b.z; ++v) {
+            HermiteEntry e;
+            e.t = static_cast<std::uint8_t>(t);
+            e.u = static_cast<std::uint8_t>(u);
+            e.v = static_cast<std::uint8_t>(v);
+            e.odd = static_cast<std::uint8_t>((t + u + v) & 1);
+            sk.entries.push_back(e);
+            mask[off(t, u, v)] = 1;
+          }
+    }
+  sk.comp_begin.push_back(static_cast<std::uint32_t>(sk.entries.size()));
+
+  std::vector<std::uint16_t> upos_of(mask.size(), 0);
+  for (std::size_t t = 0; t < n1; ++t)
+    for (std::size_t u = 0; u < n1; ++u)
+      for (std::size_t v = 0; v < n1; ++v) {
+        if (!mask[off(t, u, v)]) continue;
+        upos_of[off(t, u, v)] =
+            static_cast<std::uint16_t>(sk.union_coords.size());
+        sk.union_coords.push_back({static_cast<std::uint8_t>(t),
+                                   static_cast<std::uint8_t>(u),
+                                   static_cast<std::uint8_t>(v)});
+      }
+  for (HermiteEntry& e : sk.entries) e.upos = upos_of[off(e.t, e.u, e.v)];
+  return sk;
+}
+
+// The skeleton of class (la, lb), la, lb <= kEriMaxL.
+const PairSkeleton& pair_skeleton(int la, int lb) {
+  constexpr int n = kEriMaxL + 1;
+  static const std::vector<PairSkeleton> table = [] {
+    std::vector<PairSkeleton> all;
+    for (int a = 0; a < n; ++a)
+      for (int b = 0; b < n; ++b) all.push_back(make_skeleton(a, b));
+    return all;
+  }();
+  return table[static_cast<std::size_t>(la * n + lb)];
+}
+
 }  // namespace
 
 ShellPairHermite::ShellPairHermite(const Shell& a, const Shell& b)
-    : lab_(a.l() + b.l()),
-      powers_a_(cartesian_powers(a.l())),
-      powers_b_(cartesian_powers(b.l())) {
-  na_ = powers_a_.size();
-  nb_ = powers_b_.size();
-  ncomp_ = na_ * nb_;
-  const std::size_t n1 = static_cast<std::size_t>(lab_ + 1);
-  const std::size_t box = n1 * n1 * n1;
-
+    : skel_(&pair_skeleton(a.l(), b.l())) {
+  const PairSkeleton& sk = *skel_;
+  const std::vector<chem::CartPowers> pa = cartesian_powers(a.l());
+  const std::vector<chem::CartPowers> pb = cartesian_powers(b.l());
+  const std::size_t ne = sk.entries.size();
   prims_.resize(a.num_primitives() * b.num_primitives());
+  vals_.resize(prims_.size() * ne);
+  live_.assign((ne + 63) / 64, 0);
+  class_id_ = static_cast<std::uint32_t>(
+      (prims_.size() * (kEriMaxL + 1) + static_cast<std::size_t>(a.l())) *
+          (kEriMaxL + 1) +
+      static_cast<std::size_t>(b.l()));
+
   E1d ex, ey, ez;
   const Vec3& ca = a.center();
   const Vec3& cb = b.center();
-
-  // Pass 1: expand every primitive pair into a dense per-component box
-  // (the structurally simple form), recording which (t,u,v) slots are
-  // nonzero for *any* component of *any* primitive — that union is the
-  // pattern the quartet kernel's ket->bra panel is indexed by.
-  std::vector<std::vector<double>> boxes(prims_.size());
-  std::vector<std::vector<char>> nz(prims_.size());
-  std::vector<char> mask(box, 0);
+  const Vec3 ab{ca.x - cb.x, ca.y - cb.y, ca.z - cb.z};
   std::size_t pp = 0;
   for (std::size_t i = 0; i < a.num_primitives(); ++i) {
     for (std::size_t j = 0; j < b.num_primitives(); ++j, ++pp) {
@@ -67,129 +119,36 @@ ShellPairHermite::ShellPairHermite(const Shell& a, const Shell& b)
       Prim& prim = prims_[pp];
       prim.p = ea + eb;
       prim.center = (1.0 / prim.p) * (ea * ca + eb * cb);
-      ex.build(a.l(), b.l(), ea, eb, ca.x - cb.x);
-      ey.build(a.l(), b.l(), ea, eb, ca.y - cb.y);
-      ez.build(a.l(), b.l(), ea, eb, ca.z - cb.z);
+      ex.build(a.l(), b.l(), ea, eb, ab.x);
+      ey.build(a.l(), b.l(), ea, eb, ab.y);
+      ez.build(a.l(), b.l(), ea, eb, ab.z);
 
-      std::vector<double>& e = boxes[pp];
-      e.assign(ncomp_ * box, 0.0);
-      std::vector<char>& keep = nz[pp];
-      keep.assign(ncomp_ * box, 0);
+      double* val = vals_.data() + pp * ne;
       std::size_t comp = 0;
-      for (std::size_t ia = 0; ia < na_; ++ia) {
-        for (std::size_t ib = 0; ib < nb_; ++ib, ++comp) {
+      for (std::size_t ia = 0; ia < sk.na; ++ia) {
+        for (std::size_t ib = 0; ib < sk.nb; ++ib, ++comp) {
+          const chem::CartPowers& ma = pa[ia];
+          const chem::CartPowers& mb = pb[ib];
           const double cc = a.norm_coef(i, ia) * b.norm_coef(j, ib);
-          double* dst = e.data() + comp * box;
-          char* nzc = keep.data() + comp * box;
-          for (int t = 0; t <= powers_a_[ia].x + powers_b_[ib].x; ++t) {
-            if (parity_zero_1d(ca.x - cb.x, ea, eb, powers_a_[ia].x,
-                               powers_b_[ib].x, t))
+          for (std::uint32_t e = sk.comp_begin[comp];
+               e < sk.comp_begin[comp + 1]; ++e) {
+            const HermiteEntry& h = sk.entries[e];
+            if (parity_zero_1d(ab.x, ea, eb, ma.x, mb.x, h.t) ||
+                parity_zero_1d(ab.y, ea, eb, ma.y, mb.y, h.u) ||
+                parity_zero_1d(ab.z, ea, eb, ma.z, mb.z, h.v)) {
+              val[e] = 0.0;
               continue;
-            const double vx = cc * ex.v[powers_a_[ia].x][powers_b_[ib].x][t];
-            for (int u = 0; u <= powers_a_[ia].y + powers_b_[ib].y; ++u) {
-              if (parity_zero_1d(ca.y - cb.y, ea, eb, powers_a_[ia].y,
-                                 powers_b_[ib].y, u))
-                continue;
-              const double vxy =
-                  vx * ey.v[powers_a_[ia].y][powers_b_[ib].y][u];
-              for (int w = 0; w <= powers_a_[ia].z + powers_b_[ib].z; ++w) {
-                if (parity_zero_1d(ca.z - cb.z, ea, eb, powers_a_[ia].z,
-                                   powers_b_[ib].z, w))
-                  continue;
-                const std::size_t off = (static_cast<std::size_t>(t) * n1 +
-                                         static_cast<std::size_t>(u)) *
-                                            n1 +
-                                        static_cast<std::size_t>(w);
-                const double ev = vxy * ez.v[powers_a_[ia].z][powers_b_[ib].z][w];
-                dst[off] = ev;
-                nzc[off] = 1;
-                mask[off] = 1;
-              }
             }
+            const double vx = cc * ex.v[ma.x][mb.x][h.t];
+            const double vxy = vx * ey.v[ma.y][mb.y][h.u];
+            val[e] = vxy * ez.v[ma.z][mb.z][h.v];
+            prim.max_abs_e = std::max(prim.max_abs_e, std::abs(val[e]));
+            if (val[e] != 0.0) live_[e / 64] |= std::uint64_t{1} << (e % 64);
           }
         }
       }
-      for (double ev : e)
-        prim.max_abs_e = std::max(prim.max_abs_e, std::abs(ev));
     }
   }
-
-  // The union pattern, in box-offset order. For a same-center pair the
-  // Hermite parity rule E(t;i,j) = 0 for odd i+j-t empties half the box;
-  // for distinct centers it is the angular bounds that shrink it.
-  std::vector<std::uint16_t> upos_of(box, 0xffff);
-  for (std::size_t t = 0; t < n1; ++t)
-    for (std::size_t u = 0; u < n1; ++u)
-      for (std::size_t v = 0; v < n1; ++v) {
-        const std::size_t off = (t * n1 + u) * n1 + v;
-        if (!mask[off]) continue;
-        upos_of[off] = static_cast<std::uint16_t>(union_coords_.size());
-        union_coords_.push_back({static_cast<std::uint8_t>(t),
-                                 static_cast<std::uint8_t>(u),
-                                 static_cast<std::uint8_t>(v)});
-      }
-
-  // Pass 2: compact each component's structurally nonzero slots into the
-  // entry lists the quartet kernel iterates, with the ket-side parity
-  // sign prefolded. Retention follows the parity flags, never the value:
-  // an accidental numerical zero stays (it contributes nothing) so that
-  // every pair with the same skeleton compacts to the same entry
-  // pattern regardless of geometry.
-  for (std::size_t pi = 0; pi < prims_.size(); ++pi) {
-    Prim& prim = prims_[pi];
-    const std::vector<double>& e = boxes[pi];
-    const std::vector<char>& keep = nz[pi];
-    prim.comp_begin.assign(ncomp_ + 1, 0);
-    for (std::size_t comp = 0; comp < ncomp_; ++comp) {
-      prim.comp_begin[comp] = static_cast<std::uint32_t>(prim.entries.size());
-      const double* src = e.data() + comp * box;
-      const char* nzc = keep.data() + comp * box;
-      for (std::size_t t = 0; t < n1; ++t)
-        for (std::size_t u = 0; u < n1; ++u)
-          for (std::size_t v = 0; v < n1; ++v) {
-            const std::size_t off = (t * n1 + u) * n1 + v;
-            if (!nzc[off]) continue;
-            const double ev = src[off];
-            HermiteEntry entry;
-            entry.val = ev;
-            entry.sval = ((t + u + v) & 1) ? -ev : ev;
-            entry.t = static_cast<std::uint8_t>(t);
-            entry.u = static_cast<std::uint8_t>(u);
-            entry.v = static_cast<std::uint8_t>(v);
-            entry.upos = upos_of[off];
-            prim.entries.push_back(entry);
-          }
-    }
-    prim.comp_begin[ncomp_] = static_cast<std::uint32_t>(prim.entries.size());
-  }
-
-  // Structural class key for the batched kernel: FNV-1a over everything
-  // that shapes the kernel's control flow and indexing — angular class,
-  // union pattern, per-primitive/component entry coordinates — with the
-  // coefficient *values* deliberately excluded (they become SIMD lane
-  // data). Equal skeleton => identical instruction stream.
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  const auto mix = [&h](std::uint64_t x) {
-    h ^= x;
-    h *= 0x100000001b3ULL;
-  };
-  mix(static_cast<std::uint64_t>(lab_));
-  mix(na_);
-  mix(nb_);
-  mix(prims_.size());
-  mix(union_coords_.size());
-  for (const HermiteCoord& c : union_coords_)
-    mix((static_cast<std::uint64_t>(c.t) << 16) |
-        (static_cast<std::uint64_t>(c.u) << 8) | c.v);
-  for (const Prim& prim : prims_) {
-    mix(prim.entries.size());
-    for (const std::uint32_t cb : prim.comp_begin) mix(cb);
-    for (const HermiteEntry& e : prim.entries)
-      mix((static_cast<std::uint64_t>(e.t) << 40) |
-          (static_cast<std::uint64_t>(e.u) << 32) |
-          (static_cast<std::uint64_t>(e.v) << 24) | e.upos);
-  }
-  structure_key_ = h;
 }
 
 EriBlock eri_shell_quartet(const Shell& a, const Shell& b, const Shell& c,

@@ -9,15 +9,19 @@
 // Fock builder) precompute it once per significant pair and amortize it
 // across every partner pair.
 //
-// The pair expansion is stored *sparse*: per Cartesian component, a
-// compacted list of structurally nonzero (t,u,v) -> E entries (angular
-// bounds t <= ax+bx etc. plus the same-center parity zeros), so the
-// quartet kernel touches only real work. The quartet contraction is
-// ordered ket-first: the Hermite Coulomb tensor R is contracted with
-// each ket component's E-list into a panel indexed by the bra pair's
-// union pattern (stage 1), and that panel is reused by every bra
-// component (stage 2). The kernel folds all ket primitives of one bra
-// primitive into the panel first, so stage 2 runs once per bra
+// Every pair of one angular class (la, lb) is stored in one static
+// layout, the class skeleton (PairSkeleton, built once per process):
+// per Cartesian component, the (t,u,v) -> E entries a pair with distinct
+// centres and distinct exponents has (t <= ax+bx etc.), indexed into the
+// class's union pattern. A pair keeps only per-primitive values in that
+// layout; slots that same-centre or equal-exponent parity empties hold
+// exact zeros. Pairs of one class and primitive count therefore share
+// all control flow and run in lockstep SIMD lanes. The quartet
+// contraction is ordered ket-first: the Hermite Coulomb tensor R is
+// contracted with each ket component's entries into a panel indexed by
+// the bra class's union pattern (stage 1), and that panel is reused by
+// every bra component (stage 2). The kernel folds all ket primitives of
+// one bra primitive into the panel first, so stage 2 runs once per bra
 // primitive (see docs/hfx_scheme.md, "The ERI kernel").
 //
 // One kernel reads this layout: the batched SIMD kernel (eri_batch.hpp).
@@ -61,42 +65,51 @@ struct EriBlock {
   }
 };
 
-/// One structurally nonzero Hermite expansion coefficient of one
-/// Cartesian component: E(t,u,v) with the contraction/normalization
-/// coefficient folded in.
+/// One entry of a class skeleton: the Hermite orders of one E(t,u,v)
+/// slot of one Cartesian component.
 struct HermiteEntry {
-  double val = 0.0;       ///< coefficient-weighted E value (bra-side use)
-  double sval = 0.0;      ///< val * (-1)^(t+u+v) (ket-side use)
-  std::uint8_t t = 0, u = 0, v = 0;  ///< Hermite orders
-  std::uint16_t upos = 0; ///< position in the pair's union pattern
+  std::uint8_t t = 0, u = 0, v = 0;
+  std::uint8_t odd = 0;    ///< t+u+v odd: the ket side negates the value
+  std::uint16_t upos = 0;  ///< position in the class's union pattern
 };
 
-/// A (t,u,v) coordinate of the pair-level union sparsity pattern.
+/// A (t,u,v) coordinate of a class's union pattern.
 struct HermiteCoord {
   std::uint8_t t = 0, u = 0, v = 0;
 };
 
+/// Static entry layout of the angular class (la, lb), one per class,
+/// built once per process: the entries of a pair whose centres differ in
+/// every coordinate and whose exponents differ, the widest pattern the
+/// class has.
+struct PairSkeleton {
+  int lab = 0;                  ///< la + lb
+  std::size_t na = 0, nb = 0;   ///< Cartesian components per shell
+  /// Union of the components' (t,u,v) slots, in box-offset order
+  /// (box edge lab + 1); HermiteEntry::upos indexes into it.
+  std::vector<HermiteCoord> union_coords;
+  /// Per-component entry lists, concatenated in box-offset order;
+  /// component ia * nb + ib owns [comp_begin[c], comp_begin[c + 1]).
+  std::vector<HermiteEntry> entries;
+  std::vector<std::uint32_t> comp_begin;
+};
+
 /// Precomputed coefficient-weighted Hermite expansion of one contracted
-/// shell pair (all primitive pairs), compacted to structurally nonzero
-/// entries. structure_key() is what the batched kernel sorts lanes by.
+/// shell pair (all primitive pairs), stored in its class skeleton's
+/// layout. class_id() is what the batched kernel sorts lanes by.
 class ShellPairHermite {
  public:
   ShellPairHermite(const chem::Shell& a, const chem::Shell& b);
 
-  std::size_t num_functions_bra() const { return na_; }
-  std::size_t num_functions_ket() const { return nb_; }
-  int total_l() const { return lab_; }
+  std::size_t num_functions_bra() const { return skel_->na; }
+  std::size_t num_functions_ket() const { return skel_->nb; }
+  int total_l() const { return skel_->lab; }
   /// nprim_a * nprim_b: the primitive pairs the expansion holds.
   std::size_t num_primitive_pairs() const { return prims_.size(); }
-  /// Size of the union sparsity pattern (<= (lab+1)^3; halved for
-  /// same-center pairs by Hermite parity).
-  std::size_t union_size() const { return union_coords_.size(); }
-  /// FNV-1a hash of the pair's structural skeleton — angular class,
-  /// primitive count, union pattern, per-component entry coordinates —
-  /// but *not* coefficient values. Two pairs with equal skeletons (the
-  /// batched kernel sorts by the key and verifies equality) can be
-  /// evaluated in lockstep SIMD lanes.
-  std::uint64_t structure_key() const { return structure_key_; }
+  /// Batching class: (la, lb, primitive pairs). Pairs with equal ids
+  /// share a skeleton and a primitive count, so the batched kernel runs
+  /// them in one batch whatever their geometry.
+  std::uint32_t class_id() const { return class_id_; }
 
  private:
   friend class BatchedEri;
@@ -104,21 +117,19 @@ class ShellPairHermite {
   struct Prim {
     double p = 0.0;         // exponent sum
     chem::Vec3 center{};    // Gaussian product center
-    double max_abs_e = 0.0; // largest |e| — primitive-level cutoff bound
-    /// Compacted per-component entry lists, concatenated; component c
-    /// owns entries [comp_begin[c], comp_begin[c+1]).
-    std::vector<HermiteEntry> entries;
-    std::vector<std::uint32_t> comp_begin;
+    double max_abs_e = 0.0; // largest |E| — primitive-level cutoff bound
   };
 
-  int lab_ = 0;
-  std::size_t na_ = 0, nb_ = 0, ncomp_ = 0;
-  std::vector<chem::CartPowers> powers_a_, powers_b_;
-  /// Union of the per-component sparsity patterns, in box-offset order;
-  /// HermiteEntry::upos indexes into this.
-  std::vector<HermiteCoord> union_coords_;
+  const PairSkeleton* skel_ = nullptr;
+  std::uint32_t class_id_ = 0;
   std::vector<Prim> prims_;
-  std::uint64_t structure_key_ = 0;
+  /// Entry values, [primitive][skeleton entry]: E with the contraction
+  /// and normalization coefficients folded in; exact 0.0 in slots that
+  /// parity empties for this pair's geometry.
+  std::vector<double> vals_;
+  /// Bit e set when some primitive's value at skeleton entry e is
+  /// nonzero; the kernel skips entries no lane of a batch sets.
+  std::vector<std::uint64_t> live_;
 };
 
 /// Convenience: compute one shell quartet (ab|cd) from shells — a

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <iterator>
 #include <numbers>
 #include <vector>
 
@@ -15,11 +16,11 @@ namespace {
 
 constexpr std::size_t kW = kBoysBatchWidth;
 
-// One stream entry's sort record: the (bra, ket) structure keys, then
-// the stream index, so an unstable sort orders exactly like a stable
-// sort by key.
+// One stream entry's sort record: the (bra, ket) class ids, then the
+// stream index, so an unstable sort orders exactly like a stable sort
+// by class.
 struct SortKey {
-  std::uint64_t bra, ket;
+  std::uint32_t bra, ket;
   std::uint32_t index;
   bool operator<(const SortKey& o) const {
     if (bra != o.bra) return bra < o.bra;
@@ -28,22 +29,38 @@ struct SortKey {
   }
 };
 
+// One skeleton entry a batch evaluates: its value index and its R
+// offset (ket) or panel offset (bra), times kW.
+struct Term {
+  std::uint32_t e, off;
+};
+
 // Per-thread scratch, grow-only so the hot path never allocates warm.
 struct BatchScratch {
-  std::vector<SortKey> order;      // the stream, sorted by structure
+  std::vector<SortKey> order;      // the stream, sorted by class
   // Packed per-primitive lane data, SoA: value index e, lane w at
   // [e * kW + w]. Entry *values* are lane data; entry coordinates are
-  // shared batch structure read from lane 0's pair.
-  std::vector<double> bra_vals;    // [bra prim entries][lane] (val)
-  std::vector<double> ket_svals;   // [ket prim entries][lane] (sval)
-  std::vector<std::size_t> ent_off_b, ent_off_k;  // per-prim entry offsets
+  // the classes' skeletons.
+  std::vector<double> bra_vals;    // [bra prim][entry][lane] (E)
+  std::vector<double> ket_svals;   // [ket prim][entry][lane] (signed E)
   // [prim * kW + w]: exponent sum, center, max |E|, and the
   // prefactor's per-primitive part (2π^{5/2}/p on the bra, 1/q on the ket).
   std::vector<double> bp_p, bp_x, bp_y, bp_z, bp_me, bp_c;
   std::vector<double> kp_p, kp_x, kp_y, kp_z, kp_me, kp_c;
-  std::vector<std::uint32_t> rbase;  // union point -> flat R offset
+  // The bra lanes the bra data below was packed from in this run call
+  // (null at its start: pairs are freed between calls, so an address
+  // may come back holding another pair).
+  const ShellPairHermite* packed_bra[kW] = {};
+  std::size_t rbase_rn1 = 0;  // R stride rbase was built for
+  // Entries nonzero in some lane, per component ([begin[c], begin[c+1])
+  // of terms). A term zero in every lane would add exact zeros.
+  std::vector<Term> bra_terms, ket_terms;
+  std::vector<std::uint32_t> bra_begin, ket_begin;
+  std::vector<std::uint64_t> live;       // OR of the lanes' live_ masks
+  std::vector<std::uint32_t> point_of;   // bra union point -> panel point
+  std::vector<std::uint32_t> rbase;      // panel point -> flat R offset
   std::vector<double> r_a, r_b;      // ping-pong R slices, [offset][lane]
-  std::vector<double> panel;  // ket-folded [ket comp][union point][lane]
+  std::vector<double> panel;  // ket-folded [ket comp][panel point][lane]
   std::vector<double> acc;    // output blocks, [bra comp][ket comp][lane]
 };
 
@@ -152,84 +169,80 @@ const double* build_r(int tuv_max, V8 alpha, V8 dx, V8 dy, V8 dz,
 // the lane-parallel kernel stages.
 class BatchedEri {
  public:
-  static void run(std::span<const QuartetRef> stream, EriBlock* out) {
+  static std::size_t run(std::span<const QuartetRef> stream, EriBlock* out) {
     const std::size_t n = stream.size();
-    if (n == 0) return;
+    if (n == 0) return 0;
+    std::fill(std::begin(tls.packed_bra), std::end(tls.packed_bra), nullptr);
 
-    // Sort by the pairs' precomputed structure keys; the stream index
-    // breaks ties, so batch composition is a pure function of the
-    // stream. A batch takes consecutive entries while both pairs match
-    // lane 0's structure (same pointer, or a full same_structure walk:
-    // the hash only orders). A hash collision can only end a batch
-    // early, never merge two skeletons.
+    // Sort by the pairs' class ids; the stream index breaks ties, so
+    // batch composition is a pure function of the stream. A batch takes
+    // consecutive entries of one (bra class, ket class): equal ids mean
+    // one skeleton and one primitive count, so the lanes share every
+    // loop bound and index.
     std::vector<SortKey>& order = tls.order;
     order.resize(n);
     for (std::size_t i = 0; i < n; ++i)
-      order[i] = {stream[i].bra->structure_key(),
-                  stream[i].ket->structure_key(),
+      order[i] = {stream[i].bra->class_id(), stream[i].ket->class_id(),
                   static_cast<std::uint32_t>(i)};
     std::sort(order.begin(), order.end());
 
     std::uint32_t idx[kW];
+    std::size_t batches = 0;
     std::size_t i = 0;
     while (i < n) {
       const SortKey& k0 = order[i];
-      const QuartetRef& q0 = stream[k0.index];
       std::size_t nw = 0;
       idx[nw++] = k0.index;
       for (++i; i < n && nw < kW; ++i) {
         const SortKey& k = order[i];
-        const QuartetRef& q = stream[k.index];
-        if (k.bra != k0.bra || k.ket != k0.ket || !matches(q.bra, q0.bra) ||
-            !matches(q.ket, q0.ket))
-          break;
+        if (k.bra != k0.bra || k.ket != k0.ket) break;
         idx[nw++] = k.index;
       }
       eval_batch(stream, idx, nw, out);
+      ++batches;
     }
+    return batches;
   }
 
  private:
-  static bool matches(const ShellPairHermite* p,
-                      const ShellPairHermite* lane0) {
-    return p == lane0 || same_structure(*p, *lane0);
+  // OR of the live_ masks of the first n lanes.
+  static const std::vector<std::uint64_t>& live_mask(
+      const ShellPairHermite* const* lanes, std::size_t n) {
+    tls.live = lanes[0]->live_;
+    for (std::size_t w = 1; w < n; ++w)
+      for (std::size_t i = 0; i < tls.live.size(); ++i)
+        tls.live[i] |= lanes[w]->live_[i];
+    return tls.live;
   }
-
-  // Full structural equality — the hash key only orders. Everything
-  // that shapes control flow and indexing must match; coefficient values
-  // (val/sval, exponents, centers) are lane data and deliberately don't.
-  static bool same_structure(const ShellPairHermite& x,
-                             const ShellPairHermite& y) {
-    if (x.lab_ != y.lab_ || x.na_ != y.na_ || x.nb_ != y.nb_ ||
-        x.prims_.size() != y.prims_.size() ||
-        x.union_coords_.size() != y.union_coords_.size())
-      return false;
-    for (std::size_t u = 0; u < x.union_coords_.size(); ++u) {
-      const HermiteCoord a = x.union_coords_[u];
-      const HermiteCoord b = y.union_coords_[u];
-      if (a.t != b.t || a.u != b.u || a.v != b.v) return false;
+  static bool is_live(const std::vector<std::uint64_t>& live, std::size_t e) {
+    return (live[e / 64] >> (e % 64)) & 1;
+  }
+  // The live entries of each of sk's components, in skeleton order, with
+  // the offset `off(entry)`.
+  template <class Offset>
+  static void collect_terms(const PairSkeleton& sk,
+                            const std::vector<std::uint64_t>& live,
+                            std::vector<Term>& terms,
+                            std::vector<std::uint32_t>& begin, Offset off) {
+    terms.clear();
+    begin.clear();
+    for (std::size_t c = 0; c + 1 < sk.comp_begin.size(); ++c) {
+      begin.push_back(static_cast<std::uint32_t>(terms.size()));
+      for (std::uint32_t e = sk.comp_begin[c]; e < sk.comp_begin[c + 1]; ++e)
+        if (is_live(live, e))
+          terms.push_back(
+              {e, static_cast<std::uint32_t>(off(sk.entries[e]))});
     }
-    for (std::size_t p = 0; p < x.prims_.size(); ++p) {
-      const auto& xp = x.prims_[p];
-      const auto& yp = y.prims_[p];
-      if (xp.entries.size() != yp.entries.size() ||
-          xp.comp_begin != yp.comp_begin)
-        return false;
-      for (std::size_t e = 0; e < xp.entries.size(); ++e) {
-        const HermiteEntry& a = xp.entries[e];
-        const HermiteEntry& b = yp.entries[e];
-        if (a.t != b.t || a.u != b.u || a.v != b.v || a.upos != b.upos)
-          return false;
-      }
-    }
-    return true;
+    begin.push_back(static_cast<std::uint32_t>(terms.size()));
   }
 
   // Every lane's block is a pure function of its own (bra, ket): lanes
   // share only control flow. A lane whose primitive combination falls
   // below the cutoff (or a padded tail lane) runs with pref = 0 and adds
   // exact zeros to accumulators that start at +0.0, which leaves every
-  // value as the skip the lane would take alone.
+  // value as the skip the lane would take alone. Skeleton slots a pair
+  // leaves empty hold exact zeros too, so they change no value either
+  // (at most the sign of an exactly zero element).
   static void eval_batch(std::span<const QuartetRef> stream,
                          const std::uint32_t* idx, std::size_t nw,
                          EriBlock* out) {
@@ -242,82 +255,92 @@ class BatchedEri {
       B[w] = q.bra;
       K[w] = q.ket;
     }
-    const ShellPairHermite& b0 = *B[0];
-    const ShellPairHermite& k0 = *K[0];
-    const std::size_t ncb = b0.ncomp_;
-    const std::size_t nck = k0.ncomp_;
+    const PairSkeleton& bs = *B[0]->skel_;
+    const PairSkeleton& ks = *K[0]->skel_;
+    const std::size_t ncb = bs.na * bs.nb;
+    const std::size_t nck = ks.na * ks.nb;
     const std::size_t nblock = ncb * nck;
 
     for (std::size_t w = 0; w < nw; ++w) {
       EriBlock& o = out[idx[w]];
-      o.na = b0.na_;
-      o.nb = b0.nb_;
-      o.nc = k0.na_;
-      o.nd = k0.nb_;
+      o.na = bs.na;
+      o.nb = bs.nb;
+      o.nc = ks.na;
+      o.nd = ks.nb;
       o.values.resize(nblock);
     }
 
-    const int lab = b0.lab_;
-    const int lcd = k0.lab_;
-    const int tuv_max = lab + lcd;
+    const int tuv_max = bs.lab + ks.lab;
     const std::size_t rn1 = static_cast<std::size_t>(tuv_max + 1);
-    const std::size_t nu = b0.union_coords_.size();
-    if (nu == 0) {
-      for (std::size_t w = 0; w < nw; ++w)
-        std::fill(out[idx[w]].values.begin(), out[idx[w]].values.end(), 0.0);
-      return;
+    const std::size_t npb = B[0]->prims_.size();
+    const std::size_t npk = K[0]->prims_.size();
+    const std::size_t neb = bs.entries.size();
+    const std::size_t nek = ks.entries.size();
+
+    // ---- Batch packing: values SoA. The bra lanes of a J/K row are one
+    // pair, so their data is packed once per run call, not per batch.
+    const bool new_bra =
+        !std::equal(B, B + kW, std::begin(tls.packed_bra));
+    if (new_bra) {
+      std::copy(B, B + kW, std::begin(tls.packed_bra));
+      const double pi52 = 2.0 * std::pow(std::numbers::pi, 2.5);
+      tls.bra_vals.resize(npb * neb * kW);
+      tls.bp_p.resize(npb * kW);
+      tls.bp_x.resize(npb * kW);
+      tls.bp_y.resize(npb * kW);
+      tls.bp_z.resize(npb * kW);
+      tls.bp_me.resize(npb * kW);
+      tls.bp_c.resize(npb * kW);
+      for (std::size_t p = 0; p < npb; ++p) {
+        double* vals = tls.bra_vals.data() + p * neb * kW;
+        for (std::size_t w = 0; w < kW; ++w) {
+          const auto& pr = B[w]->prims_[p];
+          tls.bp_p[p * kW + w] = pr.p;
+          tls.bp_x[p * kW + w] = pr.center.x;
+          tls.bp_y[p * kW + w] = pr.center.y;
+          tls.bp_z[p * kW + w] = pr.center.z;
+          tls.bp_me[p * kW + w] = pr.max_abs_e;
+          tls.bp_c[p * kW + w] = pi52 / pr.p;
+          const double* src = B[w]->vals_.data() + p * neb;
+          for (std::size_t e = 0; e < neb; ++e) vals[e * kW + w] = src[e];
+        }
+      }
     }
-    const std::size_t npb = b0.prims_.size();
-    const std::size_t npk = k0.prims_.size();
-
-    // ---- Batch packing: shared structure from lane 0, values SoA.
-    tls.rbase.resize(nu);
-    for (std::size_t pnt = 0; pnt < nu; ++pnt) {
-      const HermiteCoord c = b0.union_coords_[pnt];
-      tls.rbase[pnt] = static_cast<std::uint32_t>(
-          (static_cast<std::size_t>(c.t) * rn1 + c.u) * rn1 + c.v);
+    if (new_bra || tls.rbase_rn1 != rn1) {
+      // The panel holds only the union points a live bra entry reads.
+      tls.rbase_rn1 = rn1;
+      const std::vector<std::uint64_t>& live = live_mask(B, kW);
+      tls.point_of.assign(bs.union_coords.size(), 0);
+      for (std::size_t e = 0; e < neb; ++e)
+        if (is_live(live, e)) tls.point_of[bs.entries[e].upos] = 1;
+      tls.rbase.clear();
+      for (std::size_t pnt = 0; pnt < bs.union_coords.size(); ++pnt) {
+        if (!tls.point_of[pnt]) continue;
+        tls.point_of[pnt] = static_cast<std::uint32_t>(tls.rbase.size());
+        const HermiteCoord c = bs.union_coords[pnt];
+        tls.rbase.push_back(static_cast<std::uint32_t>(
+            (static_cast<std::size_t>(c.t) * rn1 + c.u) * rn1 + c.v));
+      }
+      collect_terms(bs, live, tls.bra_terms, tls.bra_begin,
+                    [](const HermiteEntry& h) {
+                      return tls.point_of[h.upos] * kW;
+                    });
     }
+    const std::size_t nu = tls.rbase.size();
+    collect_terms(ks, live_mask(K, nw), tls.ket_terms, tls.ket_begin,
+                  [rn1](const HermiteEntry& h) {
+                    return ((h.t * rn1 + h.u) * rn1 + h.v) * kW;
+                  });
 
-    tls.ent_off_b.resize(npb + 1);
-    tls.ent_off_b[0] = 0;
-    for (std::size_t p = 0; p < npb; ++p)
-      tls.ent_off_b[p + 1] = tls.ent_off_b[p] + b0.prims_[p].entries.size();
-    tls.ent_off_k.resize(npk + 1);
-    tls.ent_off_k[0] = 0;
-    for (std::size_t p = 0; p < npk; ++p)
-      tls.ent_off_k[p + 1] = tls.ent_off_k[p] + k0.prims_[p].entries.size();
-
-    const double pi52 = 2.0 * std::pow(std::numbers::pi, 2.5);
-    tls.bra_vals.resize(tls.ent_off_b[npb] * kW);
-    tls.ket_svals.resize(tls.ent_off_k[npk] * kW);
-    tls.bp_p.resize(npb * kW);
-    tls.bp_x.resize(npb * kW);
-    tls.bp_y.resize(npb * kW);
-    tls.bp_z.resize(npb * kW);
-    tls.bp_me.resize(npb * kW);
-    tls.bp_c.resize(npb * kW);
+    tls.ket_svals.resize(npk * nek * kW);
     tls.kp_p.resize(npk * kW);
     tls.kp_x.resize(npk * kW);
     tls.kp_y.resize(npk * kW);
     tls.kp_z.resize(npk * kW);
     tls.kp_me.resize(npk * kW);
     tls.kp_c.resize(npk * kW);
-    for (std::size_t p = 0; p < npb; ++p) {
-      double* vals = tls.bra_vals.data() + tls.ent_off_b[p] * kW;
-      for (std::size_t w = 0; w < kW; ++w) {
-        const auto& pr = B[w]->prims_[p];
-        tls.bp_p[p * kW + w] = pr.p;
-        tls.bp_x[p * kW + w] = pr.center.x;
-        tls.bp_y[p * kW + w] = pr.center.y;
-        tls.bp_z[p * kW + w] = pr.center.z;
-        tls.bp_me[p * kW + w] = pr.max_abs_e;
-        tls.bp_c[p * kW + w] = pi52 / pr.p;
-        for (std::size_t e = 0; e < pr.entries.size(); ++e)
-          vals[e * kW + w] = pr.entries[e].val;
-      }
-    }
     for (std::size_t p = 0; p < npk; ++p) {
-      double* svals = tls.ket_svals.data() + tls.ent_off_k[p] * kW;
+      double* svals = tls.ket_svals.data() + p * nek * kW;
       for (std::size_t w = 0; w < kW; ++w) {
         const auto& pr = K[w]->prims_[p];
         tls.kp_p[p * kW + w] = pr.p;
@@ -326,8 +349,9 @@ class BatchedEri {
         tls.kp_z[p * kW + w] = pr.center.z;
         tls.kp_me[p * kW + w] = pr.max_abs_e;
         tls.kp_c[p * kW + w] = 1.0 / pr.p;
-        for (std::size_t e = 0; e < pr.entries.size(); ++e)
-          svals[e * kW + w] = pr.entries[e].sval;
+        const double* src = K[w]->vals_.data() + p * nek;
+        for (std::size_t e = 0; e < nek; ++e)
+          svals[e * kW + w] = ks.entries[e].odd ? -src[e] : src[e];
       }
     }
 
@@ -383,26 +407,20 @@ class BatchedEri {
         // panel. The first contributing ket primitive stores instead of
         // adding (no zero-fill pass); entries fold in two at a time to
         // amortize the panel read-modify-write.
-        const auto& kp0 = k0.prims_[ki];
         const V8 vpref = pref;
-        const auto r_of = [r, rn1](const HermiteEntry& e) {
-          return r + ((static_cast<std::size_t>(e.t) * rn1 + e.u) * rn1 + e.v) *
-                         kW;
-        };
+        const double* sv = tls.ket_svals.data() + ki * nek * kW;
         for (std::size_t kc = 0; kc < nck; ++kc) {
           double* panel_kc = panel + kc * nu * kW;
-          const HermiteEntry* ke = kp0.entries.data() + kp0.comp_begin[kc];
-          const std::size_t ne = kp0.comp_begin[kc + 1] - kp0.comp_begin[kc];
-          const double* sv = tls.ket_svals.data() +
-                             (tls.ent_off_k[ki] + kp0.comp_begin[kc]) * kW;
+          const Term* kt = tls.ket_terms.data() + tls.ket_begin[kc];
+          const std::size_t ne = tls.ket_begin[kc + 1] - tls.ket_begin[kc];
           std::size_t e = 0;
           if (fresh) {
             if (ne == 0) {
               std::fill(panel_kc, panel_kc + nu * kW, 0.0);
               continue;
             }
-            const double* rk = r_of(ke[0]);
-            const V8 s0 = vpref * v8_load(sv);
+            const double* rk = r + kt[0].off;
+            const V8 s0 = vpref * v8_load(sv + kt[0].e * kW);
             for (std::size_t pnt = 0; pnt < nu; ++pnt)
               v8_store(panel_kc + pnt * kW,
                        s0 * v8_load(rk + static_cast<std::size_t>(rbase[pnt]) *
@@ -410,10 +428,10 @@ class BatchedEri {
             e = 1;
           }
           for (; e + 1 < ne; e += 2) {
-            const double* rk0 = r_of(ke[e]);
-            const double* rk1 = r_of(ke[e + 1]);
-            const V8 s0 = vpref * v8_load(sv + e * kW);
-            const V8 s1 = vpref * v8_load(sv + (e + 1) * kW);
+            const double* rk0 = r + kt[e].off;
+            const double* rk1 = r + kt[e + 1].off;
+            const V8 s0 = vpref * v8_load(sv + kt[e].e * kW);
+            const V8 s1 = vpref * v8_load(sv + kt[e + 1].e * kW);
             for (std::size_t pnt = 0; pnt < nu; ++pnt) {
               const std::size_t off = static_cast<std::size_t>(rbase[pnt]) * kW;
               double* pp = panel_kc + pnt * kW;
@@ -422,8 +440,8 @@ class BatchedEri {
             }
           }
           if (e < ne) {
-            const double* rk = r_of(ke[e]);
-            const V8 s0 = vpref * v8_load(sv + e * kW);
+            const double* rk = r + kt[e].off;
+            const V8 s0 = vpref * v8_load(sv + kt[e].e * kW);
             for (std::size_t pnt = 0; pnt < nu; ++pnt) {
               double* pp = panel_kc + pnt * kW;
               v8_store(pp, v8_load(pp) +
@@ -440,12 +458,10 @@ class BatchedEri {
       // Stage 2 — bra sparse dots against the folded panel, four ket
       // components per pass so each bra value load feeds four FMAs,
       // accumulated lane-wise into the SoA output blocks.
-      const auto& bp0 = b0.prims_[bi];
+      const double* bv = tls.bra_vals.data() + bi * neb * kW;
       for (std::size_t bc = 0; bc < ncb; ++bc) {
-        const HermiteEntry* be0 = bp0.entries.data() + bp0.comp_begin[bc];
-        const HermiteEntry* be1 = bp0.entries.data() + bp0.comp_begin[bc + 1];
-        const double* bv0 = tls.bra_vals.data() +
-                            (tls.ent_off_b[bi] + bp0.comp_begin[bc]) * kW;
+        const Term* bt0 = tls.bra_terms.data() + tls.bra_begin[bc];
+        const Term* bt1 = tls.bra_terms.data() + tls.bra_begin[bc + 1];
         double* arow = acc + bc * nck * kW;
         std::size_t kc = 0;
         for (; kc + 4 <= nck; kc += 4) {
@@ -454,14 +470,12 @@ class BatchedEri {
           const double* p2 = p1 + nu * kW;
           const double* p3 = p2 + nu * kW;
           V8 s0 = v8_zero(), s1 = v8_zero(), s2 = v8_zero(), s3 = v8_zero();
-          const double* bv = bv0;
-          for (const HermiteEntry* be = be0; be != be1; ++be, bv += kW) {
-            const std::size_t off = static_cast<std::size_t>(be->upos) * kW;
-            const V8 b = v8_load(bv);
-            s0 = s0 + b * v8_load(p0 + off);
-            s1 = s1 + b * v8_load(p1 + off);
-            s2 = s2 + b * v8_load(p2 + off);
-            s3 = s3 + b * v8_load(p3 + off);
+          for (const Term* bt = bt0; bt != bt1; ++bt) {
+            const V8 b = v8_load(bv + bt->e * kW);
+            s0 = s0 + b * v8_load(p0 + bt->off);
+            s1 = s1 + b * v8_load(p1 + bt->off);
+            s2 = s2 + b * v8_load(p2 + bt->off);
+            s3 = s3 + b * v8_load(p3 + bt->off);
           }
           double* a = arow + kc * kW;
           v8_store(a, v8_load(a) + s0);
@@ -472,11 +486,8 @@ class BatchedEri {
         for (; kc < nck; ++kc) {
           const double* panel_kc = panel + kc * nu * kW;
           V8 sum = v8_zero();
-          const double* bv = bv0;
-          for (const HermiteEntry* be = be0; be != be1; ++be, bv += kW)
-            sum = sum + v8_load(bv) *
-                            v8_load(panel_kc +
-                                    static_cast<std::size_t>(be->upos) * kW);
+          for (const Term* bt = bt0; bt != bt1; ++bt)
+            sum = sum + v8_load(bv + bt->e * kW) * v8_load(panel_kc + bt->off);
           double* a = arow + kc * kW;
           v8_store(a, v8_load(a) + sum);
         }
@@ -491,9 +502,9 @@ class BatchedEri {
   }
 };
 
-void eri_shell_quartet_batched(std::span<const QuartetRef> stream,
-                               EriBlock* out) {
-  BatchedEri::run(stream, out);
+std::size_t eri_shell_quartet_batched(std::span<const QuartetRef> stream,
+                                      EriBlock* out) {
+  return BatchedEri::run(stream, out);
 }
 
 }  // namespace mthfx::ints

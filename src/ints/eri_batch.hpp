@@ -8,9 +8,10 @@
 // recurrence and the two Hermite contraction stages would all run at
 // vector width 1. This entry point takes a whole quartet stream (a J/K
 // task's post-screening kets, or one row of Schwarz diagonals), groups
-// quartets whose pair expansions share an identical structural skeleton,
-// packs up to kBoysBatchWidth of them into SoA lanes, and runs every
-// kernel stage across the lanes with fixed-width vector loops. Results are written in
+// quartets whose bra and ket pairs share a class (one skeleton and one
+// primitive count, ShellPairHermite::class_id), packs up to
+// kBoysBatchWidth of them into SoA lanes, and runs every kernel stage
+// across the lanes with fixed-width vector loops. Results are written in
 // the caller's stream order.
 //
 // Per batch, for each bra primitive: every surviving ket primitive
@@ -26,16 +27,23 @@
 // tabulated.
 //
 // Batch formation (see docs/hfx_scheme.md, "Batch formation"):
-//   1. sort the stream by the (bra, ket) structure_key() pair, ties by
-//      stream index,
-//   2. close a batch at kBoysBatchWidth lanes or at the first entry whose
-//      bra or ket is neither lane 0's pointer nor structurally equal to
-//      it (full same_structure walk: the hash only orders),
+//   1. sort the stream by the (bra, ket) class ids, ties by stream index,
+//   2. close a batch at kBoysBatchWidth lanes or where either class
+//      changes,
 //   3. pad ragged tails by replicating lane 0 with a zero prefactor.
+// A batch evaluates only the skeleton entries some lane's pair has
+// nonzero (ShellPairHermite::live_), and its panel holds only the bra
+// union points those entries read, so a batch whose pairs all leave a
+// slot empty (a same-centre pair batched alone, a J/K row's one bra)
+// does no work for it. A batch whose bra lanes are the previous batch's
+// (every batch of a J/K row) reuses their packed data and entry lists
+// within one call.
 // Each lane's block is a pure function of its own (bra, ket): lanes share
-// control flow only, and a cut-off or padded lane adds exact zeros. The
-// same quartet gives the same bits whatever batch it rides in, which the
-// J/K build's bit-identity across thread counts and schedules rests on.
+// control flow only, and a cut-off or padded lane, or a skeleton slot the
+// lane's pair leaves empty, adds exact zeros. The same quartet gives the
+// same bits whatever batch it rides in (up to the sign of exactly zero
+// elements), which the J/K build's bit-identity across thread counts and
+// schedules rests on.
 
 #include <cstddef>
 #include <span>
@@ -52,10 +60,11 @@ struct QuartetRef {
 };
 
 /// Evaluate every quartet in `stream`, writing stream[i]'s block into
-/// out[i] (EriBlock layout). Buffers inside out[i] and
+/// out[i] (EriBlock layout), and return the number of batches run
+/// (stream.size() / batches is the lane fill). Buffers inside out[i] and
 /// the kernel scratch are reused across calls — the hot path performs no
 /// allocation once capacities are warm.
-void eri_shell_quartet_batched(std::span<const QuartetRef> stream,
-                               EriBlock* out);
+std::size_t eri_shell_quartet_batched(std::span<const QuartetRef> stream,
+                                      EriBlock* out);
 
 }  // namespace mthfx::ints

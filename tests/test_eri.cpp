@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <random>
+#include <utility>
 #include <vector>
 
 #include "chem/basis.hpp"
@@ -252,16 +253,74 @@ TEST(EriBatched, RepeatedCallsAreDeterministic) {
           << "quartet=" << q << " element=" << v;
 }
 
+TEST(EriBatched, OneBatchPerAngularClass) {
+  // Eight (pp| kets of one class whose parity patterns differ: pairs on
+  // one centre, pairs whose centres differ along one or two axes only,
+  // pairs with equal exponents on both shells, and generic pairs. They
+  // share one skeleton, so they run as one full batch, and every block
+  // matches its one-quartet evaluation bit for bit and the dense oracle
+  // to 1e-12.
+  const std::vector<double> e1{3.1, 0.92, 0.27}, e2{2.3, 0.64, 0.19};
+  const std::vector<double> c{0.3, 0.5, 0.3};
+  const auto p = [&](const std::vector<double>& e, chem::Vec3 at) {
+    return chem::Shell(1, 0, at, e, c);
+  };
+  const chem::Vec3 a{0.1, -0.2, 0.3};
+  const std::vector<std::pair<chem::Shell, chem::Shell>> kets{
+      {p(e1, a), p(e1, a)},                         // one shell, same centre
+      {p(e1, a), p(e2, a)},                         // same centre
+      {p(e1, a), p(e2, {0.1, -0.2, 1.7})},          // differ in z only
+      {p(e1, a), p(e2, {0.1, 0.9, 1.2})},           // x difference exactly 0
+      {p(e1, a), p(e1, {0.8, 0.4, -0.6})},          // equal exponents
+      {p(e2, {1.1, 0.2, 0.0}), p(e2, {1.1, 0.2, 1.4})},  // both at once
+      {p(e1, a), p(e2, {0.9, 0.7, -0.5})},          // generic
+      {p(e2, {-0.6, 1.3, 0.8}), p(e1, {0.5, -0.4, 1.9})},  // generic
+  };
+  const chem::Shell sa(2, 0, {0.7, 0.2, -0.4}, e1, c);
+  const chem::Shell sb(1, 0, {-0.3, 0.8, 0.5}, e2, c);
+  const ints::ShellPairHermite bra(sa, sb);
+  const mt::DenseHermitePair dense_bra(sa, sb);
+
+  std::vector<ints::ShellPairHermite> pairs;
+  for (const auto& [x, y] : kets) pairs.emplace_back(x, y);
+  std::vector<ints::QuartetRef> stream;
+  for (const auto& ket : pairs) {
+    EXPECT_EQ(ket.class_id(), pairs[0].class_id());
+    stream.push_back({&bra, &ket});
+  }
+  std::vector<ints::EriBlock> out(stream.size());
+  EXPECT_EQ(ints::eri_shell_quartet_batched({stream.data(), stream.size()},
+                                            out.data()),
+            1u);
+
+  ints::EriBlock alone, ref;
+  for (std::size_t k = 0; k < kets.size(); ++k) {
+    EXPECT_EQ(ints::eri_shell_quartet_batched({&stream[k], 1}, &alone), 1u);
+    mt::dense_reference_quartet(
+        dense_bra, mt::DenseHermitePair(kets[k].first, kets[k].second), ref);
+    ASSERT_EQ(out[k].values.size(), ref.values.size());
+    for (std::size_t v = 0; v < ref.values.size(); ++v) {
+      EXPECT_EQ(out[k].values[v], alone.values[v])
+          << "ket=" << k << " element=" << v;
+      EXPECT_NEAR(out[k].values[v], ref.values[v], 1e-12)
+          << "ket=" << k << " element=" << v;
+    }
+  }
+}
+
 TEST(EriBatched, BlockIndependentOfStreamCompanions) {
   // J/K's bit-identity across thread counts and schedules rests on each
   // lane's block being a pure function of its own (bra, ket): the same
   // quartet must give the same bits alone, inside its bra row's stream
   // (the J/K task shape) and inside a shuffled stream that mixes every
   // s/p/d pair class, ragged tails and partly cut-off primitive lanes.
+  // Same-centre pairs, axis-aligned pairs (C-O along z, C/O/H in the
+  // y = 0 plane) and generic pairs (the second H) share batches.
   chem::Molecule m;
   m.add_atom(6, {0, 0, 0});
   m.add_atom(8, {0, 0, 2.1});
   m.add_atom(1, {1.8, 0, -0.7});
+  m.add_atom(1, {-1.1, 1.5, 2.6});
   const auto basis = chem::BasisSet::build(m, "6-31g*");
   const std::size_t ns = basis.num_shells();
   std::vector<ints::ShellPairHermite> pairs;
