@@ -11,10 +11,11 @@
 // molecular row repeats the same contraction pattern across atoms, so
 // the batched kernel runs full-width (8-lane) batches.
 //
-// Also records the J/K row shape (every Schwarz-live bra row of DMSO
-// STO-3G, one stream per row: quartets/s and lanes per batch) and the
-// reduce-phase scaling (hfx.reduce_seconds at 1 vs 8 threads) for the
-// row-blocked tree reduction.
+// Also records the J/K stream shapes (every Schwarz-live bra row of DMSO
+// STO-3G, streamed one row per call and in the builder's stream groups:
+// quartets/s and lanes per batch) and the reduce-phase scaling
+// (hfx.reduce_seconds at 1 vs 8 threads) for the row-blocked tree
+// reduction.
 //
 // `--smoke` runs the table with small iteration counts and exits nonzero
 // on any batched/dense disagreement — the counts-only CI
@@ -229,59 +230,99 @@ obs::Json mixed_workload(bool smoke, bool* agreement_ok) {
   return row;
 }
 
-// The J/K task shape: every Schwarz-live bra row of DMSO STO-3G at
-// eps 1e-9 (no density screen), one batched stream per row, as the J/K
-// build runs them. Lanes per batch = quartets / batches.
-obs::Json jk_rows(bool smoke) {
-  bench::print_header(
-      "A7: J/K rows, DMSO STO-3G, every Schwarz-live ket (eps 1e-9)");
-  const double eps = 1e-9;
+// The J/K stream shapes on DMSO STO-3G at eps 1e-9 (no density screen):
+// every Schwarz-live ket of every bra row, streamed one row per call
+// (`jk_rows`, the shape before stream groups) and the way a builder on
+// a pool of several threads groups them (`jk_chunks`: consecutive rows of
+// one chunk of the builder's cut, closed at kStreamGroupQuartets
+// quartets or the chunk's end; on one thread groups also span chunk
+// ends). Lanes per batch = quartets / batches.
+struct JkStreams {
+  std::vector<ShellPairHermite> hermites;
+  std::vector<std::vector<ints::QuartetRef>> rows, groups;
+  std::size_t chunks = 0, quartets = 0;
+};
+
+JkStreams jk_streams(double eps) {
   const auto basis =
       chem::BasisSet::build(workload::by_name("dmso"), "sto-3g");
-  const auto pairs = hfx::ShellPairList::culled(basis, eps);
-  std::vector<ShellPairHermite> hermites;
-  hermites.reserve(pairs.size());
+  hfx::HfxOptions opts;
+  opts.eps_schwarz = eps;
+  opts.num_threads = 1;
+  const hfx::FockBuilder builder(basis, opts);  // its pairs and chunk cut
+  const hfx::ShellPairList& pairs = builder.pairs();
+  JkStreams s;
+  s.hermites.reserve(pairs.size());
   for (const hfx::ShellPair& pr : pairs.pairs())
-    hermites.emplace_back(basis.shell(pr.sa), basis.shell(pr.sb));
-
-  std::vector<std::vector<ints::QuartetRef>> rows(pairs.size());
-  std::size_t quartets = 0;
+    s.hermites.emplace_back(basis.shell(pr.sa), basis.shell(pr.sb));
+  s.rows.resize(pairs.size());
   for (std::size_t b = 0; b < pairs.size(); ++b) {
     for (std::size_t k = 0; k < pairs.live_end(b, eps); ++k)
-      rows[b].push_back({&hermites[b], &hermites[k]});
-    quartets += rows[b].size();
+      s.rows[b].push_back({&s.hermites[b], &s.hermites[k]});
+    s.quartets += s.rows[b].size();
   }
-  std::vector<ints::EriBlock> out(pairs.size());
+  // Rows and tasks coincide at the default task grain.
+  std::size_t b = 0;
+  for (const std::size_t chunk_end : builder.task_chunk_ends()) {
+    while (b < chunk_end) {
+      std::vector<ints::QuartetRef>& group = s.groups.emplace_back();
+      for (; b < chunk_end && group.size() < hfx::kStreamGroupQuartets; ++b)
+        group.insert(group.end(), s.rows[b].begin(), s.rows[b].end());
+    }
+  }
+  s.chunks = builder.task_chunk_ends().size();
+  return s;
+}
+
+// Times one pass over `streams` (one kernel call each), `sweeps` times.
+obs::Json time_streams(const char* unit,
+                       const std::vector<std::vector<ints::QuartetRef>>& streams,
+                       std::size_t quartets, int sweeps) {
+  std::vector<ints::EriBlock> out;
   std::size_t batches = 0;
-  const int sweeps = smoke ? 1 : 20;
   const double t = seconds_for(
       [&] {
         batches = 0;
-        for (const auto& row : rows) {
-          if (out.size() < row.size()) out.resize(row.size());
-          batches += ints::eri_shell_quartet_batched({row.data(), row.size()},
-                                                     out.data());
+        for (const auto& stream : streams) {
+          if (out.size() < stream.size()) out.resize(stream.size());
+          batches += ints::eri_shell_quartet_batched(
+              {stream.data(), stream.size()}, out.data());
         }
       },
       sweeps);
   const double qps = static_cast<double>(quartets * sweeps) / t;
   const double lanes =
       static_cast<double>(quartets) / static_cast<double>(batches);
-  std::printf("%-8s %-10s %-10s %-13s %-8s\n", "rows", "quartets",
-              "batches", "batched q/s", "lanes");
-  bench::print_rule();
-  std::printf("%-8zu %-10zu %-10zu %-13.3e %-8.2f\n", rows.size(), quartets,
-              batches, qps, lanes);
+  std::printf("%-8s %-8zu %-10zu %-10zu %-13.3e %-8.2f\n", unit,
+              streams.size(), quartets, batches, qps, lanes);
   obs::Json row = obs::Json::object();
   row["species"] = "dmso";
   row["basis"] = "sto-3g";
-  row["eps_schwarz"] = eps;
-  row["rows"] = rows.size();
+  row[unit] = streams.size();
   row["quartets"] = quartets;
   row["batches"] = batches;
   row["lanes_per_batch"] = lanes;
   row["batched_quartets_per_second"] = qps;
   return row;
+}
+
+void jk_stream_rows(bool smoke, obs::Json& record) {
+  bench::print_header(
+      "A7: J/K streams, DMSO STO-3G, every Schwarz-live ket (eps 1e-9)");
+  const double eps = 1e-9;
+  const JkStreams s = jk_streams(eps);
+  const int sweeps = smoke ? 1 : 20;
+  std::printf("%-8s %-8s %-10s %-10s %-13s %-8s\n", "stream", "calls",
+              "quartets", "batches", "batched q/s", "lanes");
+  bench::print_rule();
+  obs::Json rows = time_streams("rows", s.rows, s.quartets, sweeps);
+  rows["eps_schwarz"] = eps;
+  obs::Json chunks = time_streams("groups", s.groups, s.quartets, sweeps);
+  chunks["eps_schwarz"] = eps;
+  chunks["chunks"] = s.chunks;
+  chunks["group_quartets"] = hfx::kStreamGroupQuartets;
+  record["jk_rows"] = std::move(rows);
+  record["jk_chunks"] = std::move(chunks);
 }
 
 // Reduce-phase scaling: hfx.reduce_seconds at 1 vs 8 threads for the
@@ -362,7 +403,7 @@ int main(int argc, char** argv) {
   record["bench"] = "hfx_kernel";
   record["throughput_by_class"] = throughput_table(smoke, &agreement_ok);
   record["mixed_workload"] = mixed_workload(smoke, &agreement_ok);
-  record["jk_rows"] = jk_rows(smoke);
+  jk_stream_rows(smoke, record);
   record["reduce_scaling"] = reduce_scaling(smoke);
   if (!smoke) bench::write_bench_json("hfx_kernel", record);
 

@@ -33,8 +33,10 @@ export ASAN_OPTIONS="halt_on_error=1:detect_leaks=1:strict_string_checks=1"
 "$BUILD_DIR"/tests/test_parallel
 "$BUILD_DIR"/tests/test_obs
 # Scheduler-facing subset of test_hfx (the integral-heavy numerics are
-# slow under ASan and exercised by the plain build anyway).
-"$BUILD_DIR"/tests/test_hfx --gtest_filter='SchedulerExactness*:Schedulers.*:AllSchedules/*'
+# slow under ASan and exercised by the plain build anyway), plus the
+# stream-group builds: per-thread group state and the slices digested
+# out of the grow-only block buffers.
+"$BUILD_DIR"/tests/test_hfx --gtest_filter='SchedulerExactness*:Schedulers.*:AllSchedules/*:FockBuilder.SmallBuildRunsAsOneStream:FockBuilder.TaskCostsCoverKernelTime'
 # Small-iteration property subset: random shapes drive allocation-heavy
 # paths (tensor buffers, shrinker copies) through ASan without the full
 # 50-case budget.

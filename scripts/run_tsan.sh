@@ -30,11 +30,12 @@ export TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1"
 "$BUILD_DIR"/tests/test_parallel
 "$BUILD_DIR"/tests/test_obs
 # Scheduler-facing subset of test_hfx: exactly-once execution under
-# contention plus steal-stat consistency, and one small J/K build per
+# contention plus steal-stat consistency, and small J/K builds per
 # schedule at 1 to 8 threads, whose chunk partials merge as siblings
-# finish on different threads. The rest of the integral-heavy numerics
-# is slow under TSan and thread-free anyway.
-"$BUILD_DIR"/tests/test_hfx --gtest_filter='SchedulerExactness*:Schedulers.*:AllSchedules/*:FockBuilder.AllSchedulesAndThreadCountsAgreeTightly'
+# finish on different threads and whose stream groups live in per-thread
+# state. The rest of the integral-heavy numerics is slow under TSan and
+# thread-free anyway.
+"$BUILD_DIR"/tests/test_hfx --gtest_filter='SchedulerExactness*:Schedulers.*:AllSchedules/*:FockBuilder.AllSchedulesAndThreadCountsAgreeTightly:FockBuilder.SmallBuildRunsAsOneStream:FockBuilder.TaskCostsCoverKernelTime'
 # XC point chunks: integrate, integrate_spin and gradient at 1 to 8
 # threads, each chunk's partial merged as siblings finish, and RKS/UKS
 # PBE0 solves whose J/K builds and XC share the builder's one pool.
@@ -51,9 +52,10 @@ export TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1"
 # Retry/exactly-once-commit paths of the fault suite: concurrent task
 # failure, in-place retry, and attempt accounting across every schedule,
 # plus retried and poisoned tasks of a dense builder and of a culled
-# builder's density-linked walk.
+# builder's density-linked walk, and of the task that opens a stream
+# group.
 "$BUILD_DIR"/tests/test_fault \
-  --gtest_filter='AllSchedules/*:Schedulers.*:FockBuilder.FaultInjectedExchangeMatchesCleanRun:FockBuilder.CorruptionWithoutValidationPoisonsOutput'
+  --gtest_filter='AllSchedules/*:Schedulers.*:FockBuilder.FaultInjectedExchangeMatchesCleanRun:FockBuilder.CorruptionWithoutValidationPoisonsOutput:FockBuilder.FaultOnFirstTaskOfStreamGroupMatchesCleanRun'
 # Screening-engine concurrency surface: blocking queue handoff, worker
 # pool vs. submitter races, result-cache sharing, per-job fault domains,
 # and the fair-share tests, where a pop blocked at a tenant's in-flight

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
-#include <tuple>
 #include <unordered_map>
 #include <utility>
 
@@ -146,9 +145,9 @@ void expand_missing(
       hermites[i].emplace(basis.shell(pairs[i].sa), basis.shell(pairs[i].sb));
 }
 
-// One task per bra row unless a dense caller asks for finer tasks:
-// chunked rows leave the batched kernel's 8-wide batches mostly padding,
-// and blocked builders always run rows, the unit the link walk enumerates.
+// One task per bra row unless a dense caller asks for finer tasks (stream
+// groups give those the same kernel batches rows get); blocked builders
+// always run rows, the unit the link walk enumerates.
 std::vector<QuartetTask> builder_tasks(const BasisSet& basis,
                                        const ShellPairList& pairs,
                                        const HfxOptions& options,
@@ -156,6 +155,19 @@ std::vector<QuartetTask> builder_tasks(const BasisSet& basis,
   return make_tasks(basis, pairs, blocked ? 0.0 : options.target_task_cost,
                     options.eps_schwarz);
 }
+
+// A thread's stream buffers: the kets, quartets, blocks and per-quartet
+// kernel seconds of the stream group it last evaluated. Grow-only and
+// per thread, so warm builds do not allocate; which tasks they hold is
+// the build's StreamGroup state.
+struct StreamBuffers {
+  std::vector<std::uint32_t> candidates;  // link-walk proposals of one row
+  std::vector<std::uint32_t> kets;        // survivors, task after task
+  std::vector<ints::QuartetRef> stream;
+  std::vector<ints::EriBlock> blocks;
+  std::vector<double> seconds;
+};
+thread_local StreamBuffers stream_buffers;
 
 // Density-linked (LinK-style) ket source of blocked builders.
 //
@@ -488,22 +500,32 @@ JkResult FockBuilder::build(const Matrix& density, bool want_coulomb) const {
   // along the fixed tree over chunk indices as they finish. Only the
   // order of the chunk list and of the tasks in it reaches the sum, so J
   // and K are bitwise independent of thread count and schedule.
+  //
+  // The schedule hands out runs of whole chunks, and a thread opens and
+  // finishes the chunks of its run in turn (chunk[tid]). A pool of one
+  // thread runs every chunk as one run, so its stream groups span chunk
+  // ends; a larger pool gets one run per chunk, the grain that balances
+  // it. Runs move no bit of J or K.
   const auto zero_partial = [&] {
     return JkPartial{Matrix(nao, nao),
                      want_coulomb ? Matrix(nao, nao) : Matrix()};
   };
   std::vector<JkPartial> open(nthreads);
-  TaskChunks chunks;
-  chunks.end = chunk_end_;
-  parallel::TreeMerge<JkPartial> merge(chunks.end.size());
+  std::vector<std::size_t> chunk(nthreads, 0);
+  parallel::TreeMerge<JkPartial> merge(chunk_end_.size());
   const obs::Timer reduce_timer = registry.timer("hfx.reduce_seconds");
-  chunks.begin = [&](std::size_t, std::size_t tid) {
-    open[tid] = merge.open(zero_partial);
-  };
-  chunks.finish = [&](std::size_t chunk, std::size_t tid) {
+  const auto finish_chunk = [&](std::size_t tid) {
     obs::ScopedTimer reduce(reduce_timer, tid);
-    merge.finish(chunk, std::move(open[tid]));
+    merge.finish(chunk[tid], std::move(open[tid]));
   };
+  const auto next_chunk = [&](std::size_t tid) {
+    finish_chunk(tid);
+    open[tid] = merge.open(zero_partial);
+    ++chunk[tid];
+  };
+  const bool one_run = nthreads == 1 && !chunk_end_.empty();
+  TaskChunks runs;
+  runs.end = one_run ? std::vector<std::size_t>{chunk_end_.back()} : chunk_end_;
 
   // Transactional commit: a task's partial is saved before it digests
   // and restored if the task throws or leaves a non-finite value, so a
@@ -513,24 +535,55 @@ JkResult FockBuilder::build(const Matrix& density, bool want_coulomb) const {
   const bool transactional = options_.validate_tasks;
   std::vector<JkPartial> saved(transactional ? nthreads : 0);
 
-  // Screens, evaluates and digests one task into `acc`. Returns the end
-  // of the task's Schwarz-live ket range, the quartets computed and the
-  // kernel batches they ran in.
-  const auto digest_task = [&](const QuartetTask& task, std::size_t tid,
-                               JkPartial& acc) {
+  // Stream groups: one batched kernel call per stretch of consecutive
+  // tasks of a run, so a small build's rows share 8-wide batches. A task
+  // whose slice its thread has not evaluated opens a group: it screens
+  // tasks from itself on until the group holds kStreamGroupQuartets
+  // survivors or the run ends, and evaluates them all in its own body,
+  // so an evaluation error is that task's failure and its retry evaluates
+  // again. Each task then digests its own slice from the group's blocks,
+  // in task order; a retried task re-digests them. A block is a pure
+  // function of its own (bra, ket) (eri_batch.hpp), so how tasks group
+  // moves no bit of J or K.
+  struct Slice {
+    std::size_t live = 0;            // end of the task's Schwarz-live kets
+    std::size_t begin = 0, end = 0;  // its survivors in the group stream
+    double screen_seconds = 0.0;
+  };
+  struct StreamGroup {
+    std::size_t run_end = 0;  // end of the run the thread runs
+    std::size_t first = 0;    // tasks [first, first + slices.size())
+    std::vector<Slice> slices;
+    bool evaluated = false;
+    std::uint64_t batches = 0;  // kernel batches no finished task counted
+    bool holds(std::size_t task) const {
+      return evaluated && task >= first && task - first < slices.size();
+    }
+  };
+  std::vector<StreamGroup> groups(nthreads);
+  runs.begin = [&](std::size_t run, std::size_t tid) {
+    chunk[tid] = one_run ? 0 : run;
+    open[tid] = merge.open(zero_partial);
+    groups[tid].run_end = runs.end[run];
+  };
+  runs.finish = [&](std::size_t run, std::size_t tid) {
+    const std::size_t last = one_run ? chunk_end_.size() - 1 : run;
+    while (chunk[tid] < last) next_chunk(tid);
+    finish_chunk(tid);
+  };
+  const bool timed = options_.record_task_costs;
+
+  // Appends one task's density-screen survivors to buf.kets and returns
+  // the end of its Schwarz-live ket range. Kets in [ket_begin, live) pass
+  // the Schwarz bound; the rest of the task's range fails it (pairs are
+  // sorted by descending q) and is counted as screened without a visit.
+  // Survivors are collected in ascending ket order, whichever source
+  // proposed them.
+  const auto screen_task = [&](const QuartetTask& task, std::size_t tid,
+                               StreamBuffers& buf) {
     const ShellPair& bra = pairs_[task.bra];
-    // Kets in [ket_begin, live) pass the Schwarz bound; the rest of the
-    // task's range fails it (pairs are sorted by descending q) and is
-    // counted as screened without a visit. Survivors of the density test
-    // are collected in ascending ket order, evaluated together, and
-    // digested in that order whichever source proposed them.
     const std::size_t live = std::clamp<std::size_t>(
         pairs_.live_end(task.bra, eps), task.ket_begin, task.ket_end);
-    thread_local std::vector<std::uint32_t> candidates;
-    thread_local std::vector<std::uint32_t> survivors;
-    thread_local std::vector<ints::QuartetRef> stream;
-    thread_local std::vector<ints::EriBlock> blocks;
-    survivors.clear();
     const auto screen = [&](std::uint32_t kk) {
       if (density_screening) {
         const ShellPair& ket = pairs_[kk];
@@ -542,30 +595,60 @@ JkResult FockBuilder::build(const Matrix& density, bool want_coulomb) const {
                          : xbound;
         if (bra.q * ket.q * pmax < eps) return;
       }
-      survivors.push_back(kk);
+      buf.kets.push_back(kk);
     };
     if (walk) {
-      walk->candidates(task.bra, live, walk_scratch[tid], candidates);
-      for (const std::uint32_t kk : candidates) screen(kk);
+      walk->candidates(task.bra, live, walk_scratch[tid], buf.candidates);
+      for (const std::uint32_t kk : buf.candidates) screen(kk);
     } else {
       for (std::uint32_t kk = task.ket_begin; kk < live; ++kk) screen(kk);
     }
+    return live;
+  };
 
-    // One batched kernel call evaluates every survivor of the task.
-    stream.clear();
-    for (const std::uint32_t kk : survivors)
-      stream.push_back({&*pair_hermites_[task.bra], &*pair_hermites_[kk]});
-    if (blocks.size() < survivors.size()) blocks.resize(survivors.size());
-    const std::size_t batches = ints::eri_shell_quartet_batched(
-        {stream.data(), stream.size()}, blocks.data());
-    for (std::size_t i = 0; i < survivors.size(); ++i) {
-      const ShellPair& ket = pairs_[survivors[i]];
-      digest_quartet(*basis_, bra.sa, bra.sb, ket.sa, ket.sb, blocks[i],
+  // Opens the group at task `first` on thread `tid` and evaluates it.
+  const auto evaluate_group = [&](std::size_t first, std::size_t tid) {
+    StreamGroup& g = groups[tid];
+    StreamBuffers& buf = stream_buffers;
+    g.evaluated = false;
+    g.first = first;
+    g.slices.clear();
+    buf.kets.clear();
+    buf.stream.clear();
+    for (std::size_t t = first;
+         t < g.run_end && buf.kets.size() < kStreamGroupQuartets; ++t) {
+      const obs::Stopwatch watch;
+      Slice slice;
+      slice.begin = buf.kets.size();
+      slice.live = screen_task(tasks_[t], tid, buf);
+      slice.end = buf.kets.size();
+      const ints::ShellPairHermite* bra = &*pair_hermites_[tasks_[t].bra];
+      for (std::size_t k = slice.begin; k < slice.end; ++k)
+        buf.stream.push_back({bra, &*pair_hermites_[buf.kets[k]]});
+      if (timed) slice.screen_seconds = watch.seconds();
+      g.slices.push_back(slice);
+    }
+    const std::size_t n = buf.stream.size();
+    if (buf.blocks.size() < n) buf.blocks.resize(n);
+    if (timed) buf.seconds.resize(n);
+    g.batches = ints::eri_shell_quartet_batched(
+        {buf.stream.data(), n}, buf.blocks.data(),
+        timed ? buf.seconds.data() : nullptr);
+    g.evaluated = true;
+  };
+
+  // Digests one task's slice of its thread's evaluated group into `acc`.
+  const auto digest_slice = [&](const QuartetTask& task, const Slice& slice,
+                                JkPartial& acc) {
+    const StreamBuffers& buf = stream_buffers;
+    const ShellPair& bra = pairs_[task.bra];
+    for (std::size_t k = slice.begin; k < slice.end; ++k) {
+      const ShellPair& ket = pairs_[buf.kets[k]];
+      digest_quartet(*basis_, bra.sa, bra.sb, ket.sa, ket.sb, buf.blocks[k],
                      density, want_coulomb ? &acc.j : nullptr, acc.k,
-                     /*braket_same=*/survivors[i] == task.bra,
+                     /*braket_same=*/buf.kets[k] == task.bra,
                      eps_contribution);
     }
-    return std::tuple{live, survivors.size(), batches};
   };
 
   auto run_task = [&](std::size_t task_index, std::size_t tid) {
@@ -579,12 +662,17 @@ JkResult FockBuilder::build(const Matrix& density, bool want_coulomb) const {
       poison = injector_->apply(site, attempt);
     }
     const QuartetTask& task = tasks_[task_index];
+    StreamGroup& group = groups[tid];
+    while (task_index >= chunk_end_[chunk[tid]]) next_chunk(tid);
     JkPartial& acc = open[tid];
     if (transactional) saved[tid] = acc;
     const obs::Stopwatch watch;
-    std::size_t live = 0, computed = 0, batches = 0;
+    double digest_seconds = 0.0;
     try {
-      std::tie(live, computed, batches) = digest_task(task, tid, acc);
+      if (!group.holds(task_index)) evaluate_group(task_index, tid);
+      const obs::Stopwatch digest_watch;
+      digest_slice(task, group.slices[task_index - group.first], acc);
+      if (timed) digest_seconds = digest_watch.seconds();
       // A kCorrupt fault models silent data corruption in the task's
       // output. With validation on, the isfinite sweep catches it and the
       // retry path heals it; with validation off it lands in K, which is
@@ -599,16 +687,24 @@ JkResult FockBuilder::build(const Matrix& density, bool want_coulomb) const {
     }
     // Tallies, timing, and cost records flush only on this success path;
     // a throw above leaves them untouched so retries never double-count.
-    const double secs = watch.seconds();
-    busy_timer.add_seconds(tid, secs);
+    // The group's batches go to the first of its tasks to finish.
+    const Slice& slice = group.slices[task_index - group.first];
+    const std::size_t computed = slice.end - slice.begin;
+    busy_timer.add_seconds(tid, watch.seconds());
     c_considered.add(tid, task.ket_end - task.ket_begin);
-    c_schwarz.add(tid, task.ket_end - live);
-    c_density.add(tid, live - task.ket_begin - computed);
+    c_schwarz.add(tid, task.ket_end - slice.live);
+    c_density.add(tid, slice.live - task.ket_begin - computed);
     c_computed.add(tid, computed);
-    c_batches.add(tid, batches);
-    if (options_.record_task_costs)
+    c_batches.add(tid, std::exchange(group.batches, 0));
+    if (timed) {
+      // Seconds this task cost: its quartets' kernel shares plus its own
+      // screening and digestion, wherever its group was evaluated.
+      double secs = slice.screen_seconds + digest_seconds;
+      for (std::size_t k = slice.begin; k < slice.end; ++k)
+        secs += stream_buffers.seconds[k];
       result.stats.task_costs[task_index] = {
           static_cast<std::uint32_t>(task_index), task.est_cost, secs};
+    }
   };
 
   const std::uint64_t pre_failures = injector_ ? injector_->failures() : 0;
@@ -618,7 +714,7 @@ JkResult FockBuilder::build(const Matrix& density, bool want_coulomb) const {
   {
     obs::Trace::Scope task_span(obs::global_trace(), "jk.tasks");
     obs::ScopedTimer wall(registry.timer("hfx.wall_seconds"), 0);
-    execute_tasks(pool_, chunks, options_.schedule, run_task, &registry,
+    execute_tasks(pool_, runs, options_.schedule, run_task, &registry,
                   RetryOptions{.max_retries = options_.fault.max_retries});
   }
   std::optional<JkPartial> total = merge.take();

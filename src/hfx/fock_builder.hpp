@@ -8,9 +8,13 @@
 // into its own J/K partial, and the partials merge along a fixed binary
 // tree over chunk indices as siblings finish (the paper's thread-private
 // partial blocks reduced along a tree; the BG/Q simulator models that
-// reduction at scale). The schedule only decides which thread runs which
-// chunk, so J and K are bit-identical for any thread count and schedule.
-// Each builder owns one thread pool for all its builds.
+// reduction at scale). The schedule hands runs of whole chunks to
+// threads, and within a run consecutive tasks share one batched ERI
+// kernel call (a stream group, kStreamGroupQuartets). The schedule only
+// decides which thread runs which chunk, and a block does not depend on
+// the group it was evaluated in, so J and K are bit-identical for any
+// thread count and schedule. Each builder owns one thread pool for all
+// its builds.
 
 #include <atomic>
 #include <cstddef>
@@ -29,6 +33,13 @@
 #include "parallel/thread_pool.hpp"
 
 namespace mthfx::hfx {
+
+/// Density-screen survivors a J/K stream group collects: the group runs
+/// consecutive tasks of one run through one batched kernel call and
+/// closes at the first task boundary where it holds at least this many
+/// quartets, or at the run's end. A pool of one thread runs the whole
+/// build as one run; a larger pool runs each chunk as its own run.
+inline constexpr std::size_t kStreamGroupQuartets = 256;
 
 /// How tasks are mapped to threads. kDynamicBag is the paper's scheme;
 /// kStaticBlock/kStaticCyclic are the "directly comparable" baselines; the
@@ -79,13 +90,16 @@ struct HfxOptions {
   bool density_screening = true;  ///< stage-two |P|-weighted screening
   HfxSchedule schedule = HfxSchedule::kDynamicBag;
   std::size_t num_threads = 0;    ///< 0 selects hardware concurrency
-  /// Task granularity. 0 runs one task per bra row, which keeps the
-  /// batched kernel's batches full. A positive value splits dense rows
-  /// into tasks of about that estimated cost (1 is the finest grain, used
-  /// to calibrate the BG/Q projections). Culled builders ignore it: they
-  /// always run rows, the unit the density-linked walk enumerates.
+  /// Task granularity. 0 runs one task per bra row. A positive value
+  /// splits dense rows into tasks of about that estimated cost (1 is the
+  /// finest grain, used to calibrate the BG/Q projections); stream groups
+  /// still hand the kernel the same batches. Culled builders ignore it:
+  /// they always run rows, the unit the density-linked walk enumerates.
   double target_task_cost = 0.0;
-  bool record_task_costs = false; ///< collect per-task timings (for bgq sim)
+  /// Collect per-task seconds (for the bgq simulator): a task's kernel
+  /// shares (eri_shell_quartet_batched's per-quartet seconds) plus its own
+  /// screening and digestion, whichever task evaluated its stream group.
+  bool record_task_costs = false;
 
   /// Seeded fault injection (off by default: all rates zero). max_retries
   /// also bounds retries of *genuine* task failures, with or without
@@ -212,6 +226,11 @@ class FockBuilder {
   const chem::BasisSet& basis() const { return *basis_; }
   const ShellPairList& pairs() const { return pairs_; }
   const std::vector<QuartetTask>& tasks() const { return tasks_; }
+  /// Chunk ends over tasks(): chunk c is tasks [c ? end[c - 1] : 0,
+  /// end[c]), the fixed units whose J/K partials merge.
+  const std::vector<std::size_t>& task_chunk_ends() const {
+    return chunk_end_;
+  }
   const HfxOptions& options() const { return options_; }
 
   /// The pool every build runs on, alive as long as the builder; the

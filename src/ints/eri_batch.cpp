@@ -1,6 +1,7 @@
 #include "ints/eri_batch.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <iterator>
@@ -29,8 +30,9 @@ struct SortKey {
   }
 };
 
-// One skeleton entry a batch evaluates: its value index and its R
-// offset (ket) or panel offset (bra), times kW.
+// One skeleton entry a batch evaluates: its value index in the pair's
+// skeleton and its R offset (ket) or panel offset (bra), times kW. Lane
+// values are packed in term order, so term t's values sit at t * kW.
 struct Term {
   std::uint32_t e, off;
 };
@@ -38,11 +40,11 @@ struct Term {
 // Per-thread scratch, grow-only so the hot path never allocates warm.
 struct BatchScratch {
   std::vector<SortKey> order;      // the stream, sorted by class
-  // Packed per-primitive lane data, SoA: value index e, lane w at
-  // [e * kW + w]. Entry *values* are lane data; entry coordinates are
-  // the classes' skeletons.
-  std::vector<double> bra_vals;    // [bra prim][entry][lane] (E)
-  std::vector<double> ket_svals;   // [ket prim][entry][lane] (signed E)
+  // Packed per-primitive lane data, SoA: term t, lane w at [t * kW + w].
+  // Only the batch's terms are packed; entry coordinates are the
+  // classes' skeletons.
+  std::vector<double> bra_vals;    // [bra prim][bra term][lane] (E)
+  std::vector<double> ket_svals;   // [ket prim][ket term][lane] (signed E)
   // [prim * kW + w]: exponent sum, center, max |E|, and the
   // prefactor's per-primitive part (2π^{5/2}/p on the bra, 1/q on the ket).
   std::vector<double> bp_p, bp_x, bp_y, bp_z, bp_me, bp_c;
@@ -169,9 +171,12 @@ const double* build_r(int tuv_max, V8 alpha, V8 dx, V8 dy, V8 dz,
 // the lane-parallel kernel stages.
 class BatchedEri {
  public:
-  static std::size_t run(std::span<const QuartetRef> stream, EriBlock* out) {
+  static std::size_t run(std::span<const QuartetRef> stream, EriBlock* out,
+                         double* seconds) {
+    using Clock = std::chrono::steady_clock;
     const std::size_t n = stream.size();
     if (n == 0) return 0;
+    Clock::time_point last = seconds ? Clock::now() : Clock::time_point{};
     std::fill(std::begin(tls.packed_bra), std::end(tls.packed_bra), nullptr);
 
     // Sort by the pairs' class ids; the stream index breaks ties, so
@@ -200,6 +205,16 @@ class BatchedEri {
       }
       eval_batch(stream, idx, nw, out);
       ++batches;
+      if (seconds) {
+        // Time since the previous batch ended (the first batch also
+        // carries the sort), so the shares add up to the whole call.
+        const Clock::time_point now = Clock::now();
+        const double share =
+            std::chrono::duration<double>(now - last).count() /
+            static_cast<double>(nw);
+        for (std::size_t w = 0; w < nw; ++w) seconds[idx[w]] = share;
+        last = now;
+      }
     }
     return batches;
   }
@@ -277,35 +292,11 @@ class BatchedEri {
     const std::size_t neb = bs.entries.size();
     const std::size_t nek = ks.entries.size();
 
-    // ---- Batch packing: values SoA. The bra lanes of a J/K row are one
-    // pair, so their data is packed once per run call, not per batch.
+    // ---- Term lists, then batch packing: the lanes' values of each
+    // term, SoA. A batch whose bra lanes are the previous batch's (say,
+    // consecutive batches that all take one bra row) keeps the packed bra.
     const bool new_bra =
         !std::equal(B, B + kW, std::begin(tls.packed_bra));
-    if (new_bra) {
-      std::copy(B, B + kW, std::begin(tls.packed_bra));
-      const double pi52 = 2.0 * std::pow(std::numbers::pi, 2.5);
-      tls.bra_vals.resize(npb * neb * kW);
-      tls.bp_p.resize(npb * kW);
-      tls.bp_x.resize(npb * kW);
-      tls.bp_y.resize(npb * kW);
-      tls.bp_z.resize(npb * kW);
-      tls.bp_me.resize(npb * kW);
-      tls.bp_c.resize(npb * kW);
-      for (std::size_t p = 0; p < npb; ++p) {
-        double* vals = tls.bra_vals.data() + p * neb * kW;
-        for (std::size_t w = 0; w < kW; ++w) {
-          const auto& pr = B[w]->prims_[p];
-          tls.bp_p[p * kW + w] = pr.p;
-          tls.bp_x[p * kW + w] = pr.center.x;
-          tls.bp_y[p * kW + w] = pr.center.y;
-          tls.bp_z[p * kW + w] = pr.center.z;
-          tls.bp_me[p * kW + w] = pr.max_abs_e;
-          tls.bp_c[p * kW + w] = pi52 / pr.p;
-          const double* src = B[w]->vals_.data() + p * neb;
-          for (std::size_t e = 0; e < neb; ++e) vals[e * kW + w] = src[e];
-        }
-      }
-    }
     if (new_bra || tls.rbase_rn1 != rn1) {
       // The panel holds only the union points a live bra entry reads.
       tls.rbase_rn1 = rn1;
@@ -327,12 +318,40 @@ class BatchedEri {
                     });
     }
     const std::size_t nu = tls.rbase.size();
+    const std::size_t nbt = tls.bra_terms.size();
+    if (new_bra) {
+      std::copy(B, B + kW, std::begin(tls.packed_bra));
+      const double pi52 = 2.0 * std::pow(std::numbers::pi, 2.5);
+      tls.bra_vals.resize(npb * nbt * kW);
+      tls.bp_p.resize(npb * kW);
+      tls.bp_x.resize(npb * kW);
+      tls.bp_y.resize(npb * kW);
+      tls.bp_z.resize(npb * kW);
+      tls.bp_me.resize(npb * kW);
+      tls.bp_c.resize(npb * kW);
+      for (std::size_t p = 0; p < npb; ++p) {
+        double* vals = tls.bra_vals.data() + p * nbt * kW;
+        for (std::size_t w = 0; w < kW; ++w) {
+          const auto& pr = B[w]->prims_[p];
+          tls.bp_p[p * kW + w] = pr.p;
+          tls.bp_x[p * kW + w] = pr.center.x;
+          tls.bp_y[p * kW + w] = pr.center.y;
+          tls.bp_z[p * kW + w] = pr.center.z;
+          tls.bp_me[p * kW + w] = pr.max_abs_e;
+          tls.bp_c[p * kW + w] = pi52 / pr.p;
+          const double* src = B[w]->vals_.data() + p * neb;
+          for (std::size_t t = 0; t < nbt; ++t)
+            vals[t * kW + w] = src[tls.bra_terms[t].e];
+        }
+      }
+    }
     collect_terms(ks, live_mask(K, nw), tls.ket_terms, tls.ket_begin,
                   [rn1](const HermiteEntry& h) {
                     return ((h.t * rn1 + h.u) * rn1 + h.v) * kW;
                   });
+    const std::size_t nkt = tls.ket_terms.size();
 
-    tls.ket_svals.resize(npk * nek * kW);
+    tls.ket_svals.resize(npk * nkt * kW);
     tls.kp_p.resize(npk * kW);
     tls.kp_x.resize(npk * kW);
     tls.kp_y.resize(npk * kW);
@@ -340,7 +359,7 @@ class BatchedEri {
     tls.kp_me.resize(npk * kW);
     tls.kp_c.resize(npk * kW);
     for (std::size_t p = 0; p < npk; ++p) {
-      double* svals = tls.ket_svals.data() + p * nek * kW;
+      double* svals = tls.ket_svals.data() + p * nkt * kW;
       for (std::size_t w = 0; w < kW; ++w) {
         const auto& pr = K[w]->prims_[p];
         tls.kp_p[p * kW + w] = pr.p;
@@ -350,8 +369,10 @@ class BatchedEri {
         tls.kp_me[p * kW + w] = pr.max_abs_e;
         tls.kp_c[p * kW + w] = 1.0 / pr.p;
         const double* src = K[w]->vals_.data() + p * nek;
-        for (std::size_t e = 0; e < nek; ++e)
-          svals[e * kW + w] = ks.entries[e].odd ? -src[e] : src[e];
+        for (std::size_t t = 0; t < nkt; ++t) {
+          const std::uint32_t e = tls.ket_terms[t].e;
+          svals[t * kW + w] = ks.entries[e].odd ? -src[e] : src[e];
+        }
       }
     }
 
@@ -408,10 +429,11 @@ class BatchedEri {
         // adding (no zero-fill pass); entries fold in two at a time to
         // amortize the panel read-modify-write.
         const V8 vpref = pref;
-        const double* sv = tls.ket_svals.data() + ki * nek * kW;
+        const double* svk = tls.ket_svals.data() + ki * nkt * kW;
         for (std::size_t kc = 0; kc < nck; ++kc) {
           double* panel_kc = panel + kc * nu * kW;
           const Term* kt = tls.ket_terms.data() + tls.ket_begin[kc];
+          const double* sv = svk + tls.ket_begin[kc] * kW;
           const std::size_t ne = tls.ket_begin[kc + 1] - tls.ket_begin[kc];
           std::size_t e = 0;
           if (fresh) {
@@ -420,7 +442,7 @@ class BatchedEri {
               continue;
             }
             const double* rk = r + kt[0].off;
-            const V8 s0 = vpref * v8_load(sv + kt[0].e * kW);
+            const V8 s0 = vpref * v8_load(sv);
             for (std::size_t pnt = 0; pnt < nu; ++pnt)
               v8_store(panel_kc + pnt * kW,
                        s0 * v8_load(rk + static_cast<std::size_t>(rbase[pnt]) *
@@ -430,8 +452,8 @@ class BatchedEri {
           for (; e + 1 < ne; e += 2) {
             const double* rk0 = r + kt[e].off;
             const double* rk1 = r + kt[e + 1].off;
-            const V8 s0 = vpref * v8_load(sv + kt[e].e * kW);
-            const V8 s1 = vpref * v8_load(sv + kt[e + 1].e * kW);
+            const V8 s0 = vpref * v8_load(sv + e * kW);
+            const V8 s1 = vpref * v8_load(sv + (e + 1) * kW);
             for (std::size_t pnt = 0; pnt < nu; ++pnt) {
               const std::size_t off = static_cast<std::size_t>(rbase[pnt]) * kW;
               double* pp = panel_kc + pnt * kW;
@@ -441,7 +463,7 @@ class BatchedEri {
           }
           if (e < ne) {
             const double* rk = r + kt[e].off;
-            const V8 s0 = vpref * v8_load(sv + kt[e].e * kW);
+            const V8 s0 = vpref * v8_load(sv + e * kW);
             for (std::size_t pnt = 0; pnt < nu; ++pnt) {
               double* pp = panel_kc + pnt * kW;
               v8_store(pp, v8_load(pp) +
@@ -458,10 +480,11 @@ class BatchedEri {
       // Stage 2 — bra sparse dots against the folded panel, four ket
       // components per pass so each bra value load feeds four FMAs,
       // accumulated lane-wise into the SoA output blocks.
-      const double* bv = tls.bra_vals.data() + bi * neb * kW;
+      const double* bvp = tls.bra_vals.data() + bi * nbt * kW;
       for (std::size_t bc = 0; bc < ncb; ++bc) {
         const Term* bt0 = tls.bra_terms.data() + tls.bra_begin[bc];
         const Term* bt1 = tls.bra_terms.data() + tls.bra_begin[bc + 1];
+        const double* bv0 = bvp + tls.bra_begin[bc] * kW;
         double* arow = acc + bc * nck * kW;
         std::size_t kc = 0;
         for (; kc + 4 <= nck; kc += 4) {
@@ -470,8 +493,9 @@ class BatchedEri {
           const double* p2 = p1 + nu * kW;
           const double* p3 = p2 + nu * kW;
           V8 s0 = v8_zero(), s1 = v8_zero(), s2 = v8_zero(), s3 = v8_zero();
-          for (const Term* bt = bt0; bt != bt1; ++bt) {
-            const V8 b = v8_load(bv + bt->e * kW);
+          const double* bv = bv0;
+          for (const Term* bt = bt0; bt != bt1; ++bt, bv += kW) {
+            const V8 b = v8_load(bv);
             s0 = s0 + b * v8_load(p0 + bt->off);
             s1 = s1 + b * v8_load(p1 + bt->off);
             s2 = s2 + b * v8_load(p2 + bt->off);
@@ -486,8 +510,9 @@ class BatchedEri {
         for (; kc < nck; ++kc) {
           const double* panel_kc = panel + kc * nu * kW;
           V8 sum = v8_zero();
-          for (const Term* bt = bt0; bt != bt1; ++bt)
-            sum = sum + v8_load(bv + bt->e * kW) * v8_load(panel_kc + bt->off);
+          const double* bv = bv0;
+          for (const Term* bt = bt0; bt != bt1; ++bt, bv += kW)
+            sum = sum + v8_load(bv) * v8_load(panel_kc + bt->off);
           double* a = arow + kc * kW;
           v8_store(a, v8_load(a) + sum);
         }
@@ -503,8 +528,8 @@ class BatchedEri {
 };
 
 std::size_t eri_shell_quartet_batched(std::span<const QuartetRef> stream,
-                                      EriBlock* out) {
-  return BatchedEri::run(stream, out);
+                                      EriBlock* out, double* seconds) {
+  return BatchedEri::run(stream, out, seconds);
 }
 
 }  // namespace mthfx::ints

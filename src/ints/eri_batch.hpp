@@ -6,13 +6,14 @@
 //
 // Evaluated one quartet at a time, the Boys function, the R-tensor
 // recurrence and the two Hermite contraction stages would all run at
-// vector width 1. This entry point takes a whole quartet stream (a J/K
-// task's post-screening kets, or one row of Schwarz diagonals), groups
-// quartets whose bra and ket pairs share a class (one skeleton and one
-// primitive count, ShellPairHermite::class_id), packs up to
-// kBoysBatchWidth of them into SoA lanes, and runs every kernel stage
-// across the lanes with fixed-width vector loops. Results are written in
-// the caller's stream order.
+// vector width 1. This entry point takes a whole quartet stream (the
+// post-screening kets of a J/K stream group, several bra rows long, or
+// one row of Schwarz diagonals), groups quartets whose bra and ket pairs
+// share a class (one skeleton and one primitive count,
+// ShellPairHermite::class_id), packs up to kBoysBatchWidth of them into
+// SoA lanes, and runs every kernel stage across the lanes with
+// fixed-width vector loops. Results are written in the caller's stream
+// order.
 //
 // Per batch, for each bra primitive: every surviving ket primitive
 // runs the Boys batch (boys_batch) and the R recurrence (a precomputed
@@ -32,12 +33,13 @@
 //      changes,
 //   3. pad ragged tails by replicating lane 0 with a zero prefactor.
 // A batch evaluates only the skeleton entries some lane's pair has
-// nonzero (ShellPairHermite::live_), and its panel holds only the bra
-// union points those entries read, so a batch whose pairs all leave a
-// slot empty (a same-centre pair batched alone, a J/K row's one bra)
-// does no work for it. A batch whose bra lanes are the previous batch's
-// (every batch of a J/K row) reuses their packed data and entry lists
-// within one call.
+// nonzero (ShellPairHermite::live_), packs only those entries' values,
+// and its panel holds only the bra union points those entries read, so
+// a batch whose pairs all leave a slot empty (a same-centre pair batched
+// alone, say) does no work for it. A batch whose bra lanes are the
+// previous batch's (consecutive batches that take one bra row) reuses
+// their packed data and entry lists within one call; a batch whose lanes
+// span several bra rows packs its bras afresh.
 // Each lane's block is a pure function of its own (bra, ket): lanes share
 // control flow only, and a cut-off or padded lane, or a skeleton slot the
 // lane's pair leaves empty, adds exact zeros. The same quartet gives the
@@ -63,8 +65,11 @@ struct QuartetRef {
 /// out[i] (EriBlock layout), and return the number of batches run
 /// (stream.size() / batches is the lane fill). Buffers inside out[i] and
 /// the kernel scratch are reused across calls — the hot path performs no
-/// allocation once capacities are warm.
+/// allocation once capacities are warm. With `seconds`, stream[i]'s share
+/// of the wall time goes to seconds[i]: its batch's time divided by the
+/// batch's lane count, so the shares add up to the call's time.
 std::size_t eri_shell_quartet_batched(std::span<const QuartetRef> stream,
-                                      EriBlock* out);
+                                      EriBlock* out,
+                                      double* seconds = nullptr);
 
 }  // namespace mthfx::ints

@@ -311,8 +311,9 @@ TEST(EriBatched, OneBatchPerAngularClass) {
 TEST(EriBatched, BlockIndependentOfStreamCompanions) {
   // J/K's bit-identity across thread counts and schedules rests on each
   // lane's block being a pure function of its own (bra, ket): the same
-  // quartet must give the same bits alone, inside its bra row's stream
-  // (the J/K task shape) and inside a shuffled stream that mixes every
+  // quartet must give the same bits alone, inside its bra row's stream,
+  // inside a stream of consecutive rows whose batches mix bras (the J/K
+  // stream-group shape) and inside a shuffled stream that mixes every
   // s/p/d pair class, ragged tails and partly cut-off primitive lanes.
   // Same-centre pairs, axis-aligned pairs (C-O along z, C/O/H in the
   // y = 0 plane) and generic pairs (the second H) share batches.
@@ -352,6 +353,33 @@ TEST(EriBatched, BlockIndependentOfStreamCompanions) {
     for (std::size_t k = 0; k <= b; ++k) row.push_back({&pairs[b], &pairs[k]});
     ints::eri_shell_quartet_batched({row.data(), row.size()}, out.data());
     for (std::size_t k = 0; k <= b; ++k) expect_same(out[k], b, k, "row");
+  }
+
+  // The J/K stream-group shape: consecutive rows in one stream, so one
+  // batch takes lanes from several bra rows. Fewer batches than the rows
+  // run one by one shows that batches span rows; the per-quartet seconds
+  // change no bit.
+  std::size_t row_batches = 0;
+  std::vector<ints::QuartetRef> group;
+  for (std::size_t b = 0; b < np; ++b) {
+    row.clear();
+    for (std::size_t k = 0; k <= b; ++k) {
+      row.push_back({&pairs[b], &pairs[k]});
+      group.push_back(row.back());
+    }
+    row_batches +=
+        ints::eri_shell_quartet_batched({row.data(), row.size()}, out.data());
+  }
+  std::vector<ints::EriBlock> group_out(group.size());
+  std::vector<double> seconds(group.size(), 0.0);
+  EXPECT_LT(ints::eri_shell_quartet_batched({group.data(), group.size()},
+                                            group_out.data(), seconds.data()),
+            row_batches);
+  for (std::size_t q = 0; q < group.size(); ++q) {
+    EXPECT_GT(seconds[q], 0.0);
+    const std::size_t b = static_cast<std::size_t>(group[q].bra - &pairs[0]);
+    const std::size_t k = static_cast<std::size_t>(group[q].ket - &pairs[0]);
+    expect_same(group_out[q], b, k, "group");
   }
 
   std::vector<std::size_t> order(np * np);

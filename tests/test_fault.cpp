@@ -314,6 +314,47 @@ TEST(FockBuilder, FaultInjectedExchangeMatchesCleanRun) {
   }
 }
 
+// The first task of a multi-task stream group evaluates the whole group.
+// An injected failure fires before that work, so the retry evaluates the
+// group; a corruption then fires after it, so the next retry re-digests
+// the task's slice from the same blocks. J and K equal a clean build's.
+TEST(FockBuilder, FaultOnFirstTaskOfStreamGroupMatchesCleanRun) {
+  const auto m = wl::lithium_peroxide();
+  const auto basis = chem::BasisSet::build(m, "sto-3g");
+  const auto p = random_density(basis.num_functions(), 19);
+
+  // One thread runs the build as one run: task 0 opens its first group,
+  // and row 0 holds one ket at most, so the group runs on into task 1.
+  hfx::HfxOptions clean;
+  clean.eps_schwarz = 1e-9;
+  clean.num_threads = 1;
+  clean.validate_tasks = true;
+  const auto ref = hfx::FockBuilder(basis, clean).coulomb_exchange(p);
+
+  // A seed whose first build fails task 0 (site 0) on its first attempt
+  // and corrupts it on its second.
+  hfx::HfxOptions opts = clean;
+  opts.fault.fail_rate = 0.2;
+  opts.fault.corrupt_rate = 0.2;
+  opts.fault.max_retries = 16;
+  for (opts.fault.seed = 1;; ++opts.fault.seed) {
+    const fault::Injector probe(opts.fault);
+    if (probe.decide(0, 0) == fault::FaultKind::kFail &&
+        probe.decide(0, 1) == fault::FaultKind::kCorrupt)
+      break;
+  }
+  const auto r = hfx::FockBuilder(basis, opts).coulomb_exchange(p);
+  EXPECT_GE(r.stats.fault.injected_failures, 1u);
+  EXPECT_GE(r.stats.fault.injected_corruptions, 1u);
+  EXPECT_GE(r.stats.fault.retries, 2u);
+  EXPECT_EQ(r.stats.fault.permanent_failures, 0u);
+  EXPECT_EQ(r.stats.screening.quartets_computed,
+            ref.stats.screening.quartets_computed);
+  EXPECT_EQ(r.stats.kernel_batches, ref.stats.kernel_batches);
+  EXPECT_EQ(r.j, ref.j);
+  EXPECT_EQ(r.k, ref.k);
+}
+
 TEST(FockBuilder, CorruptionWithoutValidationPoisonsOutput) {
   const auto m = water();
   const auto basis = chem::BasisSet::build(m, "sto-3g");

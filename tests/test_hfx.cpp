@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <limits>
@@ -350,6 +351,81 @@ TEST(FockBuilder, StatsArePopulated) {
   EXPECT_GT(result.stats.wall_seconds, 0.0);
   EXPECT_EQ(result.stats.thread_busy_seconds.size(), 2u);
   EXPECT_GT(result.stats.screening.quartets_computed, 0u);
+}
+
+// A one-thread build of fewer than kStreamGroupQuartets survivors runs as
+// one stream group: water's 15 bra rows share one batched kernel call, so
+// its batches fill across rows (47 batches row by row). Larger pools run
+// each chunk on its own, which moves no bit of J or K.
+TEST(FockBuilder, SmallBuildRunsAsOneStream) {
+  const auto basis = chem::BasisSet::build(water(), "sto-3g");
+  const la::Matrix p = random_density(basis.num_functions(), 17);
+  const auto [jref, kref] = reference_jk(basis, p);
+
+  hfx::HfxOptions base;
+  base.eps_schwarz = 1e-10;
+  base.num_threads = 1;
+  const auto ref = hfx::FockBuilder(basis, base).coulomb_exchange(p);
+  EXPECT_EQ(ref.stats.screening.quartets_computed, 120u);
+  EXPECT_LE(ref.stats.kernel_batches, 23u);
+  EXPECT_LT(la::max_abs(ref.j - jref), 1e-12);
+  EXPECT_LT(la::max_abs(ref.k - kref), 1e-12);
+
+  for (auto schedule :
+       {hfx::HfxSchedule::kDynamicBag, hfx::HfxSchedule::kStaticBlock,
+        hfx::HfxSchedule::kStaticCyclic, hfx::HfxSchedule::kWorkStealing}) {
+    for (std::size_t threads : {1u, 2u, 4u}) {
+      SCOPED_TRACE("schedule " + std::to_string(static_cast<int>(schedule)) +
+                   " threads " + std::to_string(threads));
+      hfx::HfxOptions opts = base;
+      opts.schedule = schedule;
+      opts.num_threads = threads;
+      const auto jk = hfx::FockBuilder(basis, opts).coulomb_exchange(p);
+      if (threads == 1) {
+        EXPECT_EQ(jk.stats.kernel_batches, ref.stats.kernel_batches);
+      }
+      EXPECT_EQ(jk.stats.screening.quartets_computed, 120u);
+      EXPECT_EQ(jk.j, ref.j);
+      EXPECT_EQ(jk.k, ref.k);
+    }
+  }
+}
+
+// record_task_costs keeps its meaning, the seconds each task cost, when a
+// group's first task evaluates the whole group: every task that computed
+// quartets is charged, and since a task's record adds up disjoint
+// stretches of the build's task bodies (its kernel shares, screening and
+// digestion), the records never exceed the threads' busy seconds.
+TEST(FockBuilder, TaskCostsCoverKernelTime) {
+  const std::pair<chem::Molecule, double> cases[] = {
+      {water(), 1e-10}, {mthfx::workload::lithium_peroxide(), 1e-9}};
+  for (const auto& [mol, eps] : cases) {
+    SCOPED_TRACE(eps);
+    const auto basis = chem::BasisSet::build(mol, "sto-3g");
+    const la::Matrix p = random_density(basis.num_functions(), 23);
+    hfx::HfxOptions opts;
+    opts.eps_schwarz = eps;
+    opts.num_threads = 1;
+    opts.density_screening = false;  // every Schwarz-live ket is computed
+    opts.record_task_costs = true;
+    const hfx::FockBuilder builder(basis, opts);
+    const auto r = builder.coulomb_exchange(p);
+
+    const auto& tasks = builder.tasks();
+    ASSERT_EQ(r.stats.task_costs.size(), tasks.size());
+    double total = 0.0;
+    for (std::size_t t = 0; t < tasks.size(); ++t) {
+      const std::size_t live = std::clamp<std::size_t>(
+          builder.pairs().live_end(tasks[t].bra, eps), tasks[t].ket_begin,
+          tasks[t].ket_end);
+      if (live > tasks[t].ket_begin) {
+        EXPECT_GT(r.stats.task_costs[t].seconds, 0.0) << "task " << t;
+      }
+      total += r.stats.task_costs[t].seconds;
+    }
+    EXPECT_GT(total, 0.0);
+    EXPECT_LE(total, r.stats.thread_busy_seconds.at(0) * (1.0 + 1e-9));
+  }
 }
 
 TEST(Schedulers, ExecuteTasksRunsAll) {
